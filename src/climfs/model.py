@@ -180,26 +180,25 @@ def _pairwise_sq_dists(X: np.ndarray) -> np.ndarray:
     return D
 
 
-def _shrink(Z: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Elementwise soft threshold with a per-coordinate threshold array."""
-    return np.sign(Z) * np.maximum(np.abs(Z) - tau, 0.0)
-
-
-def _ksparse_column(q: np.ndarray, k: int) -> tuple[np.ndarray, float, bool]:
-    """`ksparse_simplex_min` with a deterministic tie-breaking retry.
-
-    A degenerate neighborhood (ties straddling the k-th slot) is resolved
-    by adding an index-proportional perturbation far below data scale, so
-    lower indices win ties; returns (s, half_gap, perturbed_flag).
-    """
-    try:
-        s, half = numkit.ksparse_simplex_min(q, k)
-        return s, half, False
-    except NumericError:
-        eta = 1e-12 * max(1.0, float(np.abs(q).max()))
-        q2 = q + eta * np.arange(q.shape[0])
-        s, half = numkit.ksparse_simplex_min(q2, k)
-        return s, half, True
+def _refresh_columns(G: np.ndarray, C: np.ndarray, k: int, coef: np.ndarray,
+                     offset: float = 0.0,
+                     guard: bool = False) -> tuple[int, int]:
+    """Swap the closed-form k-sparse simplex solution of every column of
+    the costs C into graph G and its half-gap minus `offset` into `coef`,
+    in place. With `guard`, only where q.s + (coef + offset) ||s||^2 does
+    not increase beyond the slack. Returns (skipped, perturbed) counts."""
+    nbr, w, half, perturbed = numkit.ksparse_simplex_columns(C, k)
+    cols = np.arange(C.shape[0])
+    if guard:  # graph diagonals are zero, so C's diagonal adds nothing
+        old = np.einsum("ij,ij->j", C, G) \
+            + (coef + offset) * np.einsum("ij,ij->j", G, G)
+        new = np.einsum("jt,jt->j", C[nbr, cols[:, None]], w) \
+            + half * np.einsum("jt,jt->j", w, w)
+        cols = cols[~(new > old + GUARD_RTOL * np.maximum(1.0, np.abs(old)))]
+    G[:, cols] = 0.0
+    G[nbr[cols], cols[:, None]] = w[cols]
+    coef[cols] = half[cols] - offset
+    return C.shape[0] - cols.size, int(perturbed.sum())
 
 
 def _positive_part(A: np.ndarray) -> np.ndarray:
@@ -261,8 +260,11 @@ def init_state(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
             for w in W]
 
     dists = [_pairwise_sq_dists(x) for x in Xhat]
-    S = [_graph_from_costs(0.5 * d2, cfg.k)[0] for d2 in dists]
-    H, _ = _graph_from_costs(0.5 * np.mean(dists, axis=0), cfg.k)
+    S = [np.zeros((n, n)) for _ in range(V)]
+    for Sv, d2 in zip(S, dists):
+        _refresh_columns(Sv, 0.5 * d2, cfg.k, np.empty(n))
+    H = np.zeros((n, n))
+    _refresh_columns(H, 0.5 * np.mean(dists, axis=0), cfg.k, np.empty(n))
 
     rng = np.random.default_rng(cfg.seed)
     init_fallback = False
@@ -284,30 +286,11 @@ def init_state(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
                        gamma=np.zeros(n), init_fallback=init_fallback)
     if components.graph_learning:
         for v in range(V):
-            Q = _build_q(state, v)
-            state.xi[v] = _column_half_gaps(Q, cfg.k) - alpha[v] ** 2
-        B = _build_b(state, components, cfg)
-        state.gamma = _column_half_gaps(B, cfg.k)
+            half = numkit.ksparse_simplex_columns(_build_q(state, v), cfg.k)[2]
+            state.xi[v] = half - alpha[v] ** 2
+        state.gamma = numkit.ksparse_simplex_columns(
+            _build_b(state, components, cfg), cfg.k)[2]
     return state
-
-
-def _graph_from_costs(costs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Columnwise k-sparse simplex graph from a cost matrix (diagonal
-    excluded); returns (graph, half-gaps)."""
-    n = costs.shape[0]
-    G = np.zeros((n, n))
-    halves = np.zeros(n)
-    idx = np.arange(n)
-    for j in range(n):
-        keep = idx != j
-        s_sub, half, _ = _ksparse_column(costs[keep, j], k)
-        G[keep, j] = s_sub
-        halves[j] = half
-    return G, halves
-
-
-def _column_half_gaps(costs: np.ndarray, k: int) -> np.ndarray:
-    return _graph_from_costs(costs, k)[1]
 
 
 # ------------------------------------------------------- cost-row builders
@@ -392,8 +375,8 @@ def update_Fv(state: ModelState, cfg: FitConfig) -> dict:
             theta = 1.0
             accepted = False
             while theta > 2.0 ** -21:
-                cand = _shrink(state.Fv[v] - theta * step,
-                               theta * tvec * cfg.beta)
+                cand = numkit.soft_threshold(state.Fv[v] - theta * step,
+                                             theta * tvec * cfg.beta)
                 f_cand = _fv_objective(state.Xhat[v], W, cand, state.Fstar,
                                        cfg.beta)
                 if f_cand <= f_cur:
@@ -474,61 +457,27 @@ def update_S(state: ModelState, cfg: FitConfig) -> dict:
 
     Column j minimizes q.s + half_gap * ||s||^2 over the k-sparse simplex,
     with the self-tuned half gap; the stored xi_vj = half_gap - alpha_v^2
-    feeds the traced objective. Under `strict_descent` a column is kept
-    only if the swap (new column and coefficient together) does not
-    increase the traced objective.
+    feeds the traced objective. A view's columns are solved in one batch;
+    under `strict_descent` a column's swap (new column and coefficient
+    together) is kept only where it does not increase the traced objective.
     """
-    skips = 0
-    perturbed = 0
-    n = state.n_samples
-    idx = np.arange(n)
+    skips = perturbed = 0
     for v in range(state.n_views):
-        Q = _build_q(state, v)
-        a2 = state.alpha[v] ** 2
-        for j in range(n):
-            keep = idx != j
-            qcol = Q[keep, j]
-            s_sub, half, was_perturbed = _ksparse_column(qcol, cfg.k)
-            perturbed += was_perturbed
-            if cfg.strict_descent:
-                old_sub = state.S[v][keep, j]
-                cost_old = float(qcol @ old_sub
-                                 + (state.xi[v][j] + a2) * (old_sub @ old_sub))
-                cost_new = float(qcol @ s_sub + half * (s_sub @ s_sub))
-                if cost_new > cost_old + GUARD_RTOL * max(1.0, abs(cost_old)):
-                    skips += 1
-                    continue
-            state.S[v][:, j] = 0.0
-            state.S[v][keep, j] = s_sub
-            state.xi[v][j] = half - a2
+        skip, pert = _refresh_columns(state.S[v], _build_q(state, v), cfg.k,
+                                      state.xi[v], state.alpha[v] ** 2,
+                                      cfg.strict_descent)
+        skips, perturbed = skips + skip, perturbed + pert
     return {"s_guard_skips": skips, "s_perturbed": perturbed}
 
 
 def update_H(state: ModelState, cfg: FitConfig,
              components: Components = FULL_MODEL) -> dict:
-    """Closed-form refresh of the consensus graph columns, mirroring
-    `update_S` with costs from the fused view graphs (and consensus-factor
-    distances when the cluster-structure term is active)."""
-    skips = 0
-    perturbed = 0
-    n = state.n_samples
-    idx = np.arange(n)
-    B = _build_b(state, components, cfg)
-    for j in range(n):
-        keep = idx != j
-        bcol = B[keep, j]
-        h_sub, half, was_perturbed = _ksparse_column(bcol, cfg.k)
-        perturbed += was_perturbed
-        if cfg.strict_descent:
-            old_sub = state.H[keep, j]
-            cost_old = float(bcol @ old_sub + state.gamma[j] * (old_sub @ old_sub))
-            cost_new = float(bcol @ h_sub + half * (h_sub @ h_sub))
-            if cost_new > cost_old + GUARD_RTOL * max(1.0, abs(cost_old)):
-                skips += 1
-                continue
-        state.H[:, j] = 0.0
-        state.H[keep, j] = h_sub
-        state.gamma[j] = half
+    """Closed-form refresh of all consensus graph columns in one batch,
+    mirroring `update_S`, with costs from the fused view graphs (and
+    consensus-factor distances when the cluster-structure term is on)."""
+    skips, perturbed = _refresh_columns(
+        state.H, _build_b(state, components, cfg), cfg.k, state.gamma,
+        guard=cfg.strict_descent)
     return {"h_guard_skips": skips, "h_perturbed": perturbed}
 
 
@@ -770,6 +719,8 @@ def fit(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
             _absorb(update_Xhat(state, ds, masks, cfg, components))
 
         obj_new, terms = objective(state, cfg, components)
+        if not np.isfinite(obj_new):
+            raise NumericError(f"non-finite objective after iteration {it}")
         rel = abs(obj_new - obj) / max(abs(obj), 1e-30)
         trace.rows.append({"iter": it, "objective": obj_new, **terms,
                            "rel_change": rel, "max_violation": viol,

@@ -19,6 +19,8 @@ PENCIL_FLOOR = 1e-12
 SYM_TOL = 1e-10
 # Entries closer to zero than this are treated as inactive in the simplex QP.
 ACTIVE_TOL = 1e-12
+# Columns per pass of `ksparse_simplex_columns`: temporaries stay O(n * 256).
+COLUMN_BLOCK = 256
 
 
 def solve_scaled_sylvester(d: np.ndarray, lam: float, G: np.ndarray,
@@ -75,9 +77,9 @@ def solve_scaled_sylvester(d: np.ndarray, lam: float, G: np.ndarray,
     return Wt @ Q.T
 
 
-def soft_threshold(A: np.ndarray, tau: float) -> np.ndarray:
-    """Elementwise shrinkage sign(a) * max(|a| - tau, 0); tau >= 0."""
-    if tau < 0:
+def soft_threshold(A: np.ndarray, tau: float | np.ndarray) -> np.ndarray:
+    """Shrinkage sign(a) * max(|a| - tau, 0); tau >= 0 is a scalar or array."""
+    if np.any(np.asarray(tau) < 0):
         raise ValueError("tau must be nonnegative")
     A = np.asarray(A, dtype=float)
     return np.sign(A) * np.maximum(np.abs(A) - tau, 0.0)
@@ -138,6 +140,51 @@ def ksparse_simplex_min(q: np.ndarray, k: int) -> tuple[np.ndarray, float]:
     s = np.zeros(n)
     s[order[:k]] = vals
     return s, gap / 2.0
+
+
+def ksparse_simplex_columns(C: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """`ksparse_simplex_min` on every column of the square costs C without
+    its diagonal entry, bit for bit; a degenerate column is solved again
+    after adding eta * position (its index in the column without the
+    diagonal; eta = 1e-12 * max(1, max |q|)), so lower indices win ties.
+    Returns neighbours (n, k), weights (n, k), half-gaps (n,) and the
+    perturbed flags (n,); raises NumericError on non-finite costs or on a
+    column still degenerate after the perturbation."""
+    C = np.asarray(C, dtype=float)
+    n = C.shape[0]
+    if C.shape != (n, n) or not 1 <= k < n - 1:
+        raise ValueError(f"need square C and 1 <= k < n-1, got {C.shape}, {k}")
+    nbr, w = np.empty((n, k), dtype=np.intp), np.empty((n, k))
+    half, perturbed = np.empty(n), np.zeros(n, dtype=bool)
+    for j0 in range(0, n, COLUMN_BLOCK):
+        cols = np.arange(j0, min(j0 + COLUMN_BLOCK, n))
+        Q = C[:, cols].T.copy()  # row r is column cols[r]
+        Q[np.arange(cols.size), cols] = 0.0
+        if not np.isfinite(Q).all():
+            raise NumericError("non-finite costs in a k-sparse subproblem")
+        eta = 1e-12 * np.maximum(1.0, np.abs(Q).max(axis=1))
+        Q[np.arange(cols.size), cols] = np.inf  # never its own neighbour
+        for retry in (False, True):
+            part = np.argpartition(Q, k, axis=1)[:, :k + 1]
+            vals = np.take_along_axis(Q, part, axis=1)
+            order = np.argsort(vals, axis=1)  # ties share weights: any order
+            qs = np.take_along_axis(vals, order, axis=1)
+            # contiguous rows, so the sums round as in `ksparse_simplex_min`
+            diffs = qs[:, k:] - qs[:, :k]
+            gap = diffs.sum(axis=1)
+            ok = (qs[:, k] > qs[:, k - 1]) & (gap > 0.0)
+            done = cols[ok]
+            nbr[done] = np.take_along_axis(part, order[:, :k], axis=1)[ok]
+            wt = diffs[ok] / gap[ok, None]
+            w[done] = wt / wt.sum(axis=1, keepdims=True)
+            half[done], perturbed[done] = gap[ok] / 2.0, retry
+            if ok.all():
+                break
+            if retry:
+                raise NumericError("neighborhood degenerate when perturbed")
+            cols, eta, Q = cols[~ok], eta[~ok], Q[~ok]
+            Q += eta[:, None] * (np.arange(n) - (np.arange(n) > cols[:, None]))
+    return nbr, w, half, perturbed
 
 
 def _project_simplex(y: np.ndarray) -> np.ndarray:

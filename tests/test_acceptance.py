@@ -20,12 +20,11 @@ from climfs.dataset import (MissingScenario, MultiViewDataset, apply_missing,
                             make_synthetic)
 from climfs.evaluation import (clustering_accuracy, diagnostics_report,
                                evaluate_selection, nmi)
-from climfs.model import (FULL_MODEL, FitConfig, _build_b, _build_q,
-                          _ksparse_column, fit, init_state, rank_features,
-                          update_Fstar, update_Fv, update_H, update_S,
-                          update_W, update_Xhat, update_alpha,
-                          validate_state)
-from climfs.numkit import solve_scaled_sylvester
+from climfs.model import (FULL_MODEL, FitConfig, _build_b, _build_q, fit,
+                          init_state, rank_features, update_Fstar, update_Fv,
+                          update_H, update_S, update_W, update_Xhat,
+                          update_alpha, validate_state)
+from climfs.numkit import ksparse_simplex_columns, solve_scaled_sylvester
 
 # ---------------------------------------------------------------- oracles
 
@@ -171,7 +170,13 @@ def test_graph_column_updates_match_support_enumeration():
         cases.append((rng.normal(scale=scale, size=size), k))
 
     for q, k in cases:
-        s, half, _ = _ksparse_column(q, k)
+        # q becomes column 0 (diagonal left out) of a cost matrix
+        C = np.zeros((q.size + 1, q.size + 1))
+        C[1:, 0] = q
+        nbr, w, halves, _ = ksparse_simplex_columns(C, k)
+        s = np.zeros(q.size)
+        s[nbr[0] - 1] = w[0]
+        half = halves[0]
         assert np.count_nonzero(s) == k
         assert abs(s.sum() - 1.0) <= 1e-12
         assert s.min() >= 0.0

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import climfs.cli as cli
+import climfs.model as model
 from climfs.cli import load_config, main, resolve_fit_config
 from climfs.dataset import load_manifest, load_masks
 from climfs.errors import NumericError
@@ -364,6 +365,33 @@ def test_optimizer_failure_exits_3(tmp_path, monkeypatch, exc):
         raise exc
 
     monkeypatch.setattr(cli, "fit", boom)
+    assert main(["fit", "--config", p]) == 3
+
+
+def test_nonfinite_iterate_raises_and_exits_3(tmp_path, monkeypatch):
+    # a NaN in a masked entry of the graph-free variant's imputed data
+    # reaches the objective within one sweep
+    cfg = base_config(tmp_path / "out")
+    cfg["fit"].update(max_iter=2, tol=1e-13)
+    cfg["method"] = "climfs-iii"
+    p = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["simulate", "--config", p]) == 0
+    assert main(["fit", "--config", p]) == 0
+    out = tmp_path / "out"
+    masks = load_masks(out / "dataset" / "masks.json")
+    state, fc, comps = load_state(out / "fit" / "climfs-iii" / "state")
+
+    def poison(st):
+        st.Xhat[0][masks.masks[0] == 0.0] = np.nan
+        return st
+
+    with pytest.raises(NumericError, match="non-finite objective"):
+        fit(load_manifest(out / "dataset" / "manifest.json"), masks, fc,
+            components=comps, state=poison(state))
+
+    real_init = model.init_state
+    monkeypatch.setattr(model, "init_state",
+                        lambda *args, **kw: poison(real_init(*args, **kw)))
     assert main(["fit", "--config", p]) == 3
 
 

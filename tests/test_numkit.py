@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from climfs.errors import NumericError
-from climfs.numkit import (AdamState, adam_step, ksparse_simplex_min,
+from climfs.numkit import (COLUMN_BLOCK, AdamState, adam_step,
+                           ksparse_simplex_columns, ksparse_simplex_min,
                            laplacian, simplex_qp, soft_threshold,
                            solve_scaled_sylvester)
 
@@ -56,15 +57,33 @@ def ksparse_enum_oracle(q, k, xi):
 
 def simplex_grid_oracle(Q, c, step=1e-3):
     """Brute-force grid over the 2-simplex (V = 3 only)."""
-    best_val, best_x = np.inf, None
     ticks = np.arange(0.0, 1.0 + step / 2, step)
-    for a in ticks:
-        for b in ticks[ticks <= 1.0 - a + step / 2]:
-            x = np.array([a, b, max(1.0 - a - b, 0.0)])
-            val = x @ Q @ x + c @ x
-            if val < best_val:
-                best_val, best_x = val, x
-    return best_x, best_val
+    a, b = np.meshgrid(ticks, ticks, indexing="ij")
+    keep = b <= 1.0 - a + step / 2
+    a, b = a[keep], b[keep]
+    X = np.stack([a, b, np.maximum(1.0 - a - b, 0.0)], axis=1)
+    vals = np.einsum("mi,mi->m", X @ Q, X) + X @ c
+    best = int(np.argmin(vals))
+    return X[best], vals[best]
+
+
+def ksparse_column_loop(C, k):
+    """Per-column reference for `ksparse_simplex_columns`: the scalar
+    kernel on each column without its diagonal, retried after adding
+    eta * position when the column is degenerate."""
+    n = C.shape[0]
+    G, halves, perturbed = np.zeros((n, n)), np.zeros(n), np.zeros(n, bool)
+    for j in range(n):
+        keep = np.arange(n) != j
+        q = C[keep, j]
+        try:
+            s, halves[j] = ksparse_simplex_min(q, k)
+        except NumericError:
+            eta = 1e-12 * max(1.0, float(np.abs(q).max()))
+            s, halves[j] = ksparse_simplex_min(q + eta * np.arange(n - 1), k)
+            perturbed[j] = True
+        G[keep, j] = s
+    return G, halves, perturbed
 
 
 # ------------------------------------------------------------- sylvester
@@ -128,8 +147,13 @@ def test_soft_threshold_examples():
     out = soft_threshold(A, 1.0)
     np.testing.assert_allclose(out, [[2.0, 0.0], [0.0, -1.0]], atol=0)
     np.testing.assert_allclose(soft_threshold(A, 0.0), A, atol=0)
+    tau = np.array([[1.0, 0.0], [0.1, 3.0]])  # one threshold per entry
+    np.testing.assert_allclose(soft_threshold(A, tau),
+                               [[2.0, -0.5], [0.1, 0.0]], atol=1e-15)
     with pytest.raises(ValueError):
         soft_threshold(A, -0.1)
+    with pytest.raises(ValueError):
+        soft_threshold(A, np.array([[1.0, -0.1], [0.0, 0.0]]))
 
 
 def test_soft_threshold_nonexpansive():
@@ -197,6 +221,45 @@ def test_ksparse_matches_enumeration_oracle():
         _, best_val = ksparse_enum_oracle(q, k, xi)
         ours = q @ s + xi * (s @ s)
         assert ours <= best_val + 1e-8
+
+
+def test_ksparse_columns_match_scalar_kernel_bitwise():
+    rng = np.random.default_rng(31)
+    cases = [(rng.normal(size=(n, n)) * rng.uniform(0.1, 100), k, False)
+             for n, k in ((5, 1), (12, 1), (12, 3), (10, 8), (20, 8),
+                          (30, 12), (COLUMN_BLOCK + 40, 6))]
+    # tied columns: small-integer costs and all-equal costs
+    cases += [(rng.integers(0, 3, size=(n, n)).astype(float), k, True)
+              for n, k in ((9, 1), (9, 4), (25, 8))]
+    cases.append((np.ones((7, 7)), 2, True))
+    for C, k, tied in cases:
+        G, halves, perturbed = ksparse_column_loop(C, k)
+        nbr, w, half, pert = ksparse_simplex_columns(C, k)
+        got = np.zeros_like(G)
+        got[nbr, np.arange(C.shape[0])[:, None]] = w
+        assert np.array_equal(got, G)
+        assert np.array_equal(half, halves)
+        assert np.array_equal(pert, perturbed)
+        assert pert.any() == tied
+    # the two-candidate tie of the update_S tie-break test: the perturbed
+    # column 0 picks the lower index
+    x = np.array([0.0, 1.0, -1.0])
+    nbr, w, _, pert = ksparse_simplex_columns(0.5 * (x[:, None] - x) ** 2, 1)
+    assert pert[0] and nbr[0, 0] == 1 and w[0, 0] == 1.0
+
+
+def test_ksparse_columns_rejects_bad_input():
+    C = np.arange(16.0).reshape(4, 4)
+    with pytest.raises(ValueError):
+        ksparse_simplex_columns(C, 3)  # k must be < n - 1
+    with pytest.raises(ValueError):
+        ksparse_simplex_columns(C[:, :3], 1)
+    C[2, 1] = np.nan
+    with pytest.raises(NumericError):
+        ksparse_simplex_columns(C, 1)
+    C[2, 1] = 0.0
+    C[1, 1] = np.nan  # the diagonal is left out
+    ksparse_simplex_columns(C, 1)
 
 
 # ------------------------------------------------------------ simplex QP
