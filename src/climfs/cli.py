@@ -26,6 +26,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -48,9 +49,9 @@ ABLATION_METHODS = ("climfs", "climfs-i", "climfs-ii", "climfs-iii")
 
 _SYNTH_KEYS = {"n", "views", "clusters", "informative", "noise",
                "separation", "noise_scale", "seed"}
-_FIT_KEYS = {"lambda", "beta", "k", "c", "rho", "eps_dv", "inner_fv_steps",
-             "max_iter", "tol", "symmetrize_laplacians", "seed",
-             "strict_descent", "validate_every_update"}
+# The config names FitConfig's `lam` "lambda".
+_FIT_KEYS = {"lambda" if f.name == "lam" else f.name
+             for f in dataclasses.fields(FitConfig)}
 _TOP_KEYS = {"data", "scenario", "fit", "method", "methods",
              "feature_ratios", "eval_runs", "diagnostics", "out_dir"}
 
@@ -254,7 +255,6 @@ def _run_fit(cfg: dict, method: str, strict: bool) -> int:
         "iterations": trace.iterations,
         "objective_final": trace.rows[-1]["objective"],
         "message": trace.message,
-        "init_fallback": trace.init_fallback,
         "timing": {"seconds": elapsed}})
     _snapshot(cfg, mroot)
     print(f"{method}: {trace.message}; state in {mroot}")

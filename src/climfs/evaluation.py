@@ -20,6 +20,8 @@ from climfs.dataset import MaskMatrix, MultiViewDataset
 
 # Numeric slack for the diagnostic bound checks.
 BOUND_TOL = 1e-9
+# Lloyd iterations per k-means run, unless the assignment settles first.
+KMEANS_MAX_ITER = 300
 
 
 # ---------------------------------------------------------------- k-means
@@ -45,7 +47,7 @@ def _kmeanspp_centers(X: np.ndarray, c: int,
     return centers
 
 
-def kmeans(X: np.ndarray, c: int, seed: int = 0, max_iter: int = 300,
+def kmeans(X: np.ndarray, c: int, seed: int = 0,
            return_history: bool = False):
     """Lloyd's algorithm with k-means++ seeding from an explicit seed.
 
@@ -65,7 +67,7 @@ def kmeans(X: np.ndarray, c: int, seed: int = 0, max_iter: int = 300,
     centers = _kmeanspp_centers(X, c, rng)
     labels = np.zeros(n, dtype=int)
     history = []
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         new_labels = np.argmin(d2, axis=1)
         for cl in range(c):
@@ -226,11 +228,10 @@ def _cluster_separation(state, masks: MaskMatrix) -> list[dict]:
                "premise_status": "no imputed pairs"}
         if idx.size >= 2:
             Xn, _ = _normalized_columns(state.Xhat[v])
-            D = np.sqrt(np.maximum(
-                _sq_dists_cols(Xn[:, idx]), 0.0))
+            D = np.sqrt(numkit.sq_dists(Xn[:, idx]))
             rows = F[idx]
             same = (rows[:, None, :] == rows[None, :, :]).all(axis=2)
-            delta = np.sqrt(np.maximum(_sq_dists_rows(rows), 0.0))
+            delta = np.sqrt(numkit.sq_dists(rows.T))
             iu = np.triu_indices(idx.size, k=1)
             same_u = same[iu]
             dist_u = D[iu]
@@ -257,15 +258,6 @@ def _cluster_separation(state, masks: MaskMatrix) -> list[dict]:
     return out
 
 
-def _sq_dists_cols(X: np.ndarray) -> np.ndarray:
-    sq = np.einsum("ij,ij->j", X, X)
-    return sq[:, None] + sq[None, :] - 2.0 * (X.T @ X)
-
-
-def _sq_dists_rows(R: np.ndarray) -> np.ndarray:
-    return _sq_dists_cols(R.T)
-
-
 def _neighbor_consistency(state, masks: MaskMatrix, rho: float) -> list[dict]:
     """Per view: for imputed samples i with a strong imputed neighbor j
     (directed weight S^v_ji >= rho), the column-normalized distance must
@@ -280,7 +272,7 @@ def _neighbor_consistency(state, masks: MaskMatrix, rho: float) -> list[dict]:
             Xn, scale = _normalized_columns(state.Xhat[v])
             C = state.W[v] @ (state.Fv[v] + state.Fstar).T
             cnorm = np.linalg.norm(C, axis=0) / scale
-            D = np.sqrt(np.maximum(_sq_dists_cols(Xn[:, idx]), 0.0))
+            D = np.sqrt(numkit.sq_dists(Xn[:, idx]))
             Ssub = state.S[v][np.ix_(idx, idx)]
             omega1 = 1.5 - rho + 0.5 * cnorm[idx]
             strong = Ssub >= rho
@@ -304,7 +296,7 @@ def _consensus_value(state, cfg) -> float:
     for v in range(state.n_views):
         R = state.Xhat[v] - state.W[v] @ (state.Fv[v] + state.Fstar).T
         total += float(np.sum(R * R))
-    L = numkit.laplacian(state.H, symmetrize=True)
+    L = numkit.laplacian(state.H)
     total += float(np.sum(state.Fstar * (L @ state.Fstar)))
     return total
 
@@ -335,7 +327,7 @@ def _consensus_consistency(state, masks: MaskMatrix, cfg,
     ||F*_i - F*_j||^2 <= 2 J / zeta, J the consensus subproblem value; a
     pair qualifies when either directed weight H_ij or H_ji reaches zeta."""
     J = _consensus_value(state, cfg)
-    gap2 = _sq_dists_rows(state.Fstar)
+    gap2 = numkit.sq_dists(state.Fstar.T)
     Hmax = np.maximum(state.H, state.H.T)
     eligible = _cross_view_pairs(masks)
     checks = []

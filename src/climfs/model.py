@@ -18,7 +18,9 @@ F^v / F* steps backtrack, the S / H column updates keep the previous
 column when swapping in the freshly tuned coefficient would not pay for
 itself, and the imputation step falls back to the exact per-row
 constrained solve if the fast path would increase its subproblem. Guard
-trigger counts are recorded per iteration in the trace.
+trigger counts are recorded per iteration in the trace. The guards, and
+the constraint suite `fit` runs after every sub-update, are always on:
+no setting switches them off.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from climfs import numkit
 from climfs.dataset import (CSV_FLOAT_FMT, MaskMatrix, MultiViewDataset,
-                            mean_impute)
+                            _round_count, mean_impute)
 from climfs.errors import ConfigError, NumericError
 
 # Multiplicative-update denominators never drop below this.
@@ -54,9 +56,8 @@ class FitConfig:
     lam, beta weight the l2,1 and l1 penalties; k is the graph sparsity
     (neighbors per column, 1 <= k <= n-2); c the number of clusters;
     rho the orthogonality penalty on F*; eps_dv the smoothing inside the
-    reweighted l2,1 diagonal. `strict_descent` enables the descent guards
-    and `validate_every_update` runs the constraint suite after each
-    sub-update (both default on; disable only for throughput).
+    reweighted l2,1 diagonal. The descent guards and the constraint suite
+    after each sub-update always run; they are not settings.
     """
 
     lam: float = 1.0
@@ -68,10 +69,7 @@ class FitConfig:
     inner_fv_steps: int = 10
     max_iter: int = 200
     tol: float = 1e-5
-    symmetrize_laplacians: bool = True
     seed: int = 0
-    strict_descent: bool = True
-    validate_every_update: bool = True
 
     def validate(self) -> None:
         if not (self.lam > 0 and self.beta > 0 and self.rho > 0
@@ -119,7 +117,6 @@ class ModelState:
     adam: list[numkit.AdamState]    # per-view Adam moments for Fv
     xi: list[np.ndarray]            # (n,) per-column S quadratic offsets
     gamma: np.ndarray               # (n,) per-column H quadratic weights
-    init_fallback: bool = False     # spectral init fell back to random
 
     @property
     def n_views(self) -> int:
@@ -138,7 +135,6 @@ class FitTrace:
     converged: bool = False
     iterations: int = 0
     message: str = ""
-    init_fallback: bool = False
 
     def objectives(self) -> np.ndarray:
         return np.array([r["objective"] for r in self.rows])
@@ -166,18 +162,6 @@ class SelectionResult:
 
 
 # ----------------------------------------------------------------- helpers
-
-
-def _round_count(x: float) -> int:
-    return int(np.floor(x + 0.5))
-
-
-def _pairwise_sq_dists(X: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the columns of X."""
-    sq = np.einsum("ij,ij->j", X, X)
-    D = sq[:, None] + sq[None, :] - 2.0 * (X.T @ X)
-    np.maximum(D, 0.0, out=D)
-    return D
 
 
 def _refresh_columns(G: np.ndarray, C: np.ndarray, k: int, coef: np.ndarray,
@@ -209,9 +193,9 @@ def _negative_part(A: np.ndarray) -> np.ndarray:
     return (np.abs(A) - A) / 2.0
 
 
-def _sym_affinity(H: np.ndarray, symmetrize: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Affinity and degree vector used by the F* regularizer."""
-    A = (H + H.T) / 2.0 if symmetrize else H
+def _sym_affinity(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetrized affinity and degree vector used by the F* regularizer."""
+    A = (H + H.T) / 2.0
     return A, A.sum(axis=0)
 
 
@@ -242,8 +226,8 @@ def init_state(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
     the first Sylvester solve sees a uniform row weighting); S^v and H are
     k-sparse simplex graphs built from the closed form on (mean-imputed)
     squared distances; F* is a binary one-hot membership from spectral
-    clustering of the initial H (seeded random assignment on failure,
-    flagged in `init_fallback`); F^v starts at zero.
+    clustering of the initial H; F^v starts at zero. The graphs are built
+    from zero, so their columns are set without the descent guard.
     """
     cfg.validate()
     masks.check_against(ds)
@@ -259,20 +243,14 @@ def init_state(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
     Drow = [1.0 / (2.0 * np.sqrt(np.einsum("ij,ij->i", w, w) + cfg.eps_dv))
             for w in W]
 
-    dists = [_pairwise_sq_dists(x) for x in Xhat]
+    dists = [numkit.sq_dists(x) for x in Xhat]
     S = [np.zeros((n, n)) for _ in range(V)]
     for Sv, d2 in zip(S, dists):
         _refresh_columns(Sv, 0.5 * d2, cfg.k, np.empty(n))
     H = np.zeros((n, n))
     _refresh_columns(H, 0.5 * np.mean(dists, axis=0), cfg.k, np.empty(n))
 
-    rng = np.random.default_rng(cfg.seed)
-    init_fallback = False
-    try:
-        labels = _spectral_partition(H, cfg.c, cfg.seed)
-    except (np.linalg.LinAlgError, NumericError):
-        labels = rng.integers(0, cfg.c, size=n)
-        init_fallback = True
+    labels = _spectral_partition(H, cfg.c, cfg.seed)
     Fstar = np.zeros((n, cfg.c))
     Fstar[np.arange(n), labels] = 1.0
 
@@ -283,7 +261,7 @@ def init_state(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
     state = ModelState(Xhat=Xhat, W=W, Fv=Fv, Fstar=Fstar, S=S, H=H,
                        alpha=alpha, Drow=Drow, adam=adam,
                        xi=[np.zeros(n) for _ in range(V)],
-                       gamma=np.zeros(n), init_fallback=init_fallback)
+                       gamma=np.zeros(n))
     if components.graph_learning:
         for v in range(V):
             half = numkit.ksparse_simplex_columns(_build_q(state, v), cfg.k)[2]
@@ -308,7 +286,7 @@ def _build_q(state: ModelState, v: int) -> np.ndarray:
     pair appears twice.
     """
     a = state.alpha
-    Q = 0.5 * _pairwise_sq_dists(state.Xhat[v]) - a[v] * state.H
+    Q = 0.5 * numkit.sq_dists(state.Xhat[v]) - a[v] * state.H
     for m in range(state.n_views):
         if m != v:
             Q += 2.0 * a[v] * a[m] * state.S[m]
@@ -322,7 +300,7 @@ def _build_b(state: ModelState, components: Components,
     P = sum(a * Sv for a, Sv in zip(state.alpha, state.S))
     B = -P
     if components.cluster_structure:
-        B = B + 0.5 * _pairwise_sq_dists(state.Fstar.T)
+        B = B + 0.5 * numkit.sq_dists(state.Fstar.T)
     return B
 
 
@@ -398,7 +376,7 @@ def _fstar_objective(state: ModelState, Fstar: np.ndarray, cfg: FitConfig,
         R = state.Xhat[v] - state.W[v] @ (state.Fv[v] + Fstar).T
         total += float(np.sum(R * R))
     if components.cluster_structure:
-        A, deg = _sym_affinity(state.H, cfg.symmetrize_laplacians)
+        A, deg = _sym_affinity(state.H)
         total += float(np.sum(deg * np.einsum("ij,ij->i", Fstar, Fstar))
                        - np.sum(Fstar * (A @ Fstar)))
     Gram = Fstar.T @ Fstar - np.eye(Fstar.shape[1])
@@ -433,7 +411,7 @@ def update_Fstar(state: ModelState, cfg: FitConfig,
         den += _negative_part(J) + _positive_part(M) \
             + state.Fstar @ _positive_part(U)
     if components.cluster_structure:
-        A, deg = _sym_affinity(state.H, cfg.symmetrize_laplacians)
+        A, deg = _sym_affinity(state.H)
         num += A @ state.Fstar
         den += deg[:, None] * state.Fstar
 
@@ -458,14 +436,14 @@ def update_S(state: ModelState, cfg: FitConfig) -> dict:
     Column j minimizes q.s + half_gap * ||s||^2 over the k-sparse simplex,
     with the self-tuned half gap; the stored xi_vj = half_gap - alpha_v^2
     feeds the traced objective. A view's columns are solved in one batch;
-    under `strict_descent` a column's swap (new column and coefficient
-    together) is kept only where it does not increase the traced objective.
+    a column's swap (new column and coefficient together) is kept only
+    where it does not increase the traced objective.
     """
     skips = perturbed = 0
     for v in range(state.n_views):
         skip, pert = _refresh_columns(state.S[v], _build_q(state, v), cfg.k,
                                       state.xi[v], state.alpha[v] ** 2,
-                                      cfg.strict_descent)
+                                      guard=True)
         skips, perturbed = skips + skip, perturbed + pert
     return {"s_guard_skips": skips, "s_perturbed": perturbed}
 
@@ -477,7 +455,7 @@ def update_H(state: ModelState, cfg: FitConfig,
     consensus-factor distances when the cluster-structure term is on)."""
     skips, perturbed = _refresh_columns(
         state.H, _build_b(state, components, cfg), cfg.k, state.gamma,
-        guard=cfg.strict_descent)
+        guard=True)
     return {"h_guard_skips": skips, "h_perturbed": perturbed}
 
 
@@ -511,15 +489,14 @@ def update_Xhat(state: ModelState, ds: MultiViewDataset, masks: MaskMatrix,
     R = M (I + L)^{-1} with M = W (F^v + F*)^T and L the symmetrized-graph
     Laplacian of S^v (the symmetrized form is an identity with the
     pairwise smoothness term). Observed entries are copied back verbatim.
-    Under `strict_descent`, if that fast path would increase the
-    subproblem value the masked entries are recomputed by the exact
-    constrained per-row solve instead.
+    If that fast path would increase the subproblem value, the masked
+    entries are recomputed by the exact constrained per-row solve instead.
     """
     fallbacks = 0
     for v in range(state.n_views):
         M = state.W[v] @ (state.Fv[v] + state.Fstar).T
         if components.graph_learning:
-            L = numkit.laplacian(state.S[v], symmetrize=True)
+            L = numkit.laplacian(state.S[v])
             R = np.linalg.solve(np.eye(M.shape[1]) + L, M.T).T
         else:
             L = None
@@ -527,13 +504,12 @@ def update_Xhat(state: ModelState, ds: MultiViewDataset, masks: MaskMatrix,
         obs = masks.masks[v] == 1.0
         cand = R.copy()
         cand[obs] = ds.views[v][obs]
-        if cfg.strict_descent:
-            f_old = _xhat_subobjective(state.Xhat[v], M, L)
-            f_new = _xhat_subobjective(cand, M, L)
-            if f_new > f_old + GUARD_RTOL * max(1.0, abs(f_old)):
-                cand = _constrained_impute(state.Xhat[v], M, L,
-                                           masks.masks[v], ds.views[v])
-                fallbacks += 1
+        f_old = _xhat_subobjective(state.Xhat[v], M, L)
+        f_new = _xhat_subobjective(cand, M, L)
+        if f_new > f_old + GUARD_RTOL * max(1.0, abs(f_old)):
+            cand = _constrained_impute(state.Xhat[v], M, L,
+                                       masks.masks[v], ds.views[v])
+            fallbacks += 1
         state.Xhat[v] = cand
     return {"xhat_fallbacks": fallbacks}
 
@@ -599,7 +575,7 @@ def objective(state: ModelState, cfg: FitConfig,
     if components.graph_learning:
         smooth = 0.0
         for v in range(state.n_views):
-            L = numkit.laplacian(state.S[v], symmetrize=True)
+            L = numkit.laplacian(state.S[v])
             smooth += float(np.sum((state.Xhat[v] @ L) * state.Xhat[v]))
         cross = 0.0
         for v in range(state.n_views):
@@ -620,7 +596,7 @@ def objective(state: ModelState, cfg: FitConfig,
         terms["s_quad"] = terms["fusion"] = 0.0
 
     if components.cluster_structure:
-        A, deg = _sym_affinity(state.H, cfg.symmetrize_laplacians)
+        A, deg = _sym_affinity(state.H)
         terms["fstar_smooth"] = float(
             np.sum(deg * np.einsum("ij,ij->i", state.Fstar, state.Fstar))
             - np.sum(state.Fstar * (A @ state.Fstar)))
@@ -640,18 +616,22 @@ def validate_state(state: ModelState, ds: MultiViewDataset,
                    masks: MaskMatrix, cfg: FitConfig,
                    components: Components = FULL_MODEL) -> dict:
     """Constraint measurements: continuous violations (should sit at
-    rounding noise) and the count of graph columns without exactly k
-    nonzeros. Observed-entry preservation is checked bitwise."""
+    rounding noise; inf when a graph, alpha or F* holds a non-finite entry)
+    and the count of graph columns without exactly k nonzeros.
+    Observed-entry preservation is checked bitwise."""
     viol = 0.0
     nnz_bad = 0
     graphs = list(state.S) + [state.H]
+    # a sum is finite exactly when every summed entry is (short of overflow)
+    sums = [state.alpha.sum(), state.Fstar.sum()]
     for G in graphs:
-        viol = max(viol, float(np.abs(G.sum(axis=0) - 1.0).max()))
-        viol = max(viol, max(0.0, -float(G.min())))
+        sums.append(G.sum(axis=0))
+        viol = max(viol, float(np.abs(sums[-1] - 1.0).max()), -float(G.min()))
         nnz_bad += int(np.sum(np.count_nonzero(G, axis=0) != cfg.k))
-    viol = max(viol, abs(float(state.alpha.sum()) - 1.0))
-    viol = max(viol, max(0.0, -float(state.alpha.min())))
-    viol = max(viol, max(0.0, -float(state.Fstar.min())))
+    viol = max(viol, abs(float(sums[0]) - 1.0), -float(state.alpha.min()),
+               -float(state.Fstar.min()))
+    if not all(np.isfinite(x).all() for x in sums):
+        viol = np.inf
     obs_exact = all(
         np.array_equal(xh[m == 1.0], xv[m == 1.0])
         for xh, xv, m in zip(state.Xhat, ds.views, masks.masks))
@@ -673,15 +653,18 @@ def fit(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
     deterministic given the state. The trace holds one row per completed
     iteration: objective, term breakdown, constraint measurements, guard
     counters, and wall time. The first row's rel_change is measured
-    against the initial objective.
+    against the initial objective. A non-finite objective, at the start
+    or after any iteration, raises NumericError.
     """
     cfg.validate()
     masks.check_against(ds)
     if state is None:
         state = init_state(ds, masks, cfg, components)
 
-    trace = FitTrace(init_fallback=state.init_fallback)
+    trace = FitTrace()
     obj, _ = objective(state, cfg, components)
+    if not np.isfinite(obj):
+        raise NumericError("non-finite objective at the start state")
     checks = validate_state(state, ds, masks, cfg, components)
     if not checks["observed_bitwise_equal"]:
         raise NumericError("observed entries corrupted at initialization")
@@ -701,12 +684,11 @@ def fit(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
             nonlocal viol, nnz_bad
             for key, val in result.items():
                 counters[key] = counters.get(key, 0) + val
-            if cfg.validate_every_update:
-                chk = validate_state(state, ds, masks, cfg, components)
-                viol = max(viol, chk["max_violation"])
-                nnz_bad = max(nnz_bad, chk["nnz_bad_columns"])
-                if not chk["observed_bitwise_equal"]:
-                    raise NumericError("observed entries were modified")
+            chk = validate_state(state, ds, masks, cfg, components)
+            viol = max(viol, chk["max_violation"])
+            nnz_bad = max(nnz_bad, chk["nnz_bad_columns"])
+            if not chk["observed_bitwise_equal"]:
+                raise NumericError("observed entries were modified")
 
         _absorb(update_W(state, cfg))
         _absorb(update_Fv(state, cfg))
@@ -796,7 +778,6 @@ def save_state(state: ModelState, cfg: FitConfig, components: Components,
     header = {"n_views": state.n_views,
               "adam_t": [a.t for a in state.adam],
               "adam_lr": [a.lr for a in state.adam],
-              "init_fallback": state.init_fallback,
               "cfg": asdict(cfg),
               "components": asdict(components)}
     (out / "header.json").write_text(json.dumps(header, indent=2,
@@ -816,8 +797,12 @@ def load_state(path: str | Path) -> tuple[ModelState, FitConfig, Components]:
         return np.loadtxt(path / f"{name}.csv", delimiter=",", ndmin=2)
 
     V = header["n_views"]
-    cfg = FitConfig(**header["cfg"])
-    components = Components(**header["components"])
+    try:
+        cfg = FitConfig(**header["cfg"])
+        components = Components(**header["components"])
+    except TypeError as exc:  # e.g. a key of an earlier version
+        raise ConfigError(f"checkpoint {path} does not fit this version "
+                          f"(refit it): {exc}") from exc
     Xhat = [get(f"Xhat_{v}") for v in range(V)]
     n = Xhat[0].shape[1]
     adam = []
@@ -839,6 +824,5 @@ def load_state(path: str | Path) -> tuple[ModelState, FitConfig, Components]:
         Drow=[get(f"Drow_{v}").reshape(-1) for v in range(V)],
         adam=adam,
         xi=[get(f"xi_{v}").reshape(-1) for v in range(V)],
-        gamma=get("gamma").reshape(-1),
-        init_fallback=header["init_fallback"])
+        gamma=get("gamma").reshape(-1))
     return state, cfg, components

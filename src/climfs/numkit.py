@@ -19,6 +19,8 @@ PENCIL_FLOOR = 1e-12
 SYM_TOL = 1e-10
 # Entries closer to zero than this are treated as inactive in the simplex QP.
 ACTIVE_TOL = 1e-12
+# Fixed-point (KKT) residual the simplex QP solution must reach.
+QP_KKT_TOL = 1e-8
 # Columns per pass of `ksparse_simplex_columns`: temporaries stay O(n * 256).
 COLUMN_BLOCK = 256
 
@@ -47,8 +49,9 @@ def solve_scaled_sylvester(d: np.ndarray, lam: float, G: np.ndarray,
     ValueError
         On bad shapes, non-positive `d` or `lam`, or asymmetric G.
     NumericError
-        If some lam * d_i + mu_j falls below ``PENCIL_FLOOR`` (singular
-        pencil: the diagonal system cannot be inverted stably).
+        If `d`, `G` or `C` holds a non-finite entry, or some
+        lam * d_i + mu_j falls below ``PENCIL_FLOOR`` (singular pencil:
+        the diagonal system cannot be inverted stably).
     """
     d = np.asarray(d, dtype=float)
     G = np.asarray(G, dtype=float)
@@ -60,6 +63,8 @@ def solve_scaled_sylvester(d: np.ndarray, lam: float, G: np.ndarray,
         raise ValueError(f"shape mismatch: d{d.shape}, G{G.shape}, C{C.shape}")
     if lam <= 0:
         raise ValueError("lam must be positive")
+    if not all(np.isfinite(a).all() for a in (d, G, C)):
+        raise NumericError("non-finite entries in a Sylvester system")
     if not np.all(d > 0):
         raise ValueError("all entries of d must be strictly positive")
     gmax = max(1.0, float(np.abs(G).max(initial=0.0)))
@@ -208,15 +213,15 @@ def _qp_kkt_residual(Q: np.ndarray, c: np.ndarray, x: np.ndarray) -> float:
     return float(np.abs(x - _project_simplex(x - g)).max())
 
 
-def simplex_qp(Q: np.ndarray, c: np.ndarray | None = None,
-               tol: float = 1e-8) -> np.ndarray:
+def simplex_qp(Q: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
     """Minimize x^T Q x + c^T x over the probability simplex.
 
     Q must be symmetric PSD (within a small tolerance). Projected gradient
     from the uniform start is followed by an active-set polish (least-
     squares on the KKT system of the detected support, so flat objectives
     resolve to the minimum-norm, symmetric solution). If the fixed-point
-    residual still exceeds `tol` the supports are enumerated outright.
+    residual still exceeds ``QP_KKT_TOL`` the supports are enumerated
+    outright.
 
     Returns the minimizer; raises NumericError if Q is not PSD or no
     iterate meets the residual tolerance.
@@ -253,7 +258,7 @@ def simplex_qp(Q: np.ndarray, c: np.ndarray | None = None,
     if polished is not None and _qp_objective(Q, c, polished) <= _qp_objective(Q, c, best) + 1e-12:
         best = polished
 
-    if _qp_kkt_residual(Q, c, best) > tol and V <= 16:
+    if _qp_kkt_residual(Q, c, best) > QP_KKT_TOL and V <= 16:
         # Exhaustive support enumeration: exact for any PSD instance.
         from itertools import combinations
         for size in range(1, V + 1):
@@ -265,7 +270,7 @@ def simplex_qp(Q: np.ndarray, c: np.ndarray | None = None,
                     continue
                 if _qp_objective(Q, c, cand) < _qp_objective(Q, c, best) - 1e-15:
                     best = cand
-    if _qp_kkt_residual(Q, c, best) > tol:
+    if _qp_kkt_residual(Q, c, best) > QP_KKT_TOL:
         raise NumericError("simplex QP failed to reach the KKT tolerance")
     return best
 
@@ -294,20 +299,25 @@ def _polish_support(Q: np.ndarray, c: np.ndarray,
     return x / ssum
 
 
-def laplacian(A: np.ndarray, symmetrize: bool) -> np.ndarray:
-    """Graph Laplacian diag(colsums) - A of a nonnegative affinity matrix.
-
-    With ``symmetrize=True`` the affinity is first replaced by
-    (A + A^T) / 2, which makes the result symmetric PSD.
-    """
+def laplacian(A: np.ndarray) -> np.ndarray:
+    """Laplacian diag(colsums) - S of the symmetrized affinity
+    S = (A + A^T) / 2 of a nonnegative square A; symmetric PSD."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A must be square")
     if (A < 0).any():
         raise ValueError("affinity matrix must be nonnegative")
-    if symmetrize:
-        A = (A + A.T) / 2.0
+    A = (A + A.T) / 2.0
     return np.diag(A.sum(axis=0)) - A
+
+
+def sq_dists(X: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the columns of X, with the
+    rounding negatives of the Gram expansion clamped to 0."""
+    sq = np.einsum("ij,ij->j", X, X)
+    D = sq[:, None] + sq[None, :] - 2.0 * (X.T @ X)
+    np.maximum(D, 0.0, out=D)
+    return D
 
 
 @dataclass

@@ -297,9 +297,12 @@ def invalid_config_cases():
     def bad_fit_value(cfg):
         cfg["fit"]["k"] = 0
 
+    def removed_fit_key(cfg):
+        cfg["fit"]["strict_descent"] = True
+
     return [drop_out_dir, both_sources, neither_source, top_typo, fit_typo,
             scenario_typo, bad_method, bad_ratio, empty_ratios, bad_runs,
-            bad_kind, bad_delta, bad_fit_value]
+            bad_kind, bad_delta, bad_fit_value, removed_fit_key]
 
 
 @pytest.mark.parametrize("mutate", invalid_config_cases(),
@@ -332,6 +335,20 @@ def test_evaluate_before_fit_exits_2(tmp_path):
     p = write_config(tmp_path / "cfg.json", base_config(tmp_path / "out"))
     assert main(["simulate", "--config", p]) == 0
     assert main(["evaluate", "--config", p]) == 2
+
+
+def test_checkpoint_from_an_earlier_version_exits_2(tmp_path):
+    cfg = base_config(tmp_path / "out")
+    cfg["fit"].update(max_iter=1, tol=1e-13)
+    p = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["simulate", "--config", p]) == 0
+    assert main(["fit", "--config", p]) == 0
+    header_path = tmp_path / "out" / "fit" / "climfs" / "state" / "header.json"
+    header = json.loads(header_path.read_text())
+    header["cfg"]["strict_descent"] = True
+    header_path.write_text(json.dumps(header))
+    assert main(["evaluate", "--config", p]) == 2
+    assert main(["diagnose", "--config", p]) == 2
 
 
 def test_evaluate_without_labels_exits_2(tmp_path):
@@ -370,7 +387,7 @@ def test_optimizer_failure_exits_3(tmp_path, monkeypatch, exc):
 
 def test_nonfinite_iterate_raises_and_exits_3(tmp_path, monkeypatch):
     # a NaN in a masked entry of the graph-free variant's imputed data
-    # reaches the objective within one sweep
+    # makes the objective of the start state non-finite
     cfg = base_config(tmp_path / "out")
     cfg["fit"].update(max_iter=2, tol=1e-13)
     cfg["method"] = "climfs-iii"

@@ -8,7 +8,7 @@ import pytest
 
 from climfs.dataset import (MaskMatrix, MissingScenario, MultiViewDataset,
                             apply_missing, make_synthetic)
-from climfs.errors import ConfigError
+from climfs.errors import ConfigError, NumericError
 from climfs.model import (Components, FitConfig, _spectral_partition, fit,
                           init_state, load_state, objective, rank_features,
                           save_state, validate_state)
@@ -82,6 +82,54 @@ def test_init_rejects_oversized_k():
         init_state(masked, masks, FitConfig(k=9, c=2))
 
 
+def _constant_feature_rows():
+    ds = make_synthetic(n=30, views=2, clusters=3, informative=3, noise=4,
+                        seed=21)
+    flat = np.repeat(np.arange(ds.dims[0], dtype=float)[:, None], 30, axis=1)
+    ds = MultiViewDataset(views=[flat, ds.views[1]], labels=ds.labels)
+    return ds, MaskMatrix.all_observed(ds), FitConfig(k=4, c=3)
+
+
+def _k_is_n_minus_2():
+    masked, masks = small_instance(seed=21)
+    return masked, masks, FitConfig(k=28, c=2)
+
+
+def _c_is_n():
+    masked, masks = small_instance(seed=21)
+    return masked, masks, FitConfig(k=4, c=30)
+
+
+def _view_on_k_plus_1_samples():
+    # every other sample misses view 0 whole: its mean-imputed columns tie
+    ds = make_synthetic(n=30, views=2, clusters=3, informative=3, noise=4,
+                        seed=21)
+    m0 = np.zeros_like(ds.views[0])
+    m0[:, :5] = 1.0
+    masks = MaskMatrix(masks=[m0, np.ones_like(ds.views[1])])
+    views = [np.where(m0 == 1.0, ds.views[0], 0.0), ds.views[1]]
+    return (MultiViewDataset(views=views, labels=ds.labels), masks,
+            FitConfig(k=4, c=3))
+
+
+@pytest.mark.parametrize("make", [_constant_feature_rows, _k_is_n_minus_2,
+                                  _c_is_n, _view_on_k_plus_1_samples],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_degenerate_inputs_fit_cleanly(make):
+    # Each of these could also legitimately end in a named ConfigError or
+    # NumericError; today every one fits with a clean trace.
+    ds, masks, cfg = make()
+    cfg.max_iter, cfg.tol = 10, 1e-12
+    state, trace = fit(ds, masks, cfg)
+    obj = trace.objectives()
+    assert trace.iterations == 10
+    assert (np.diff(obj) <= 1e-9 * np.maximum(1.0, np.abs(obj[:-1]))).all()
+    for row in trace.rows:
+        assert row["max_violation"] <= 1e-10
+        assert row["nnz_bad_columns"] == 0
+    assert validate_state(state, ds, masks, cfg)["observed_bitwise_equal"]
+
+
 # ----------------------------------------------------------------- fit
 
 
@@ -108,7 +156,7 @@ def test_fit_fully_observed_data_is_never_touched():
                         seed=7)
     masks = MaskMatrix(masks=[np.ones_like(v) for v in ds.views])
     cfg = FitConfig(k=3, c=2, max_iter=5, tol=1e-12)
-    state, _ = fit(ds, masks, cfg)   # validate_every_update checks each step
+    state, _ = fit(ds, masks, cfg)   # fit validates after every step
     for xh, xv in zip(state.Xhat, ds.views):
         assert np.array_equal(xh, xv)
 
@@ -182,6 +230,18 @@ def test_checkpoint_roundtrip_and_resume_equivalence(tmp_path):
     assert np.array_equal(straight[10:], resumed)
 
 
+def test_resume_from_nonfinite_checkpoint_raises_numeric_error(tmp_path):
+    masked, masks = small_instance(seed=11)
+    cfg = FitConfig(k=4, c=2, max_iter=2, tol=1e-12)
+    state, _ = fit(masked, masks, cfg)
+    state.Drow[0][0] = np.nan
+    loaded, cfg_l, comp_l = load_state(
+        save_state(state, cfg, Components(), tmp_path / "ck"))
+    assert np.isnan(loaded.Drow[0][0])
+    with pytest.raises(NumericError, match="non-finite entries in a Sylvester"):
+        fit(masked, masks, cfg_l, comp_l, state=loaded)
+
+
 # ---------------------------------------------------------- rank_features
 
 
@@ -249,6 +309,16 @@ def test_validate_state_flags_tampering():
     checks = validate_state(st, masked, masks, cfg)
     if obs00:
         assert not checks["observed_bitwise_equal"]
+
+    # NaN is a violation, not a clean reading
+    st = init_state(masked, masks, cfg)
+    st.S[0][1, 0] = st.alpha[0] = np.nan
+    assert validate_state(st, masked, masks, cfg)["max_violation"] == np.inf
+    for tamper in ("H", "Fstar"):
+        st = init_state(masked, masks, cfg)
+        getattr(st, tamper)[0, 1] = np.inf
+        assert validate_state(st, masked, masks,
+                              cfg)["max_violation"] == np.inf
 
 
 def test_objective_total_is_sum_of_terms():

@@ -11,7 +11,7 @@ from climfs.errors import NumericError
 from climfs.numkit import (COLUMN_BLOCK, AdamState, adam_step,
                            ksparse_simplex_columns, ksparse_simplex_min,
                            laplacian, simplex_qp, soft_threshold,
-                           solve_scaled_sylvester)
+                           solve_scaled_sylvester, sq_dists)
 
 # ---------------------------------------------------------------- oracles
 
@@ -137,6 +137,16 @@ def test_sylvester_rejects_bad_inputs():
     # lam*d + min eig below the pencil floor
     with pytest.raises(NumericError):
         solve_scaled_sylvester(np.ones(2), 1e-13, np.zeros((2, 2)), C)
+    # a non-finite entry anywhere is a numeric failure, not a bad argument
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NumericError, match="non-finite"):
+            solve_scaled_sylvester(np.array([1.0, bad]), 1.0, np.eye(2), C)
+        with pytest.raises(NumericError, match="non-finite"):
+            solve_scaled_sylvester(np.ones(2), 1.0,
+                                   np.array([[1.0, bad], [bad, 1.0]]), C)
+        with pytest.raises(NumericError, match="non-finite"):
+            solve_scaled_sylvester(np.ones(2), 1.0, np.eye(2),
+                                   np.array([[1.0, 0.0], [bad, 1.0]]))
 
 
 # -------------------------------------------------------- soft threshold
@@ -321,10 +331,7 @@ def test_simplex_qp_rejects_indefinite():
 
 def test_laplacian_small_graph():
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    L = laplacian(A, symmetrize=False)
-    np.testing.assert_allclose(L, [[0.0, -1.0], [0.0, 1.0]])
-    Ls = laplacian(A, symmetrize=True)
-    np.testing.assert_allclose(Ls, [[0.5, -0.5], [-0.5, 0.5]])
+    np.testing.assert_allclose(laplacian(A), [[0.5, -0.5], [-0.5, 0.5]])
 
 
 def test_laplacian_symmetrized_is_psd():
@@ -332,7 +339,7 @@ def test_laplacian_symmetrized_is_psd():
     for _ in range(100):
         n = int(rng.integers(2, 10))
         A = rng.uniform(0, 1, size=(n, n))
-        L = laplacian(A, symmetrize=True)
+        L = laplacian(A)
         eigs = np.linalg.eigvalsh(L)
         assert eigs.min() >= -1e-10
         np.testing.assert_allclose(L @ np.ones(n), 0.0, atol=1e-10)
@@ -340,7 +347,23 @@ def test_laplacian_symmetrized_is_psd():
 
 def test_laplacian_rejects_negative_entries():
     with pytest.raises(ValueError):
-        laplacian(np.array([[0.0, -0.1], [0.0, 0.0]]), symmetrize=True)
+        laplacian(np.array([[0.0, -0.1], [0.0, 0.0]]))
+
+
+# ------------------------------------------------------------- sq_dists
+
+
+def test_sq_dists_matches_pairwise_loop():
+    rng = np.random.default_rng(37)
+    for shape in ((1, 1), (3, 5), (6, 2)):
+        X = rng.normal(size=shape)
+        D = sq_dists(X)
+        want = np.array([[float((X[:, i] - X[:, j]) @ (X[:, i] - X[:, j]))
+                          for j in range(shape[1])] for i in range(shape[1])])
+        np.testing.assert_allclose(D, want, rtol=1e-12, atol=1e-12)
+    # identical columns cancel to rounding noise, clamped at 0
+    X = np.repeat(rng.normal(size=(4, 1)) * 1e3, 3, axis=1)
+    assert sq_dists(X).min() == 0.0
 
 
 # ------------------------------------------------------------------ adam
