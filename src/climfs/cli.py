@@ -269,9 +269,6 @@ def cmd_fit(cfg: dict, strict: bool) -> int:
 
 def _evaluate_method(cfg: dict, method: str, labels) -> list[dict]:
     mroot = Path(cfg["out_dir"]) / "fit" / method
-    if not (mroot / "state" / "header.json").exists():
-        raise ConfigError(f"no fitted state for '{method}' under {mroot}; "
-                          f"run 'fit' first")
     state, fc, _ = load_state(mroot / "state")
     imputed = MultiViewDataset(views=[x.copy() for x in state.Xhat],
                                labels=labels)
@@ -324,9 +321,6 @@ def cmd_diagnose(cfg: dict) -> int:
     _, masks = _load_simulated(cfg)
     method = cfg.get("method", "climfs")
     mroot = Path(cfg["out_dir"]) / "fit" / method
-    if not (mroot / "state" / "header.json").exists():
-        raise ConfigError(f"no fitted state for '{method}' under {mroot}; "
-                          f"run 'fit' first")
     state, fc, _ = load_state(mroot / "state")
     result_path = mroot / "fit_result.json"
     if result_path.exists():

@@ -19,8 +19,8 @@ column when swapping in the freshly tuned coefficient would not pay for
 itself, and the imputation step falls back to the exact per-row
 constrained solve if the fast path would increase its subproblem. Guard
 trigger counts are recorded per iteration in the trace. The guards, and
-the constraint suite `fit` runs after every sub-update, are always on:
-no setting switches them off.
+the constraint check of what each sub-update wrote, are always on: no
+setting switches them off. Checkpoints restore every array bit for bit.
 """
 
 from __future__ import annotations
@@ -28,14 +28,15 @@ from __future__ import annotations
 import json
 import time
 import warnings
+import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from climfs import numkit
-from climfs.dataset import (CSV_FLOAT_FMT, MaskMatrix, MultiViewDataset,
-                            _round_count, mean_impute)
+from climfs.dataset import (MaskMatrix, MultiViewDataset, _round_count,
+                            mean_impute)
 from climfs.errors import ConfigError, NumericError
 
 # Multiplicative-update denominators never drop below this.
@@ -207,8 +208,7 @@ def _spectral_partition(H: np.ndarray, c: int, seed: int) -> np.ndarray:
     Laplacian embedding followed by seeded k-means on its rows."""
     from climfs.evaluation import kmeans  # local import: avoids a cycle
 
-    A = (H + H.T) / 2.0
-    deg = A.sum(axis=0)
+    A, deg = _sym_affinity(H)
     dinv = 1.0 / np.sqrt(np.maximum(deg, 1e-30))
     L = np.eye(H.shape[0]) - dinv[:, None] * A * dinv[None, :]
     eigval, eigvec = np.linalg.eigh(L)
@@ -370,13 +370,14 @@ def update_Fv(state: ModelState, cfg: FitConfig) -> dict:
 
 
 def _fstar_objective(state: ModelState, Fstar: np.ndarray, cfg: FitConfig,
-                     components: Components) -> float:
+                     affinity: tuple[np.ndarray, np.ndarray] | None) -> float:
+    """F* subproblem value; `affinity` is _sym_affinity(H) or None."""
     total = 0.0
     for v in range(state.n_views):
         R = state.Xhat[v] - state.W[v] @ (state.Fv[v] + Fstar).T
         total += float(np.sum(R * R))
-    if components.cluster_structure:
-        A, deg = _sym_affinity(state.H)
+    if affinity is not None:
+        A, deg = affinity
         total += float(np.sum(deg * np.einsum("ij,ij->i", Fstar, Fstar))
                        - np.sum(Fstar * (A @ Fstar)))
     Gram = Fstar.T @ Fstar - np.eye(Fstar.shape[1])
@@ -398,7 +399,6 @@ def update_Fstar(state: ModelState, cfg: FitConfig,
     subproblem value, the ratio is damped elementwise (ratio ** theta, a
     descent direction in theta), halving theta until non-increase.
     """
-    n, c = state.Fstar.shape
     num = 2.0 * cfg.rho * state.Fstar
     den = 2.0 * cfg.rho * (state.Fstar @ (state.Fstar.T @ state.Fstar))
     for v in range(state.n_views):
@@ -410,18 +410,19 @@ def update_Fstar(state: ModelState, cfg: FitConfig,
             + state.Fstar @ _negative_part(U)
         den += _negative_part(J) + _positive_part(M) \
             + state.Fstar @ _positive_part(U)
+    affinity = None
     if components.cluster_structure:
-        A, deg = _sym_affinity(state.H)
+        affinity = A, deg = _sym_affinity(state.H)
         num += A @ state.Fstar
         den += deg[:, None] * state.Fstar
 
     ratio = num / np.maximum(den, MU_FLOOR)
-    f_cur = _fstar_objective(state, state.Fstar, cfg, components)
+    f_cur = _fstar_objective(state, state.Fstar, cfg, affinity)
     theta = 1.0
     backtracks = 0
     while theta > 2.0 ** -21:
         cand = state.Fstar * ratio ** theta
-        if _fstar_objective(state, cand, cfg, components) <= f_cur:
+        if _fstar_objective(state, cand, cfg, affinity) <= f_cur:
             state.Fstar = cand
             return {"fstar_backtracks": backtracks}
         theta /= 2.0
@@ -611,32 +612,40 @@ def objective(state: ModelState, cfg: FitConfig,
 
 # ------------------------------------------------------------- validation
 
+# What `validate_state` checks; each is written by one block only.
+CHECKED_PARTS = ("Fstar", "S", "H", "alpha", "Xhat")
+
 
 def validate_state(state: ModelState, ds: MultiViewDataset,
                    masks: MaskMatrix, cfg: FitConfig,
-                   components: Components = FULL_MODEL) -> dict:
-    """Constraint measurements: continuous violations (should sit at
-    rounding noise; inf when a graph, alpha or F* holds a non-finite entry)
-    and the count of graph columns without exactly k nonzeros.
-    Observed-entry preservation is checked bitwise."""
-    viol = 0.0
-    nnz_bad = 0
-    graphs = list(state.S) + [state.H]
-    # a sum is finite exactly when every summed entry is (short of overflow)
-    sums = [state.alpha.sum(), state.Fstar.sum()]
-    for G in graphs:
-        sums.append(G.sum(axis=0))
-        viol = max(viol, float(np.abs(sums[-1] - 1.0).max()), -float(G.min()))
-        nnz_bad += int(np.sum(np.count_nonzero(G, axis=0) != cfg.k))
-    viol = max(viol, abs(float(sums[0]) - 1.0), -float(state.alpha.min()),
-               -float(state.Fstar.min()))
-    if not all(np.isfinite(x).all() for x in sums):
-        viol = np.inf
-    obs_exact = all(
+                   components: Components = FULL_MODEL,
+                   parts: tuple[str, ...] = CHECKED_PARTS) -> dict:
+    """Constraint measurements of the listed `parts`: continuous violations
+    (rounding noise; inf when a graph, alpha or F* holds a non-finite
+    entry) and graph columns without exactly k nonzeros, per part under
+    "parts" and combined. Observed entries ("Xhat") are compared bitwise,
+    and read as equal when "Xhat" is not listed."""
+    measured = {}
+    for part in [p for p in parts if p != "Xhat"]:
+        viol, bad = 0.0, 0
+        for A in state.S if part == "S" else [getattr(state, part)]:
+            # a sum is finite exactly when every summed entry is (short of
+            # overflow); alpha and every graph column lie on the simplex
+            sums = A.sum() if part == "Fstar" else A.sum(axis=0)
+            if not np.isfinite(sums).all():
+                viol = np.inf
+            elif part != "Fstar":
+                viol = max(viol, float(np.abs(sums - 1.0).max()))
+            viol = max(viol, -float(A.min()))
+            if part in ("S", "H"):
+                bad += int(np.sum(np.count_nonzero(A, axis=0) != cfg.k))
+        measured[part] = (viol, bad)
+    obs_exact = "Xhat" not in parts or all(
         np.array_equal(xh[m == 1.0], xv[m == 1.0])
         for xh, xv, m in zip(state.Xhat, ds.views, masks.masks))
-    return {"max_violation": viol, "nnz_bad_columns": nnz_bad,
-            "observed_bitwise_equal": obs_exact}
+    return {"max_violation": max([0.0] + [m[0] for m in measured.values()]),
+            "nnz_bad_columns": sum(m[1] for m in measured.values()),
+            "observed_bitwise_equal": obs_exact, "parts": measured}
 
 
 # -------------------------------------------------------------------- fit
@@ -652,9 +661,10 @@ def fit(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
     identical to an uninterrupted run because every update is
     deterministic given the state. The trace holds one row per completed
     iteration: objective, term breakdown, constraint measurements, guard
-    counters, and wall time. The first row's rel_change is measured
-    against the initial objective. A non-finite objective, at the start
-    or after any iteration, raises NumericError.
+    counters and wall time. Constraint readings equal a full check after
+    every sub-update; only what a sub-update wrote is re-measured. The
+    first row's rel_change is against the start state. A non-finite
+    objective, at the start or after any iteration, raises NumericError.
     """
     cfg.validate()
     masks.check_against(ds)
@@ -668,6 +678,7 @@ def fit(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
     checks = validate_state(state, ds, masks, cfg, components)
     if not checks["observed_bitwise_equal"]:
         raise NumericError("observed entries corrupted at initialization")
+    latest = checks["parts"]
 
     counters_zero = {k: 0 for k in
                      ("fv_backtracks", "fv_stalls", "fstar_backtracks",
@@ -677,28 +688,28 @@ def fit(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
     for it in range(1, cfg.max_iter + 1):
         t_iter = time.perf_counter()
         counters = dict(counters_zero)
-        viol = 0.0
-        nnz_bad = 0
+        viol, nnz_bad = 0.0, 0
 
-        def _absorb(result: dict) -> None:
+        def _absorb(result: dict, *written: str) -> None:
             nonlocal viol, nnz_bad
             for key, val in result.items():
                 counters[key] = counters.get(key, 0) + val
-            chk = validate_state(state, ds, masks, cfg, components)
-            viol = max(viol, chk["max_violation"])
-            nnz_bad = max(nnz_bad, chk["nnz_bad_columns"])
+            chk = validate_state(state, ds, masks, cfg, components, written)
             if not chk["observed_bitwise_equal"]:
                 raise NumericError("observed entries were modified")
+            latest.update(chk["parts"])
+            viol = max(viol, *(m[0] for m in latest.values()))
+            nnz_bad = max(nnz_bad, sum(m[1] for m in latest.values()))
 
         _absorb(update_W(state, cfg))
         _absorb(update_Fv(state, cfg))
-        _absorb(update_Fstar(state, cfg, components))
+        _absorb(update_Fstar(state, cfg, components), "Fstar")
         if components.graph_learning:
-            _absorb(update_S(state, cfg))
-            _absorb(update_H(state, cfg, components))
-            _absorb(update_alpha(state, cfg))
+            _absorb(update_S(state, cfg), "S")
+            _absorb(update_H(state, cfg, components), "H")
+            _absorb(update_alpha(state, cfg), "alpha")
         if components.adaptive_imputation:
-            _absorb(update_Xhat(state, ds, masks, cfg, components))
+            _absorb(update_Xhat(state, ds, masks, cfg, components), "Xhat")
 
         obj_new, terms = objective(state, cfg, components)
         if not np.isfinite(obj_new):
@@ -750,31 +761,31 @@ def rank_features(state: ModelState, ratio: float) -> SelectionResult:
 # ---------------------------------------------------------- serialization
 
 
+# ModelState arrays a checkpoint stores as they are: one per view, shared.
+_VIEW_ARRAYS = ("Xhat", "W", "Fv", "Drow", "xi")
+_SHARED_ARRAYS = ("Fstar", "alpha", "gamma")
+
+
 def save_state(state: ModelState, cfg: FitConfig, components: Components,
                out_dir: str | Path) -> Path:
-    """Write the full state (optimizer variables plus Adam moments) as
-    CSVs with a JSON header; 17 significant digits keep reloads
-    bit-exact, so resumed runs continue identically."""
+    """Write the full state (optimizer variables plus Adam moments) to
+    `out_dir`: settings in header.json, arrays in one uncompressed
+    state.npz. Each graph is stored as the flat indices and values of its
+    entries whose bits are not all zero, so every array reloads bit for
+    bit, whatever its sparsity, and resumed runs continue identically."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    def put(name: str, arr: np.ndarray) -> None:
-        np.savetxt(out / f"{name}.csv", np.atleast_2d(arr),
-                   fmt=CSV_FLOAT_FMT, delimiter=",")
-
+    arrays = {f: getattr(state, f) for f in _SHARED_ARRAYS}
+    graphs = {"H": state.H}
     for v in range(state.n_views):
-        put(f"Xhat_{v}", state.Xhat[v])
-        put(f"W_{v}", state.W[v])
-        put(f"Fv_{v}", state.Fv[v])
-        put(f"S_{v}", state.S[v])
-        put(f"Drow_{v}", state.Drow[v])
-        put(f"xi_{v}", state.xi[v])
-        put(f"adam_m_{v}", state.adam[v].m)
-        put(f"adam_v_{v}", state.adam[v].v)
-    put("Fstar", state.Fstar)
-    put("H", state.H)
-    put("alpha", state.alpha)
-    put("gamma", state.gamma)
+        arrays.update({f"{f}_{v}": getattr(state, f)[v] for f in _VIEW_ARRAYS})
+        arrays.update({f"adam_m_{v}": state.adam[v].m,
+                       f"adam_v_{v}": state.adam[v].v})
+        graphs[f"S_{v}"] = state.S[v]
+    for name, G in graphs.items():
+        idx = np.flatnonzero(G.view(np.uint64))  # keeps -0.0 and NaN
+        arrays.update({f"{name}_idx": idx, f"{name}_vals": G.ravel()[idx]})
+    np.savez(out / "state.npz", **arrays)
     header = {"n_views": state.n_views,
               "adam_t": [a.t for a in state.adam],
               "adam_lr": [a.lr for a in state.adam],
@@ -786,43 +797,37 @@ def save_state(state: ModelState, cfg: FitConfig, components: Components,
 
 
 def load_state(path: str | Path) -> tuple[ModelState, FitConfig, Components]:
-    """Reload a checkpoint written by `save_state`."""
+    """Reload a checkpoint written by `save_state`; a missing, unreadable
+    or earlier-version (CSV arrays, removed keys) one is a ConfigError."""
     path = Path(path)
-    try:
+    if not (path / "header.json").is_file():
+        raise ConfigError(f"no fitted state under {path}; run 'fit' first")
+    try:  # JSONDecodeError is a ValueError
         header = json.loads((path / "header.json").read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read checkpoint header in {path}: {exc}") from exc
-
-    def get(name: str) -> np.ndarray:
-        return np.loadtxt(path / f"{name}.csv", delimiter=",", ndmin=2)
-
-    V = header["n_views"]
+        with np.load(path / "state.npz") as npz:
+            arr = dict(npz)
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"cannot read checkpoint {path} ({exc}); if an "
+                          f"earlier version wrote it, refit it") from exc
     try:
         cfg = FitConfig(**header["cfg"])
         components = Components(**header["components"])
     except TypeError as exc:  # e.g. a key of an earlier version
         raise ConfigError(f"checkpoint {path} does not fit this version "
                           f"(refit it): {exc}") from exc
-    Xhat = [get(f"Xhat_{v}") for v in range(V)]
-    n = Xhat[0].shape[1]
-    adam = []
-    for v in range(V):
-        st = numkit.AdamState.zeros((n, cfg.c),
-                                    lr=header["adam_lr"][v])
-        st.m = get(f"adam_m_{v}")
-        st.v = get(f"adam_v_{v}")
-        st.t = header["adam_t"][v]
-        adam.append(st)
+    n = arr["Fstar"].shape[0]
+
+    def graph(name: str) -> np.ndarray:
+        G = np.zeros((n, n))
+        np.put(G, arr[f"{name}_idx"], arr[f"{name}_vals"])
+        return G
+
+    views = range(header["n_views"])
     state = ModelState(
-        Xhat=Xhat,
-        W=[get(f"W_{v}") for v in range(V)],
-        Fv=[get(f"Fv_{v}") for v in range(V)],
-        Fstar=get("Fstar"),
-        S=[get(f"S_{v}") for v in range(V)],
-        H=get("H"),
-        alpha=get("alpha").reshape(-1),
-        Drow=[get(f"Drow_{v}").reshape(-1) for v in range(V)],
-        adam=adam,
-        xi=[get(f"xi_{v}").reshape(-1) for v in range(V)],
-        gamma=get("gamma").reshape(-1))
+        **{f: arr[f] for f in _SHARED_ARRAYS},
+        **{f: [arr[f"{f}_{v}"] for v in views] for f in _VIEW_ARRAYS},
+        S=[graph(f"S_{v}") for v in views], H=graph("H"),
+        adam=[numkit.AdamState(m=arr[f"adam_m_{v}"], v=arr[f"adam_v_{v}"],
+                               t=header["adam_t"][v], lr=header["adam_lr"][v])
+              for v in views])
     return state, cfg, components

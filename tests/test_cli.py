@@ -351,6 +351,21 @@ def test_checkpoint_from_an_earlier_version_exits_2(tmp_path):
     assert main(["diagnose", "--config", p]) == 2
 
 
+def test_csv_checkpoint_from_an_earlier_version_exits_2(tmp_path, capsys):
+    cfg = base_config(tmp_path / "out")
+    cfg["fit"].update(max_iter=1, tol=1e-13)
+    p = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["simulate", "--config", p]) == 0
+    assert main(["fit", "--config", p]) == 0
+    state_dir = tmp_path / "out" / "fit" / "climfs" / "state"
+    (state_dir / "state.npz").unlink()
+    np.savetxt(state_dir / "H.csv", np.eye(3), fmt="%.17g", delimiter=",")
+    capsys.readouterr()
+    assert main(["evaluate", "--config", p]) == 2
+    assert main(["diagnose", "--config", p]) == 2
+    assert capsys.readouterr().err.count("refit it") == 2
+
+
 def test_evaluate_without_labels_exits_2(tmp_path):
     rng = np.random.default_rng(0)
     for i in range(2):

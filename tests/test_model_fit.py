@@ -1,17 +1,22 @@
 """End-to-end optimizer behavior: initialization contracts, monotone
 convergence, determinism, checkpoint round-trips, and feature ranking."""
 
+import copy
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
+from climfs.baselines import VariantKind, variant_components
 from climfs.dataset import (MaskMatrix, MissingScenario, MultiViewDataset,
                             apply_missing, make_synthetic)
 from climfs.errors import ConfigError, NumericError
-from climfs.model import (Components, FitConfig, _spectral_partition, fit,
-                          init_state, load_state, objective, rank_features,
-                          save_state, validate_state)
+from climfs.model import (CHECKED_PARTS, Components, FitConfig, ModelState,
+                          _build_b, _spectral_partition, fit, init_state,
+                          load_state, objective, rank_features, save_state,
+                          update_alpha, update_Fstar, update_Fv, update_H,
+                          update_S, update_W, update_Xhat, validate_state)
 
 
 def small_instance(seed=0, n=30, delta=0.3):
@@ -20,6 +25,31 @@ def small_instance(seed=0, n=30, delta=0.3):
     masked, masks = apply_missing(ds, MissingScenario("mixed", delta,
                                                       seed + 1))
     return masked, masks
+
+
+def state_arrays(st: ModelState) -> dict:
+    """Every array of a ModelState by name, Adam fields included."""
+    out = {}
+    for f in dataclasses.fields(ModelState):
+        val = getattr(st, f.name)
+        if f.name == "adam":
+            for v, a in enumerate(val):
+                out.update({f"adam{v}.{k}": np.asarray(x)
+                            for k, x in vars(a).items()})
+        elif isinstance(val, list):
+            out.update({f"{f.name}{v}": x for v, x in enumerate(val)})
+        else:
+            out[f.name] = val
+    return out
+
+
+def assert_states_bitwise_equal(a: ModelState, b: ModelState) -> None:
+    xa, xb = state_arrays(a), state_arrays(b)
+    assert xa.keys() == xb.keys()
+    for key in xa:
+        assert xa[key].dtype == xb[key].dtype, key
+        assert xa[key].shape == xb[key].shape, key
+        assert xa[key].tobytes() == xb[key].tobytes(), key
 
 
 # ---------------------------------------------------------------- init
@@ -211,16 +241,9 @@ def test_checkpoint_roundtrip_and_resume_equivalence(tmp_path):
     loaded, cfg_l, comp_l = load_state(ckpt)
 
     assert cfg_l == cfg10 and comp_l == Components()
-    for a, b in zip(state_b.Xhat, loaded.Xhat):
-        assert np.array_equal(a, b)
-    for a, b in zip(state_b.W, loaded.W):
-        assert np.array_equal(a, b)
-    assert np.array_equal(state_b.Fstar, loaded.Fstar)
-    assert np.array_equal(state_b.H, loaded.H)
-    assert np.array_equal(state_b.gamma, loaded.gamma)
-    for a, b in zip(state_b.adam, loaded.adam):
-        assert np.array_equal(a.m, b.m) and np.array_equal(a.v, b.v)
-        assert a.t == b.t
+    assert sorted(p.name for p in ckpt.iterdir()) == ["header.json",
+                                                       "state.npz"]
+    assert_states_bitwise_equal(state_b, loaded)
 
     cfg5 = FitConfig(max_iter=5, **base)
     _, trace_c = fit(masked, masks, cfg5, state=loaded)
@@ -228,6 +251,39 @@ def test_checkpoint_roundtrip_and_resume_equivalence(tmp_path):
     straight = trace_a.objectives()
     resumed = trace_c.objectives()
     assert np.array_equal(straight[10:], resumed)
+
+
+def test_checkpoint_roundtrip_is_bitwise_for_any_graph(tmp_path):
+    # graphs are stored by their nonzero entries; nothing may rely on
+    # the k-nonzeros invariant or lose a NaN or the sign of a zero
+    masked, masks = small_instance(seed=11)
+    cfg = FitConfig(k=4, c=2)
+    st = init_state(masked, masks, cfg)
+    st.S[0][1, 0] = np.nan
+    st.S[1][:, 3] = 0.0
+    st.S[1][:cfg.k + 1, 3] = 1.0 / (cfg.k + 1)
+    st.H[:, 5] = -0.0
+    st.H[0, 5] = 1.0
+    # S[1] column 3 has k+1 nonzeros, H column 5 one
+    assert validate_state(st, masked, masks, cfg)["nnz_bad_columns"] >= 2
+    loaded, _, _ = load_state(save_state(st, cfg, Components(),
+                                         tmp_path / "ck"))
+    assert_states_bitwise_equal(st, loaded)
+    assert np.signbit(loaded.H[1:, 5]).all()
+
+
+def test_unreadable_or_missing_checkpoint_is_a_config_error(tmp_path):
+    masked, masks = small_instance(seed=11)
+    cfg = FitConfig(k=4, c=2)
+    ckpt = save_state(init_state(masked, masks, cfg), cfg, Components(),
+                      tmp_path / "ck")
+    npz = ckpt / "state.npz"
+    npz.write_bytes(npz.read_bytes()[:1000])   # e.g. a disk that filled up
+    with pytest.raises(ConfigError, match="cannot read checkpoint"):
+        load_state(ckpt)
+    (ckpt / "header.json").unlink()
+    with pytest.raises(ConfigError, match="run 'fit' first"):
+        load_state(ckpt)
 
 
 def test_resume_from_nonfinite_checkpoint_raises_numeric_error(tmp_path):
@@ -303,12 +359,17 @@ def test_validate_state_flags_tampering():
     st.S[0][1, 0] = 1.0
     assert validate_state(st, masked, masks, cfg)["nnz_bad_columns"] == 1
 
+    # each part is measured only when listed
+    assert validate_state(st, masked, masks, cfg,
+                          parts=("Fstar", "H", "alpha"))["nnz_bad_columns"] == 0
+
     st = init_state(masked, masks, cfg)
-    st.Xhat[0][0, 0] = st.Xhat[0][0, 0] + 1.0
-    obs00 = masks.masks[0][0, 0] == 1.0
-    checks = validate_state(st, masked, masks, cfg)
-    if obs00:
-        assert not checks["observed_bitwise_equal"]
+    r, c = np.argwhere(masks.masks[0] == 1.0)[0]
+    st.Xhat[0][r, c] += 1.0
+    assert not validate_state(st, masked, masks,
+                              cfg)["observed_bitwise_equal"]
+    assert validate_state(st, masked, masks, cfg,
+                          parts=("S",))["observed_bitwise_equal"]
 
     # NaN is a violation, not a clean reading
     st = init_state(masked, masks, cfg)
@@ -319,6 +380,73 @@ def test_validate_state_flags_tampering():
         getattr(st, tamper)[0, 1] = np.inf
         assert validate_state(st, masked, masks,
                               cfg)["max_violation"] == np.inf
+
+
+def _sub_updates(state, masked, masks, cfg, comps):
+    """`fit`'s sub-updates in its order, each with the checked parts it
+    writes."""
+    steps = [(lambda: update_W(state, cfg), ()),
+             (lambda: update_Fv(state, cfg), ()),
+             (lambda: update_Fstar(state, cfg, comps), ("Fstar",))]
+    if comps.graph_learning:
+        steps += [(lambda: update_S(state, cfg), ("S",)),
+                  (lambda: update_H(state, cfg, comps), ("H",)),
+                  (lambda: update_alpha(state, cfg), ("alpha",))]
+    if comps.adaptive_imputation:
+        steps.append((lambda: update_Xhat(state, masked, masks, cfg, comps),
+                      ("Xhat",)))
+    return steps
+
+
+@pytest.mark.parametrize("kind", ["climfs", "climfs-i", "climfs-ii",
+                                  "climfs-iii"])
+def test_fit_constraint_rows_equal_a_full_check_after_every_sub_update(kind):
+    masked, masks = small_instance(seed=16)
+    cfg = FitConfig(k=4, c=2, max_iter=5, tol=1e-15)
+    comps = (Components() if kind == "climfs"
+             else variant_components(VariantKind(kind)))
+    start = init_state(masked, masks, cfg, comps)
+    # distinct violations in S (k+1 nonzeros), H and alpha, so a part that
+    # is not re-measured after its block, or not carried, shows in a row
+    start.S[0][:, 0] = 0.0
+    start.S[0][1:cfg.k + 2, 0] = 1.0 / (cfg.k + 1)
+    far = np.argmax(np.where(np.arange(start.n_samples) == 1, -np.inf,
+                             _build_b(start, comps, cfg)[:, 1]))
+    start.H[:, 1] = 0.0
+    start.H[far, 1] = 1.5
+    start.alpha = start.alpha * 1.2
+    _, trace = fit(masked, masks, cfg, comps, state=copy.deepcopy(start))
+
+    replay = []
+    steps = _sub_updates(start, masked, masks, cfg, comps)
+    for _ in trace.rows:
+        viol, bad = 0.0, 0
+        for step, _written in steps:
+            step()
+            chk = validate_state(start, masked, masks, cfg, comps)
+            viol = max(viol, chk["max_violation"])
+            bad = max(bad, chk["nnz_bad_columns"])
+        replay.append((viol, bad))
+    rows = [(r["max_violation"], r["nnz_bad_columns"]) for r in trace.rows]
+    assert len(rows) == cfg.max_iter
+    assert repr(rows) == repr(replay)   # bitwise, the sign of 0.0 included
+    assert rows[0] == (0.5, 2)
+
+
+def test_each_update_leaves_the_parts_it_does_not_write_unchanged():
+    masked, masks = small_instance(seed=17)
+    cfg = FitConfig(k=4, c=2, max_iter=2, tol=1e-15)
+    st, _ = fit(masked, masks, cfg)
+    for step, written in _sub_updates(st, masked, masks, cfg, Components()):
+        before = {p: copy.deepcopy(getattr(st, p)) for p in CHECKED_PARTS}
+        step()
+        for part in set(CHECKED_PARTS) - set(written):
+            old, new = before[part], getattr(st, part)
+            if isinstance(old, np.ndarray):
+                old, new = [old], [new]
+            assert len(old) == len(new)
+            for o, n in zip(old, new):
+                assert o.tobytes() == n.tobytes(), (step, part)
 
 
 def test_objective_total_is_sum_of_terms():

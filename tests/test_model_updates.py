@@ -276,14 +276,14 @@ def test_update_fstar_preserves_zeros_and_sign():
 
 
 def test_update_fstar_descends_subobjective():
-    from climfs.model import _fstar_objective
+    from climfs.model import _fstar_objective, _sym_affinity
     rng = np.random.default_rng(9)
     cfg = FitConfig(rho=100.0, c=2, k=2)
     for _ in range(30):
         st = make_state(rng)
-        before = _fstar_objective(st, st.Fstar, cfg, Components())
+        before = _fstar_objective(st, st.Fstar, cfg, _sym_affinity(st.H))
         update_Fstar(st, cfg)
-        after = _fstar_objective(st, st.Fstar, cfg, Components())
+        after = _fstar_objective(st, st.Fstar, cfg, _sym_affinity(st.H))
         assert after <= before + 1e-9 * max(1.0, abs(before))
 
 
