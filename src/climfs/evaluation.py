@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from climfs import numkit
 from climfs.dataset import MaskMatrix, MultiViewDataset
@@ -109,6 +108,10 @@ def clustering_accuracy(pred, truth) -> float:
     """Fraction of samples matched under the best bijection between
     predicted and true labels (maximum-weight matching on the
     contingency table, padded square when class counts differ)."""
+    # imported here so that fitting, which uses k-means, does not pay for
+    # importing scipy.optimize
+    from scipy.optimize import linear_sum_assignment
+
     C = _contingency(pred, truth)
     side = max(C.shape)
     pad = np.zeros((side, side), dtype=np.int64)
@@ -290,15 +293,14 @@ def _neighbor_consistency(state, masks: MaskMatrix, rho: float) -> list[dict]:
 def _consensus_value(state, cfg) -> float:
     """Value of the consensus-factor subproblem (reconstruction plus the
     consensus-graph smoothness trace) at the current state. The trace is
-    computed through the symmetrized Laplacian, the form under which it
-    equals half the similarity-weighted sum of squared row gaps."""
+    taken for the Laplacian of the symmetrized graph, the form under which
+    it equals half the similarity-weighted sum of squared row gaps, as a
+    reduction (`numkit.laplacian_quad`)."""
     total = 0.0
     for v in range(state.n_views):
         R = state.Xhat[v] - state.W[v] @ (state.Fv[v] + state.Fstar).T
         total += float(np.sum(R * R))
-    L = numkit.laplacian(state.H)
-    total += float(np.sum(state.Fstar * (L @ state.Fstar)))
-    return total
+    return total + numkit.laplacian_quad(state.Fstar.T, state.H)
 
 
 def _cross_view_pairs(masks: MaskMatrix) -> np.ndarray:

@@ -21,6 +21,13 @@ constrained solve if the fast path would increase its subproblem. Guard
 trigger counts are recorded per iteration in the trace. The guards, and
 the constraint check of what each sub-update wrote, are always on: no
 setting switches them off. Checkpoints restore every array bit for bit.
+
+The graphs are dense n x n arrays, but a fit keeps few n x n temporaries:
+graph terms are reductions (degrees from row and column sums, products
+of a graph with the thin factors), costs are accumulated in place, the
+imputation system is factored by Cholesky in the one array that holds
+it, and the spectral initialization asks only for the c eigenpairs it
+uses. Factorization failures and non-finite graphs raise NumericError.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 
 from climfs import numkit
 from climfs.dataset import (MaskMatrix, MultiViewDataset, _round_count,
@@ -118,6 +126,7 @@ class ModelState:
     adam: list[numkit.AdamState]    # per-view Adam moments for Fv
     xi: list[np.ndarray]            # (n,) per-column S quadratic offsets
     gamma: np.ndarray               # (n,) per-column H quadratic weights
+    sweeps: int = 0                 # completed sweeps; numbers trace rows
 
     @property
     def n_views(self) -> int:
@@ -171,7 +180,9 @@ def _refresh_columns(G: np.ndarray, C: np.ndarray, k: int, coef: np.ndarray,
     """Swap the closed-form k-sparse simplex solution of every column of
     the costs C into graph G and its half-gap minus `offset` into `coef`,
     in place. With `guard`, only where q.s + (coef + offset) ||s||^2 does
-    not increase beyond the slack. Returns (skipped, perturbed) counts."""
+    not increase beyond the slack. Without it G may be C itself: the costs
+    are read in full before G is written. Returns (skipped, perturbed)
+    counts."""
     nbr, w, half, perturbed = numkit.ksparse_simplex_columns(C, k)
     cols = np.arange(C.shape[0])
     if guard:  # graph diagonals are zero, so C's diagonal adds nothing
@@ -186,6 +197,13 @@ def _refresh_columns(G: np.ndarray, C: np.ndarray, k: int, coef: np.ndarray,
     return C.shape[0] - cols.size, int(perturbed.sum())
 
 
+def _add_scaled(Y: np.ndarray, a: float, X: np.ndarray) -> None:
+    """Y += a * X in place, a row block at a time, so no n x n temporary
+    is made."""
+    for r in range(0, Y.shape[0], numkit.COLUMN_BLOCK):
+        Y[r:r + numkit.COLUMN_BLOCK] += a * X[r:r + numkit.COLUMN_BLOCK]
+
+
 def _positive_part(A: np.ndarray) -> np.ndarray:
     return (np.abs(A) + A) / 2.0
 
@@ -194,25 +212,32 @@ def _negative_part(A: np.ndarray) -> np.ndarray:
     return (np.abs(A) - A) / 2.0
 
 
-def _sym_affinity(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetrized affinity and degree vector used by the F* regularizer."""
-    A = (H + H.T) / 2.0
-    return A, A.sum(axis=0)
-
-
 # ------------------------------------------------------------------- init
 
 
 def _spectral_partition(H: np.ndarray, c: int, seed: int) -> np.ndarray:
-    """Cluster samples from the consensus graph: symmetric-normalized
-    Laplacian embedding followed by seeded k-means on its rows."""
+    """Cluster samples from the consensus graph: the eigenvectors of the c
+    smallest eigenvalues of the symmetric-normalized Laplacian of
+    (H + H^T) / 2, rows normalized, then seeded k-means on the rows. The
+    Laplacian is built in one n x n array and only those c eigenpairs are
+    computed. A non-finite H or an eigensolver failure is a NumericError."""
     from climfs.evaluation import kmeans  # local import: avoids a cycle
 
-    A, deg = _sym_affinity(H)
+    deg = numkit.sym_degrees(H)
+    if not np.isfinite(deg).all():
+        raise NumericError("non-finite consensus graph at initialization")
     dinv = 1.0 / np.sqrt(np.maximum(deg, 1e-30))
-    L = np.eye(H.shape[0]) - dinv[:, None] * A * dinv[None, :]
-    eigval, eigvec = np.linalg.eigh(L)
-    emb = eigvec[:, :c]
+    L = H + H.T
+    L *= -0.5 * dinv[:, None]
+    L *= dinv[None, :]
+    L.flat[::L.shape[0] + 1] += 1.0
+    try:
+        # L is symmetric up to rounding, so its transpose is the
+        # Fortran-ordered array LAPACK overwrites without a copy
+        emb = scipy.linalg.eigh(L.T, subset_by_index=[0, c - 1],
+                                overwrite_a=True, check_finite=False)[1]
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"spectral initialization failed: {exc}") from exc
     norms = np.linalg.norm(emb, axis=1, keepdims=True)
     emb = emb / np.where(norms == 0.0, 1.0, norms)
     return kmeans(emb, c, seed=seed)
@@ -227,7 +252,9 @@ def init_state(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
     k-sparse simplex graphs built from the closed form on (mean-imputed)
     squared distances; F* is a binary one-hot membership from spectral
     clustering of the initial H; F^v starts at zero. The graphs are built
-    from zero, so their columns are set without the descent guard.
+    from zero, so their columns are set without the descent guard. One
+    distance matrix is alive at a time; H accumulates the mean half
+    squared distance and is then overwritten by the graph built from it.
     """
     cfg.validate()
     masks.check_against(ds)
@@ -243,12 +270,16 @@ def init_state(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
     Drow = [1.0 / (2.0 * np.sqrt(np.einsum("ij,ij->i", w, w) + cfg.eps_dv))
             for w in W]
 
-    dists = [numkit.sq_dists(x) for x in Xhat]
     S = [np.zeros((n, n)) for _ in range(V)]
-    for Sv, d2 in zip(S, dists):
-        _refresh_columns(Sv, 0.5 * d2, cfg.k, np.empty(n))
     H = np.zeros((n, n))
-    _refresh_columns(H, 0.5 * np.mean(dists, axis=0), cfg.k, np.empty(n))
+    for Sv, x in zip(S, Xhat):
+        D = numkit.sq_dists(x)
+        D *= 0.5
+        _refresh_columns(Sv, D, cfg.k, np.empty(n))
+        H += D
+        del D  # before the next view's distances are made
+    H /= V
+    _refresh_columns(H, H, cfg.k, np.empty(n))
 
     labels = _spectral_partition(H, cfg.c, cfg.seed)
     Fstar = np.zeros((n, cfg.c))
@@ -283,24 +314,31 @@ def _build_q(state: ModelState, v: int) -> np.ndarray:
 
     The cross-view factor 2 is the exact gradient of the double-sum
     coupling sum_{v,m} alpha_v alpha_m <S^v, S^m>, in which each unordered
-    pair appears twice.
+    pair appears twice. The terms are added into the distance matrix in
+    place.
     """
     a = state.alpha
-    Q = 0.5 * numkit.sq_dists(state.Xhat[v]) - a[v] * state.H
+    Q = numkit.sq_dists(state.Xhat[v])
+    Q *= 0.5
+    _add_scaled(Q, -a[v], state.H)
     for m in range(state.n_views):
         if m != v:
-            Q += 2.0 * a[v] * a[m] * state.S[m]
+            _add_scaled(Q, 2.0 * a[v] * a[m], state.S[m])
     return Q
 
 
 def _build_b(state: ModelState, components: Components,
              cfg: FitConfig) -> np.ndarray:
     """Columnwise costs for the H subproblem: fused-graph attraction plus,
-    when the cluster-structure term is active, consensus-factor distances."""
-    P = sum(a * Sv for a, Sv in zip(state.alpha, state.S))
-    B = -P
+    when the cluster-structure term is active, consensus-factor distances,
+    accumulated in place in one n x n array."""
     if components.cluster_structure:
-        B = B + 0.5 * numkit.sq_dists(state.Fstar.T)
+        B = numkit.sq_dists(state.Fstar.T)
+        B *= 0.5
+    else:
+        B = np.zeros((state.n_samples, state.n_samples))
+    for a, Sv in zip(state.alpha, state.S):
+        _add_scaled(B, -a, Sv)
     return B
 
 
@@ -370,16 +408,15 @@ def update_Fv(state: ModelState, cfg: FitConfig) -> dict:
 
 
 def _fstar_objective(state: ModelState, Fstar: np.ndarray, cfg: FitConfig,
-                     affinity: tuple[np.ndarray, np.ndarray] | None) -> float:
-    """F* subproblem value; `affinity` is _sym_affinity(H) or None."""
+                     deg: np.ndarray | None) -> float:
+    """F* subproblem value; `deg` is numkit.sym_degrees(H), or None when
+    the cluster-structure term is off."""
     total = 0.0
     for v in range(state.n_views):
         R = state.Xhat[v] - state.W[v] @ (state.Fv[v] + Fstar).T
         total += float(np.sum(R * R))
-    if affinity is not None:
-        A, deg = affinity
-        total += float(np.sum(deg * np.einsum("ij,ij->i", Fstar, Fstar))
-                       - np.sum(Fstar * (A @ Fstar)))
+    if deg is not None:
+        total += numkit.laplacian_quad(Fstar.T, state.H, deg)
     Gram = Fstar.T @ Fstar - np.eye(Fstar.shape[1])
     total += cfg.rho * float(np.sum(Gram * Gram))
     return total
@@ -394,7 +431,8 @@ def update_Fstar(state: ModelState, cfg: FitConfig,
       F* <- F* * [sum_v (J+ + M- + F* U-) + A_H F* + 2 rho F*]
                / [sum_v (J- + M+ + F* U+) + D_H F* + 2 rho F* F*^T F*]
 
-    with J = Xhat^T W, U = W^T W, M = F^v U; the graph terms drop when the
+    with J = Xhat^T W, U = W^T W, M = F^v U, A_H F* = (H F* + H^T F*) / 2
+    and D_H the degrees of (H + H^T) / 2; the graph terms drop when the
     cluster-structure component is off. If a full step would increase the
     subproblem value, the ratio is damped elementwise (ratio ** theta, a
     descent direction in theta), halving theta until non-increase.
@@ -410,19 +448,19 @@ def update_Fstar(state: ModelState, cfg: FitConfig,
             + state.Fstar @ _negative_part(U)
         den += _negative_part(J) + _positive_part(M) \
             + state.Fstar @ _positive_part(U)
-    affinity = None
+    deg = None
     if components.cluster_structure:
-        affinity = A, deg = _sym_affinity(state.H)
-        num += A @ state.Fstar
+        deg = numkit.sym_degrees(state.H)
+        num += (state.H @ state.Fstar + state.H.T @ state.Fstar) / 2.0
         den += deg[:, None] * state.Fstar
 
     ratio = num / np.maximum(den, MU_FLOOR)
-    f_cur = _fstar_objective(state, state.Fstar, cfg, affinity)
+    f_cur = _fstar_objective(state, state.Fstar, cfg, deg)
     theta = 1.0
     backtracks = 0
     while theta > 2.0 ** -21:
         cand = state.Fstar * ratio ** theta
-        if _fstar_objective(state, cand, cfg, affinity) <= f_cur:
+        if _fstar_objective(state, cand, cfg, deg) <= f_cur:
             state.Fstar = cand
             return {"fstar_backtracks": backtracks}
         theta /= 2.0
@@ -460,25 +498,58 @@ def update_H(state: ModelState, cfg: FitConfig,
     return {"h_guard_skips": skips, "h_perturbed": perturbed}
 
 
+def _graph_inner_products(state: ModelState) -> tuple[np.ndarray, np.ndarray]:
+    """Q_vm = <S^v, S^m>, once per unordered pair, and h_v = <H, S^v>."""
+    V = state.n_views
+    Q = np.empty((V, V))
+    h = np.empty(V)
+    for v in range(V):
+        for m in range(v, V):
+            Q[v, m] = Q[m, v] = np.vdot(state.S[v], state.S[m])
+        h[v] = np.vdot(state.H, state.S[v])
+    return Q, h
+
+
 def update_alpha(state: ModelState, cfg: FitConfig) -> dict:
     """View weights from the simplex QP min a^T Q a + c^T a with
     Q_vm = <S^v, S^m> and c_v = -<H, S^v>."""
-    V = state.n_views
-    Q = np.empty((V, V))
-    c = np.empty(V)
-    for v in range(V):
-        for m in range(v, V):
-            Q[v, m] = Q[m, v] = float(np.sum(state.S[v] * state.S[m]))
-        c[v] = -float(np.sum(state.H * state.S[v]))
-    state.alpha = numkit.simplex_qp(Q, c)
+    Q, h = _graph_inner_products(state)
+    state.alpha = numkit.simplex_qp(Q, -h)
     return {}
 
 
-def _xhat_subobjective(X: np.ndarray, M: np.ndarray, L: np.ndarray | None) -> float:
+def _identity_plus_laplacian(S: np.ndarray) -> np.ndarray:
+    """I + L for the Laplacian L of (S + S^T) / 2, built in one n x n
+    array (exactly symmetric); a non-finite S is a NumericError."""
+    deg = numkit.sym_degrees(S)
+    if not np.isfinite(deg).all():
+        raise NumericError("non-finite view graph in the imputation system")
+    K = S + S.T
+    K *= -0.5
+    K.flat[::K.shape[0] + 1] += 1.0 + deg
+    return K
+
+
+def _spd_solve(K: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve K Y = B for symmetric positive definite K by Cholesky, which
+    overwrites K; a factorization failure is a NumericError."""
+    try:
+        # K is symmetric, so its transpose is the Fortran-ordered array
+        # LAPACK factors in place without a copy
+        factor = scipy.linalg.cho_factor(K.T, lower=True, overwrite_a=True,
+                                         check_finite=False)
+        return scipy.linalg.cho_solve(factor, B, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"imputation system not positive definite: "
+                           f"{exc}") from exc
+
+
+def _xhat_subobjective(X: np.ndarray, M: np.ndarray,
+                       S: np.ndarray | None) -> float:
     R = X - M
     val = float(np.sum(R * R))
-    if L is not None:
-        val += float(np.sum((X @ L) * X))
+    if S is not None:
+        val += numkit.laplacian_quad(X, S)
     return val
 
 
@@ -489,48 +560,53 @@ def update_Xhat(state: ModelState, ds: MultiViewDataset, masks: MaskMatrix,
     The unconstrained minimizer of ||X - M||^2 + tr(X L X^T) is
     R = M (I + L)^{-1} with M = W (F^v + F*)^T and L the symmetrized-graph
     Laplacian of S^v (the symmetrized form is an identity with the
-    pairwise smoothness term). Observed entries are copied back verbatim.
-    If that fast path would increase the subproblem value, the masked
-    entries are recomputed by the exact constrained per-row solve instead.
+    pairwise smoothness term). M has rank c, so R = W Y^T with
+    Y = (I + L)^{-1} (F^v + F*): one Cholesky factorization of I + L,
+    solved against the c factor columns. Observed entries are copied back
+    verbatim. If that fast path would increase the subproblem value, the
+    masked entries are recomputed by the exact constrained per-row solve
+    instead. A non-finite S^v or a failed factorization is a NumericError.
     """
     fallbacks = 0
     for v in range(state.n_views):
-        M = state.W[v] @ (state.Fv[v] + state.Fstar).T
-        if components.graph_learning:
-            L = numkit.laplacian(state.S[v])
-            R = np.linalg.solve(np.eye(M.shape[1]) + L, M.T).T
-        else:
-            L = None
+        G = state.Fv[v] + state.Fstar
+        M = state.W[v] @ G.T
+        S = state.S[v] if components.graph_learning else None
+        if S is None:
             R = M
+        else:
+            R = state.W[v] @ _spd_solve(_identity_plus_laplacian(S), G).T
         obs = masks.masks[v] == 1.0
-        cand = R.copy()
-        cand[obs] = ds.views[v][obs]
-        f_old = _xhat_subobjective(state.Xhat[v], M, L)
-        f_new = _xhat_subobjective(cand, M, L)
+        cand = np.where(obs, ds.views[v], R)
+        f_old = _xhat_subobjective(state.Xhat[v], M, S)
+        f_new = _xhat_subobjective(cand, M, S)
         if f_new > f_old + GUARD_RTOL * max(1.0, abs(f_old)):
-            cand = _constrained_impute(state.Xhat[v], M, L,
-                                       masks.masks[v], ds.views[v])
+            cand = _constrained_impute(
+                state.Xhat[v], M,
+                None if S is None else _identity_plus_laplacian(S),
+                masks.masks[v], ds.views[v])
             fallbacks += 1
         state.Xhat[v] = cand
     return {"xhat_fallbacks": fallbacks}
 
 
 def _constrained_impute(Xcur: np.ndarray, M: np.ndarray,
-                        L: np.ndarray | None, mask: np.ndarray,
+                        K: np.ndarray | None, mask: np.ndarray,
                         Xorig: np.ndarray) -> np.ndarray:
     """Exact minimizer of the imputation subproblem with observed entries
-    pinned: independent per-row solves on the free coordinates."""
-    n = M.shape[1]
-    A = np.eye(n) + (L if L is not None else 0.0)
-    out = Xcur.copy()
-    out[mask == 1.0] = Xorig[mask == 1.0]
+    pinned: independent per-row Cholesky solves of K = I + L (the
+    identity when K is None) on the free coordinates."""
+    obs = mask == 1.0
+    if K is None:
+        return np.where(obs, Xorig, M)
+    out = np.where(obs, Xorig, Xcur)
     for r in range(M.shape[0]):
-        free = mask[r] == 0.0
+        free = ~obs[r]
         if not free.any():
             continue
-        obs = ~free
-        rhs = M[r, free] - out[r, obs] @ A[np.ix_(obs, free)]
-        out[r, free] = np.linalg.solve(A[np.ix_(free, free)], rhs)
+        # the pinned entries' pull on the free ones, via K's symmetry
+        rhs = M[r, free] - (np.where(free, 0.0, out[r]) @ K)[free]
+        out[r, free] = _spd_solve(K[np.ix_(free, free)], rhs)
     return out
 
 
@@ -556,7 +632,10 @@ def objective(state: ModelState, cfg: FitConfig,
     * orth_penalty: rho ||F*^T F* - I||_F^2
 
     The total is the sum of all listed terms; sub-updates are guarded to
-    keep it non-increasing across the alternating sweep.
+    keep it non-increasing across the alternating sweep. The graph terms
+    are reductions: smooth and fstar_smooth are
+    numkit.laplacian_quad forms, and the inner products of the graphs are
+    taken once per unordered pair, so no n x n array is made.
     """
     terms = {}
     recon = 0.0
@@ -574,33 +653,20 @@ def objective(state: ModelState, cfg: FitConfig,
     terms["fv_l1"] = cfg.beta * fv_l1
 
     if components.graph_learning:
-        smooth = 0.0
-        for v in range(state.n_views):
-            L = numkit.laplacian(state.S[v])
-            smooth += float(np.sum((state.Xhat[v] @ L) * state.Xhat[v]))
-        cross = 0.0
-        for v in range(state.n_views):
-            for m in range(state.n_views):
-                cross += state.alpha[v] * state.alpha[m] * float(
-                    np.sum(state.S[v] * state.S[m]))
-        s_quad = sum(float(xi_v @ np.einsum("ij,ij->j", Sv, Sv))
-                     for xi_v, Sv in zip(state.xi, state.S))
-        P = sum(a * Sv for a, Sv in zip(state.alpha, state.S))
-        fusion = -float(np.sum(state.H * P)) \
-            + float(state.gamma @ np.einsum("ij,ij->j", state.H, state.H))
-        terms["smooth"] = smooth
-        terms["cross_view"] = cross
-        terms["s_quad"] = s_quad
-        terms["fusion"] = fusion
+        Q, h = _graph_inner_products(state)
+        terms["smooth"] = sum(numkit.laplacian_quad(X, Sv)
+                              for X, Sv in zip(state.Xhat, state.S))
+        terms["cross_view"] = float(state.alpha @ Q @ state.alpha)
+        terms["s_quad"] = sum(float(xi_v @ np.einsum("ij,ij->j", Sv, Sv))
+                              for xi_v, Sv in zip(state.xi, state.S))
+        terms["fusion"] = -float(state.alpha @ h) + float(
+            state.gamma @ np.einsum("ij,ij->j", state.H, state.H))
     else:
         terms["smooth"] = terms["cross_view"] = 0.0
         terms["s_quad"] = terms["fusion"] = 0.0
 
     if components.cluster_structure:
-        A, deg = _sym_affinity(state.H)
-        terms["fstar_smooth"] = float(
-            np.sum(deg * np.einsum("ij,ij->i", state.Fstar, state.Fstar))
-            - np.sum(state.Fstar * (A @ state.Fstar)))
+        terms["fstar_smooth"] = numkit.laplacian_quad(state.Fstar.T, state.H)
     else:
         terms["fstar_smooth"] = 0.0
 
@@ -661,7 +727,9 @@ def fit(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
     identical to an uninterrupted run because every update is
     deterministic given the state. The trace holds one row per completed
     iteration: objective, term breakdown, constraint measurements, guard
-    counters and wall time. Constraint readings equal a full check after
+    counters and wall time. Rows are numbered by `state.sweeps`, the
+    sweeps the state has completed, so a resumed trace continues the
+    numbering of the run it resumes. Constraint readings equal a full check after
     every sub-update; only what a sub-update wrote is re-measured. The
     first row's rel_change is against the start state. A non-finite
     objective, at the start or after any iteration, raises NumericError.
@@ -715,7 +783,9 @@ def fit(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
         if not np.isfinite(obj_new):
             raise NumericError(f"non-finite objective after iteration {it}")
         rel = abs(obj_new - obj) / max(abs(obj), 1e-30)
-        trace.rows.append({"iter": it, "objective": obj_new, **terms,
+        state.sweeps += 1
+        trace.rows.append({"iter": state.sweeps, "objective": obj_new,
+                           **terms,
                            "rel_change": rel, "max_violation": viol,
                            "nnz_bad_columns": nnz_bad, **counters,
                            "seconds": time.perf_counter() - t_iter})
@@ -787,6 +857,7 @@ def save_state(state: ModelState, cfg: FitConfig, components: Components,
         arrays.update({f"{name}_idx": idx, f"{name}_vals": G.ravel()[idx]})
     np.savez(out / "state.npz", **arrays)
     header = {"n_views": state.n_views,
+              "sweeps": state.sweeps,
               "adam_t": [a.t for a in state.adam],
               "adam_lr": [a.lr for a in state.adam],
               "cfg": asdict(cfg),
@@ -798,7 +869,8 @@ def save_state(state: ModelState, cfg: FitConfig, components: Components,
 
 def load_state(path: str | Path) -> tuple[ModelState, FitConfig, Components]:
     """Reload a checkpoint written by `save_state`; a missing, unreadable
-    or earlier-version (CSV arrays, removed keys) one is a ConfigError."""
+    or earlier-version (CSV arrays, removed keys, no sweep count) one is a
+    ConfigError."""
     path = Path(path)
     if not (path / "header.json").is_file():
         raise ConfigError(f"no fitted state under {path}; run 'fit' first")
@@ -812,7 +884,8 @@ def load_state(path: str | Path) -> tuple[ModelState, FitConfig, Components]:
     try:
         cfg = FitConfig(**header["cfg"])
         components = Components(**header["components"])
-    except TypeError as exc:  # e.g. a key of an earlier version
+        sweeps = header["sweeps"]
+    except (TypeError, KeyError) as exc:  # a key added or removed since
         raise ConfigError(f"checkpoint {path} does not fit this version "
                           f"(refit it): {exc}") from exc
     n = arr["Fstar"].shape[0]
@@ -826,7 +899,7 @@ def load_state(path: str | Path) -> tuple[ModelState, FitConfig, Components]:
     state = ModelState(
         **{f: arr[f] for f in _SHARED_ARRAYS},
         **{f: [arr[f"{f}_{v}"] for v in views] for f in _VIEW_ARRAYS},
-        S=[graph(f"S_{v}") for v in views], H=graph("H"),
+        S=[graph(f"S_{v}") for v in views], H=graph("H"), sweeps=sweeps,
         adam=[numkit.AdamState(m=arr[f"adam_m_{v}"], v=arr[f"adam_v_{v}"],
                                t=header["adam_t"][v], lr=header["adam_lr"][v])
               for v in views])

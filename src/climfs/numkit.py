@@ -21,7 +21,8 @@ SYM_TOL = 1e-10
 ACTIVE_TOL = 1e-12
 # Fixed-point (KKT) residual the simplex QP solution must reach.
 QP_KKT_TOL = 1e-8
-# Columns per pass of `ksparse_simplex_columns`: temporaries stay O(n * 256).
+# Columns per pass of `ksparse_simplex_columns`, rows per pass of `sq_dists`:
+# their temporaries stay O(n * 256).
 COLUMN_BLOCK = 256
 
 
@@ -301,7 +302,8 @@ def _polish_support(Q: np.ndarray, c: np.ndarray,
 
 def laplacian(A: np.ndarray) -> np.ndarray:
     """Laplacian diag(colsums) - S of the symmetrized affinity
-    S = (A + A^T) / 2 of a nonnegative square A; symmetric PSD."""
+    S = (A + A^T) / 2 of a nonnegative square A; symmetric PSD. The dense
+    form: `laplacian_quad` gives tr(X L X^T) without building it."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A must be square")
@@ -311,11 +313,33 @@ def laplacian(A: np.ndarray) -> np.ndarray:
     return np.diag(A.sum(axis=0)) - A
 
 
+def sym_degrees(A: np.ndarray) -> np.ndarray:
+    """Degrees of the symmetrized affinity (A + A^T) / 2: the mean of the
+    row and column sums of A."""
+    return (A.sum(axis=0) + A.sum(axis=1)) / 2.0
+
+
+def laplacian_quad(X: np.ndarray, A: np.ndarray,
+                   deg: np.ndarray | None = None) -> float:
+    """tr(X L X^T) for L = laplacian(A), from reductions only:
+    sum_i deg_i ||x_i||^2 - <A, X^T X> over the columns x_i of X, with
+    deg = sym_degrees(A) unless given. <A, X^T X> is taken as
+    sum((X A) * X), so nothing n x n is formed."""
+    if deg is None:
+        deg = sym_degrees(A)
+    return float(deg @ np.einsum("ij,ij->j", X, X) - np.sum((X @ A) * X))
+
+
 def sq_dists(X: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the columns of X, with the
-    rounding negatives of the Gram expansion clamped to 0."""
+    rounding negatives of the Gram expansion clamped to 0. The result is
+    the only n x n array made: the norms are added a row block at a
+    time."""
     sq = np.einsum("ij,ij->j", X, X)
-    D = sq[:, None] + sq[None, :] - 2.0 * (X.T @ X)
+    D = X.T @ X
+    D *= -2.0
+    for r in range(0, D.shape[0], COLUMN_BLOCK):
+        D[r:r + COLUMN_BLOCK] += sq[r:r + COLUMN_BLOCK, None] + sq[None, :]
     np.maximum(D, 0.0, out=D)
     return D
 

@@ -172,6 +172,8 @@ def test_checkpoint_written_by_fit_resumes_identically(tmp_path):
     col = lines[0].split(",").index("objective")
     straight = np.array([float(line.split(",")[col]) for line in lines[1:]])
     assert np.array_equal(straight[8:], trace.objectives())
+    assert [line.split(",")[0] for line in lines[9:]] == \
+        [str(r["iter"]) for r in trace.rows] == ["9", "10", "11", "12"]
 
 
 # ------------------------------------------------------- evaluate/ablate
@@ -349,6 +351,22 @@ def test_checkpoint_from_an_earlier_version_exits_2(tmp_path):
     header_path.write_text(json.dumps(header))
     assert main(["evaluate", "--config", p]) == 2
     assert main(["diagnose", "--config", p]) == 2
+
+
+def test_checkpoint_without_a_sweep_count_exits_2(tmp_path, capsys):
+    cfg = base_config(tmp_path / "out")
+    cfg["fit"].update(max_iter=1, tol=1e-13)
+    p = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["simulate", "--config", p]) == 0
+    assert main(["fit", "--config", p]) == 0
+    header_path = tmp_path / "out" / "fit" / "climfs" / "state" / "header.json"
+    header = json.loads(header_path.read_text())
+    assert header.pop("sweeps") == 1
+    header_path.write_text(json.dumps(header))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", p]) == 2
+    assert main(["diagnose", "--config", p]) == 2
+    assert capsys.readouterr().err.count("refit it") == 2
 
 
 def test_csv_checkpoint_from_an_earlier_version_exits_2(tmp_path, capsys):

@@ -3,7 +3,12 @@ convergence, determinism, checkpoint round-trips, and feature ranking."""
 
 import copy
 import dataclasses
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from climfs.baselines import VariantKind, variant_components
 from climfs.dataset import (MaskMatrix, MissingScenario, MultiViewDataset,
                             apply_missing, make_synthetic)
 from climfs.errors import ConfigError, NumericError
+from climfs.evaluation import kmeans
 from climfs.model import (CHECKED_PARTS, Components, FitConfig, ModelState,
                           _build_b, _spectral_partition, fit, init_state,
                           load_state, objective, rank_features, save_state,
@@ -39,7 +45,7 @@ def state_arrays(st: ModelState) -> dict:
         elif isinstance(val, list):
             out.update({f"{f.name}{v}": x for v, x in enumerate(val)})
         else:
-            out[f.name] = val
+            out[f.name] = np.asarray(val)   # the sweep count included
     return out
 
 
@@ -50,6 +56,16 @@ def assert_states_bitwise_equal(a: ModelState, b: ModelState) -> None:
         assert xa[key].dtype == xb[key].dtype, key
         assert xa[key].shape == xb[key].shape, key
         assert xa[key].tobytes() == xb[key].tobytes(), key
+
+
+def spectral_partition_oracle(H, c, seed):
+    """Full dense eigendecomposition of the normalized Laplacian."""
+    A = (H + H.T) / 2.0
+    dinv = 1.0 / np.sqrt(np.maximum(A.sum(axis=0), 1e-30))
+    L = np.eye(H.shape[0]) - dinv[:, None] * A * dinv[None, :]
+    emb = np.linalg.eigh(L)[1][:, :c]
+    norms = np.linalg.norm(emb, axis=1, keepdims=True)
+    return kmeans(emb / np.where(norms == 0.0, 1.0, norms), c, seed=seed)
 
 
 # ---------------------------------------------------------------- init
@@ -81,6 +97,25 @@ def test_init_fstar_one_hot_matches_partition_sizes():
     labels = _spectral_partition(st.H, cfg.c, cfg.seed)
     assert np.array_equal(st.Fstar.sum(axis=0),
                           np.bincount(labels, minlength=cfg.c))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_spectral_partition_matches_full_eigh_oracle(seed):
+    ds = make_synthetic(n=40, views=2, clusters=3, informative=3, noise=3,
+                        seed=seed)
+    masked, masks = apply_missing(ds, MissingScenario("mixed", 0.3, seed))
+    H = init_state(masked, masks, FitConfig(k=5, c=3)).H
+    for c in (1, 3, H.shape[0]):
+        assert np.array_equal(_spectral_partition(H, c, seed),
+                              spectral_partition_oracle(H, c, seed)), c
+
+
+def test_spectral_partition_rejects_nonfinite_graph():
+    masked, masks = small_instance(seed=3)
+    H = init_state(masked, masks, FitConfig(k=4, c=2)).H
+    H[2, 0] = np.nan
+    with pytest.raises(NumericError, match="non-finite consensus graph"):
+        _spectral_partition(H, 2, 0)
 
 
 def test_init_graph_columns_and_factors():
@@ -251,6 +286,10 @@ def test_checkpoint_roundtrip_and_resume_equivalence(tmp_path):
     straight = trace_a.objectives()
     resumed = trace_c.objectives()
     assert np.array_equal(straight[10:], resumed)
+    # the resumed rows continue the numbering of the run they resume
+    assert [r["iter"] for r in trace_a.rows[10:]] == \
+        [r["iter"] for r in trace_c.rows] == list(range(11, 16))
+    assert trace_c.iterations == 5 and loaded.sweeps == 15
 
 
 def test_checkpoint_roundtrip_is_bitwise_for_any_graph(tmp_path):
@@ -296,6 +335,69 @@ def test_resume_from_nonfinite_checkpoint_raises_numeric_error(tmp_path):
     assert np.isnan(loaded.Drow[0][0])
     with pytest.raises(NumericError, match="non-finite entries in a Sylvester"):
         fit(masked, masks, cfg_l, comp_l, state=loaded)
+
+
+def test_fit_does_not_import_scipy_optimize():
+    # k-means is used by the spectral initialization; the assignment
+    # solver of clustering_accuracy must stay out of a fit
+    code = ("import sys\n"
+            "from climfs.dataset import MaskMatrix, make_synthetic\n"
+            "from climfs.model import FitConfig, fit\n"
+            "ds = make_synthetic(n=30, views=2, clusters=3, informative=3,"
+            " noise=3, seed=0)\n"
+            "fit(ds, MaskMatrix.all_observed(ds), FitConfig(k=4, c=3,"
+            " max_iter=1))\n"
+            "assert 'scipy.optimize' not in sys.modules\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=120)
+
+
+# Traced (tracemalloc) peak, in n x n float64 arrays, of init_state above
+# the state it returns and of each block of a sweep above the live heap,
+# at n=300. At this n one 256-column block of the graph kernel is 0.85 of
+# an n x n array, so update_S and update_H carry about two arrays of
+# kernel temporaries besides their one cost matrix. Before the graph terms
+# became reductions the same probe read init_state 6.0, update_Fstar 1.2,
+# update_H 4.0, update_alpha 1.0, update_Xhat 3.1 and objective 3.1.
+WORKING_SET_BOUNDS = {"init_state": 3.5, "update_W": 0.5, "update_Fv": 0.5,
+                      "update_Fstar": 0.5, "update_S": 3.5, "update_H": 3.5,
+                      "update_alpha": 0.5, "update_Xhat": 1.5,
+                      "objective": 0.5}
+
+
+def test_working_set_stays_within_its_bounds():
+    n = 300
+    ds = make_synthetic(n=n, views=2, clusters=3, informative=4, noise=6,
+                        seed=0)
+    masked, masks = apply_missing(ds, MissingScenario("mixed", 0.5, 1))
+    cfg = FitConfig(k=6, c=3)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        st = init_state(masked, masks, cfg)
+        live, peak = tracemalloc.get_traced_memory()
+        peaks = {"init_state": peak - live}   # the state is not working set
+        for name, block in {
+                "update_W": lambda: update_W(st, cfg),
+                "update_Fv": lambda: update_Fv(st, cfg),
+                "update_Fstar": lambda: update_Fstar(st, cfg),
+                "update_S": lambda: update_S(st, cfg),
+                "update_H": lambda: update_H(st, cfg),
+                "update_alpha": lambda: update_alpha(st, cfg),
+                "update_Xhat": lambda: update_Xhat(st, masked, masks, cfg),
+                "objective": lambda: objective(st, cfg)}.items():
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            block()
+            peaks[name] = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    over = {k: round(v / (n * n * 8), 2) for k, v in peaks.items()
+            if v > WORKING_SET_BOUNDS[k] * n * n * 8}
+    assert not over, over
 
 
 # ---------------------------------------------------------- rank_features

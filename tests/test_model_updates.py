@@ -14,6 +14,8 @@ import pytest
 from climfs import numkit
 from climfs.dataset import (MaskMatrix, MissingScenario, MultiViewDataset,
                             apply_missing, make_synthetic)
+from climfs.errors import NumericError
+from climfs.evaluation import _consensus_value
 from climfs.model import (Components, FitConfig, ModelState, _build_b,
                           _build_q, _constrained_impute, init_state,
                           objective, update_alpha, update_Fstar, update_Fv,
@@ -276,14 +278,15 @@ def test_update_fstar_preserves_zeros_and_sign():
 
 
 def test_update_fstar_descends_subobjective():
-    from climfs.model import _fstar_objective, _sym_affinity
+    from climfs.model import _fstar_objective
     rng = np.random.default_rng(9)
     cfg = FitConfig(rho=100.0, c=2, k=2)
     for _ in range(30):
         st = make_state(rng)
-        before = _fstar_objective(st, st.Fstar, cfg, _sym_affinity(st.H))
+        deg = numkit.sym_degrees(st.H)
+        before = _fstar_objective(st, st.Fstar, cfg, deg)
         update_Fstar(st, cfg)
-        after = _fstar_objective(st, st.Fstar, cfg, _sym_affinity(st.H))
+        after = _fstar_objective(st, st.Fstar, cfg, deg)
         assert after <= before + 1e-9 * max(1.0, abs(before))
 
 
@@ -574,12 +577,23 @@ def test_constrained_impute_is_stationary():
         st, ds, masks = _xhat_instance(seed + 20)
         M = st.W[0] @ (st.Fv[0] + st.Fstar).T
         L = numkit.laplacian(st.S[0])
-        Z = _constrained_impute(st.Xhat[0], M, L, masks.masks[0],
-                                ds.views[0])
+        Z = _constrained_impute(st.Xhat[0], M, np.eye(L.shape[0]) + L,
+                                masks.masks[0], ds.views[0])
         grad = 2.0 * (Z - M) + 2.0 * Z @ L
         free = masks.masks[0] == 0.0
         assert np.abs(grad[free]).max() <= 1e-8
         assert np.array_equal(Z[~free], ds.views[0][~free])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1e3],
+                         ids=["nan", "inf", "indefinite"])
+def test_update_xhat_bad_graph_raises_numeric_error(bad):
+    # a non-finite S^v, or negative weights that make I + L indefinite,
+    # must not reach LAPACK unchecked or fail with a LinAlgError
+    st, ds, masks = _xhat_instance(5)
+    st.S[0][1, 0] = st.S[0][0, 1] = bad
+    with pytest.raises(NumericError):
+        update_Xhat(st, ds, masks, FitConfig(c=2, k=2))
 
 
 def test_xhat_guard_fallback_never_increases():
@@ -609,6 +623,39 @@ def test_xhat_guard_fallback_never_increases():
             found += 1
             assert counters["xhat_fallbacks"] == 1
     assert found > 0, "no instance exercised the fallback path"
+
+
+# ------------------------------------------------ graph terms as reductions
+
+
+def test_graph_terms_match_laplacian_forms():
+    # the objective's graph terms are reductions; the oracle builds the
+    # dense Laplacians and elementwise products they replace
+    rng = np.random.default_rng(21)
+    cfg = FitConfig(c=3, k=3)
+    for n in (8, 40):
+        st = make_state(rng, n=n, dims=(5, 4, 6), c=3, k=3)
+        st.S = [G * (1.0 + rng.random((n, n))) for G in st.S]  # asymmetric
+        st.H = st.H * (1.0 + rng.random((n, n)))
+        _, terms = objective(st, cfg)
+        a, V = st.alpha, st.n_views
+        expect = {
+            "smooth": sum(float(np.sum((X @ numkit.laplacian(S)) * X))
+                          for X, S in zip(st.Xhat, st.S)),
+            "fstar_smooth": float(np.sum(
+                st.Fstar * (numkit.laplacian(st.H) @ st.Fstar))),
+            "cross_view": sum(a[v] * a[m] * float(np.sum(st.S[v] * st.S[m]))
+                              for v in range(V) for m in range(V)),
+            "fusion": -float(np.sum(st.H * sum(a[v] * st.S[v]
+                                               for v in range(V))))
+            + float(st.gamma @ np.sum(st.H * st.H, axis=0))}
+        for key, val in expect.items():
+            assert abs(terms[key] - val) <= 1e-12 * abs(val), key
+        recon = sum(float(np.sum((X - W @ (F + st.Fstar).T) ** 2))
+                    for X, W, F in zip(st.Xhat, st.W, st.Fv))
+        value = _consensus_value(st, cfg)
+        assert abs(value - (recon + expect["fstar_smooth"])) \
+            <= 1e-12 * abs(value)
 
 
 # ---------------------------------------------- per-update trace monotonicity
