@@ -68,6 +68,12 @@ def _reject_unknown(section, allowed: set, where: str) -> None:
             f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
 
 
+def _is_positive(x) -> bool:
+    """A JSON number above 0; booleans, which Python counts as ints, are
+    not numbers here."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0
+
+
 def load_config(path: str | Path) -> dict:
     """Read and strictly validate an experiment config."""
     try:
@@ -95,18 +101,23 @@ def load_config(path: str | Path) -> dict:
     if "fit" in raw:
         _reject_unknown(raw["fit"], _FIT_KEYS, "fit")
     if "diagnostics" in raw:
-        _reject_unknown(raw["diagnostics"], {"rho", "zetas"}, "diagnostics")
+        dsec = raw["diagnostics"]
+        _reject_unknown(dsec, {"rho", "zetas"}, "diagnostics")
+        rho, zetas = dsec.get("rho", 0.1), dsec.get("zetas", [0.1])
+        if not (_is_positive(rho) and isinstance(zetas, list) and zetas
+                and all(_is_positive(z) for z in zetas)):
+            raise ConfigError("diagnostics.rho must be a positive number and "
+                              "diagnostics.zetas a non-empty list of them")
 
     ratios = raw.get("feature_ratios", [0.2])
     if (not isinstance(ratios, list) or not ratios
-            or not all(isinstance(r, (int, float)) and 0.0 < r <= 1.0
-                       for r in ratios)):
+            or not all(_is_positive(r) and r <= 1.0 for r in ratios)):
         raise ConfigError("feature_ratios must be a list of fractions in "
                           "(0, 1]")
     raw["feature_ratios"] = [float(r) for r in ratios]
 
     runs = raw.get("eval_runs", 50)
-    if not isinstance(runs, int) or runs < 1:
+    if isinstance(runs, bool) or not isinstance(runs, int) or runs < 1:
         raise ConfigError("eval_runs must be a positive integer")
     raw["eval_runs"] = runs
 

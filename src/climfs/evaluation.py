@@ -307,20 +307,13 @@ def _cross_view_pairs(masks: MaskMatrix) -> np.ndarray:
     """Boolean (n, n) matrix: samples i and j both carry missing entries,
     in views that are not the same single view for both."""
     miss = np.stack([(m == 0.0).any(axis=0) for m in masks.masks])  # (V, n)
-    any_missing = miss.any(axis=0)
-    n = miss.shape[1]
-    ok = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        if not any_missing[i]:
-            continue
-        vi = np.where(miss[:, i])[0]
-        for j in range(n):
-            if j == i or not any_missing[j]:
-                continue
-            vj = np.where(miss[:, j])[0]
-            if vi.size > 1 or vj.size > 1 or vi[0] != vj[0]:
-                ok[i, j] = True
-    return ok
+    count = miss.sum(axis=0)
+    # The one view a sample misses, or a key of its own (-1 - i) when it
+    # misses several: equal keys mean the same single view, or i == j.
+    key = np.where(count == 1, miss.argmax(axis=0),
+                   -1 - np.arange(miss.shape[1]))
+    some = count > 0
+    return some[:, None] & some[None, :] & (key[:, None] != key[None, :])
 
 
 def _consensus_consistency(state, masks: MaskMatrix, cfg,

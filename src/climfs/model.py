@@ -56,6 +56,10 @@ GUARD_RTOL = 1e-12
 # slow F^v tail. 0.01 minimizes outer iterations on the synthetic
 # families used by the tests.
 FV_ADAM_LR = 0.01
+# Proximal Adam steps per view in one F^v update.
+FV_INNER_STEPS = 10
+# Smoothing inside the reweighted l2,1 diagonal and the w_l21 term.
+EPS_DV = 1e-8
 
 
 @dataclass
@@ -64,9 +68,10 @@ class FitConfig:
 
     lam, beta weight the l2,1 and l1 penalties; k is the graph sparsity
     (neighbors per column, 1 <= k <= n-2); c the number of clusters;
-    rho the orthogonality penalty on F*; eps_dv the smoothing inside the
-    reweighted l2,1 diagonal. The descent guards and the constraint suite
-    after each sub-update always run; they are not settings.
+    rho the orthogonality penalty on F*. The l2,1 smoothing `EPS_DV` and
+    the F^v step count `FV_INNER_STEPS` are module constants, and the
+    descent guards and the constraint suite after each sub-update always
+    run; none of them is a setting.
     """
 
     lam: float = 1.0
@@ -74,20 +79,17 @@ class FitConfig:
     k: int = 5
     c: int = 2
     rho: float = 1e4
-    eps_dv: float = 1e-8
-    inner_fv_steps: int = 10
     max_iter: int = 200
     tol: float = 1e-5
     seed: int = 0
 
     def validate(self) -> None:
-        if not (self.lam > 0 and self.beta > 0 and self.rho > 0
-                and self.eps_dv > 0):
-            raise ConfigError("lam, beta, rho, eps_dv must be positive")
+        if not (self.lam > 0 and self.beta > 0 and self.rho > 0):
+            raise ConfigError("lam, beta, rho must be positive")
         if self.k < 1 or self.c < 1:
             raise ConfigError("k and c must be positive integers")
-        if self.inner_fv_steps < 1 or self.max_iter < 1:
-            raise ConfigError("inner_fv_steps and max_iter must be >= 1")
+        if self.max_iter < 1:
+            raise ConfigError("max_iter must be >= 1")
         if not self.tol > 0:
             raise ConfigError("tol must be positive (inf allowed)")
 
@@ -267,7 +269,7 @@ def init_state(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
     Xhat = [mean_impute(v, m) for v, m in zip(ds.views, masks.masks)]
     alpha = np.full(V, 1.0 / V)
     W = [np.ones((d, cfg.c)) for d in ds.dims]
-    Drow = [1.0 / (2.0 * np.sqrt(np.einsum("ij,ij->i", w, w) + cfg.eps_dv))
+    Drow = [1.0 / (2.0 * np.sqrt(np.einsum("ij,ij->i", w, w) + EPS_DV))
             for w in W]
 
     S = [np.zeros((n, n)) for _ in range(V)]
@@ -355,7 +357,7 @@ def update_W(state: ModelState, cfg: FitConfig) -> dict:
         C = state.Xhat[v] @ F
         state.W[v] = numkit.solve_scaled_sylvester(state.Drow[v], cfg.lam, G, C)
         state.Drow[v] = 1.0 / (2.0 * np.sqrt(
-            np.einsum("ij,ij->i", state.W[v], state.W[v]) + cfg.eps_dv))
+            np.einsum("ij,ij->i", state.W[v], state.W[v]) + EPS_DV))
     return {}
 
 
@@ -366,7 +368,7 @@ def _fv_objective(Xhat: np.ndarray, W: np.ndarray, Fv: np.ndarray,
 
 
 def update_Fv(state: ModelState, cfg: FitConfig) -> dict:
-    """Proximal Adam steps on each F^v.
+    """`FV_INNER_STEPS` proximal Adam steps on each F^v.
 
     The smooth gradient is 2((F^v + F*) U - Xhat^T W) with U = W^T W; the
     Adam step gives per-coordinate effective stepsizes t_ij, and the exact
@@ -383,7 +385,7 @@ def update_Fv(state: ModelState, cfg: FitConfig) -> dict:
         J = state.Xhat[v].T @ W
         f_cur = _fv_objective(state.Xhat[v], W, state.Fv[v], state.Fstar,
                               cfg.beta)
-        for _ in range(cfg.inner_fv_steps):
+        for _ in range(FV_INNER_STEPS):
             g = 2.0 * ((state.Fv[v] + state.Fstar) @ U - J)
             st, step = numkit.adam_step(state.adam[v], g)
             vhat = st.v / (1.0 - st.beta2 ** st.t)
@@ -512,7 +514,9 @@ def _graph_inner_products(state: ModelState) -> tuple[np.ndarray, np.ndarray]:
 
 def update_alpha(state: ModelState, cfg: FitConfig) -> dict:
     """View weights from the simplex QP min a^T Q a + c^T a with
-    Q_vm = <S^v, S^m> and c_v = -<H, S^v>."""
+    Q_vm = <S^v, S^m> and c_v = -<H, S^v>, solved exactly by
+    `numkit.simplex_qp` (support enumeration over the V views), so the
+    step is a block minimizer and cannot raise the objective."""
     Q, h = _graph_inner_products(state)
     state.alpha = numkit.simplex_qp(Q, -h)
     return {}
@@ -620,7 +624,7 @@ def objective(state: ModelState, cfg: FitConfig,
     Terms (zero when their component is off):
 
     * recon:        sum_v ||Xhat^v - W^v (F^v + F*)^T||_F^2
-    * w_l21:        lam * sum_v sum_i (sqrt(||W^v_i.||^2 + eps_dv) - sqrt(eps_dv))
+    * w_l21:        lam * sum_v sum_i (sqrt(||W^v_i.||^2 + EPS_DV) - sqrt(EPS_DV))
                     (the eps-smoothed row norms the D^v majorizer descends,
                     shifted so the term is exactly 0 at W = 0)
     * fv_l1:        beta * sum_v ||F^v||_1
@@ -645,8 +649,8 @@ def objective(state: ModelState, cfg: FitConfig,
         R = state.Xhat[v] - state.W[v] @ (state.Fv[v] + state.Fstar).T
         recon += float(np.sum(R * R))
         w_l21 += float(np.sum(np.sqrt(
-            np.einsum("ij,ij->i", state.W[v], state.W[v]) + cfg.eps_dv)
-            - np.sqrt(cfg.eps_dv)))
+            np.einsum("ij,ij->i", state.W[v], state.W[v]) + EPS_DV)
+            - np.sqrt(EPS_DV)))
         fv_l1 += float(np.abs(state.Fv[v]).sum())
     terms["recon"] = recon
     terms["w_l21"] = cfg.lam * w_l21

@@ -7,7 +7,8 @@ mutable; everything else is safe to share across threads).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -17,7 +18,8 @@ from climfs.errors import NumericError
 PENCIL_FLOOR = 1e-12
 # Absolute tolerance for symmetry checks on small Gram matrices.
 SYM_TOL = 1e-10
-# Entries closer to zero than this are treated as inactive in the simplex QP.
+# A simplex-QP support whose KKT solution dips further below zero than
+# this is rejected; smaller dips are rounding and are clipped to 0.
 ACTIVE_TOL = 1e-12
 # Fixed-point (KKT) residual the simplex QP solution must reach.
 QP_KKT_TOL = 1e-8
@@ -204,10 +206,6 @@ def _project_simplex(y: np.ndarray) -> np.ndarray:
     return np.maximum(y - theta, 0.0)
 
 
-def _qp_objective(Q: np.ndarray, c: np.ndarray, x: np.ndarray) -> float:
-    return float(x @ Q @ x + c @ x)
-
-
 def _qp_kkt_residual(Q: np.ndarray, c: np.ndarray, x: np.ndarray) -> float:
     """Fixed-point residual ||x - proj(x - grad)||_inf; zero iff optimal."""
     g = 2.0 * Q @ x + c
@@ -215,17 +213,18 @@ def _qp_kkt_residual(Q: np.ndarray, c: np.ndarray, x: np.ndarray) -> float:
 
 
 def simplex_qp(Q: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
-    """Minimize x^T Q x + c^T x over the probability simplex.
+    """Minimize x^T Q x + c^T x over the probability simplex, exactly.
 
-    Q must be symmetric PSD (within a small tolerance). Projected gradient
-    from the uniform start is followed by an active-set polish (least-
-    squares on the KKT system of the detected support, so flat objectives
-    resolve to the minimum-norm, symmetric solution). If the fixed-point
-    residual still exceeds ``QP_KKT_TOL`` the supports are enumerated
-    outright.
+    Q must be symmetric PSD (within a small tolerance). The supports are
+    tried from the largest down; on each, the equality-constrained KKT
+    system is solved by least squares, whose minimum-norm solution makes
+    a flat objective resolve to the symmetric point. The first
+    nonnegative solution whose fixed-point residual is within
+    ``QP_KKT_TOL`` is returned: for PSD Q it is a global minimizer. There
+    are 2^V - 1 supports, each costing a (V+1) x (V+1) least-squares
+    solve, so this is meant for a handful of views.
 
-    Returns the minimizer; raises NumericError if Q is not PSD or no
-    iterate meets the residual tolerance.
+    Raises NumericError if Q is not PSD or no support passes.
     """
     Q = np.asarray(Q, dtype=float)
     V = Q.shape[0]
@@ -242,47 +241,19 @@ def simplex_qp(Q: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
     eigs = np.linalg.eigvalsh(Q)
     if eigs[0] < -1e-8 * qmax:
         raise NumericError(f"Q is not PSD: min eigenvalue {eigs[0]:.3e}")
-    if V == 1:
-        return np.ones(1)
-
-    L = 2.0 * max(float(eigs[-1]), 1e-30)
-    x = np.full(V, 1.0 / V)
-    for _ in range(20000):
-        x_new = _project_simplex(x - (2.0 * Q @ x + c) / L)
-        if np.abs(x_new - x).max() < 1e-15:
-            x = x_new
-            break
-        x = x_new
-
-    best = x
-    polished = _polish_support(Q, c, x > 1e-10)
-    if polished is not None and _qp_objective(Q, c, polished) <= _qp_objective(Q, c, best) + 1e-12:
-        best = polished
-
-    if _qp_kkt_residual(Q, c, best) > QP_KKT_TOL and V <= 16:
-        # Exhaustive support enumeration: exact for any PSD instance.
-        from itertools import combinations
-        for size in range(1, V + 1):
-            for sup in combinations(range(V), size):
-                mask = np.zeros(V, dtype=bool)
-                mask[list(sup)] = True
-                cand = _polish_support(Q, c, mask)
-                if cand is None:
-                    continue
-                if _qp_objective(Q, c, cand) < _qp_objective(Q, c, best) - 1e-15:
-                    best = cand
-    if _qp_kkt_residual(Q, c, best) > QP_KKT_TOL:
-        raise NumericError("simplex QP failed to reach the KKT tolerance")
-    return best
+    for size in range(V, 0, -1):
+        for support in combinations(range(V), size):
+            x = _support_kkt(Q, c, np.array(support))
+            if x is not None and _qp_kkt_residual(Q, c, x) <= QP_KKT_TOL:
+                return x
+    raise NumericError("no support of the simplex QP meets the KKT tolerance")
 
 
-def _polish_support(Q: np.ndarray, c: np.ndarray,
-                    mask: np.ndarray) -> np.ndarray | None:
-    """Solve the equality-KKT system on a support; None if infeasible."""
-    idx = np.flatnonzero(mask)
+def _support_kkt(Q: np.ndarray, c: np.ndarray,
+                 idx: np.ndarray) -> np.ndarray | None:
+    """Least-squares solution of the equality-KKT system on the support
+    `idx`, zero elsewhere; None if it has a negative entry."""
     m = idx.shape[0]
-    if m == 0:
-        return None
     kkt = np.zeros((m + 1, m + 1))
     kkt[:m, :m] = 2.0 * Q[np.ix_(idx, idx)]
     kkt[:m, m] = 1.0
@@ -290,7 +261,7 @@ def _polish_support(Q: np.ndarray, c: np.ndarray,
     rhs = np.concatenate([-c[idx], [1.0]])
     sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
     xs = sol[:m]
-    if xs.min(initial=0.0) < -ACTIVE_TOL:
+    if xs.min() < -ACTIVE_TOL:
         return None
     x = np.zeros(Q.shape[0])
     x[idx] = np.maximum(xs, 0.0)

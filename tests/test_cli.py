@@ -302,9 +302,35 @@ def invalid_config_cases():
     def removed_fit_key(cfg):
         cfg["fit"]["strict_descent"] = True
 
+    def removed_eps_dv(cfg):
+        cfg["fit"]["eps_dv"] = 1e-8
+
+    def removed_inner_fv_steps(cfg):
+        cfg["fit"]["inner_fv_steps"] = 10
+
+    def scalar_zetas(cfg):
+        cfg["diagnostics"] = {"zetas": 0.1}
+
+    def zero_zeta(cfg):
+        cfg["diagnostics"] = {"zetas": [0.0]}
+
+    def empty_zetas(cfg):
+        cfg["diagnostics"] = {"zetas": []}
+
+    def text_rho(cfg):
+        cfg["diagnostics"] = {"rho": "x"}
+
+    def boolean_runs(cfg):
+        cfg["eval_runs"] = True
+
+    def boolean_ratio(cfg):
+        cfg["feature_ratios"] = [True]
+
     return [drop_out_dir, both_sources, neither_source, top_typo, fit_typo,
             scenario_typo, bad_method, bad_ratio, empty_ratios, bad_runs,
-            bad_kind, bad_delta, bad_fit_value, removed_fit_key]
+            bad_kind, bad_delta, bad_fit_value, removed_fit_key,
+            removed_eps_dv, removed_inner_fv_steps, scalar_zetas, zero_zeta,
+            empty_zetas, text_rho, boolean_runs, boolean_ratio]
 
 
 @pytest.mark.parametrize("mutate", invalid_config_cases(),
@@ -346,11 +372,13 @@ def test_checkpoint_from_an_earlier_version_exits_2(tmp_path):
     assert main(["simulate", "--config", p]) == 0
     assert main(["fit", "--config", p]) == 0
     header_path = tmp_path / "out" / "fit" / "climfs" / "state" / "header.json"
-    header = json.loads(header_path.read_text())
-    header["cfg"]["strict_descent"] = True
-    header_path.write_text(json.dumps(header))
-    assert main(["evaluate", "--config", p]) == 2
-    assert main(["diagnose", "--config", p]) == 2
+    fitted = header_path.read_text()
+    for removed in ("strict_descent", "eps_dv"):
+        header = json.loads(fitted)
+        header["cfg"][removed] = 1e-8
+        header_path.write_text(json.dumps(header))
+        assert main(["evaluate", "--config", p]) == 2
+        assert main(["diagnose", "--config", p]) == 2
 
 
 def test_checkpoint_without_a_sweep_count_exits_2(tmp_path, capsys):

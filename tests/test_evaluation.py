@@ -256,6 +256,38 @@ def test_cross_view_pair_eligibility():
     assert not _cross_view_pairs(masks2)[0, 1]
 
 
+def cross_view_pairs_loop(masks):
+    """Pair-by-pair reference for `_cross_view_pairs`."""
+    miss = np.stack([(m == 0.0).any(axis=0) for m in masks.masks])
+    n = miss.shape[1]
+    ok = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        vi = np.flatnonzero(miss[:, i])
+        for j in range(n):
+            vj = np.flatnonzero(miss[:, j])
+            if j == i or vi.size == 0 or vj.size == 0:
+                continue
+            ok[i, j] = vi.size > 1 or vj.size > 1 or vi[0] != vj[0]
+    return ok
+
+
+def test_cross_view_pairs_match_pairwise_loop():
+    rng = np.random.default_rng(11)
+    seen = set()
+    for trial in range(40):
+        V = 2 + trial % 2
+        n = int(rng.integers(2, 30))
+        masks = MaskMatrix(masks=[
+            (rng.random((int(rng.integers(1, 4)), n))
+             > rng.uniform(0.0, 0.6)).astype(float) for _ in range(V)])
+        miss = np.stack([(m == 0.0).any(axis=0) for m in masks.masks])
+        seen |= {(V, int(k)) for k in miss.sum(axis=0)}
+        np.testing.assert_array_equal(_cross_view_pairs(masks),
+                                      cross_view_pairs_loop(masks))
+    # complete, single-view-missing and all-views-missing samples occurred
+    assert {(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 3)} <= seen
+
+
 def test_diagnostics_report_structure_and_bounds():
     state, masks, cfg = fitted(0)
     rep = diagnostics_report(state, masks, cfg)

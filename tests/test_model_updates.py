@@ -16,8 +16,8 @@ from climfs.dataset import (MaskMatrix, MissingScenario, MultiViewDataset,
                             apply_missing, make_synthetic)
 from climfs.errors import NumericError
 from climfs.evaluation import _consensus_value
-from climfs.model import (Components, FitConfig, ModelState, _build_b,
-                          _build_q, _constrained_impute, init_state,
+from climfs.model import (EPS_DV, Components, FitConfig, ModelState,
+                          _build_b, _build_q, _constrained_impute, init_state,
                           objective, update_alpha, update_Fstar, update_Fv,
                           update_S, update_H, update_W, update_Xhat)
 
@@ -52,7 +52,6 @@ SWAP_ALL = 1e3
 def make_state(rng, n=8, dims=(4, 3), c=2, k=2):
     """Generic-position state, constraints satisfied by construction."""
     V = len(dims)
-    eps_dv = 1e-8
     W = [rng.normal(size=(d, c)) for d in dims]
     a = rng.random(V) + 0.2
     return ModelState(
@@ -64,7 +63,7 @@ def make_state(rng, n=8, dims=(4, 3), c=2, k=2):
         S=[rand_graph(rng, n, k) for _ in range(V)],
         H=rand_graph(rng, n, k),
         alpha=a / a.sum(),
-        Drow=[1.0 / (2.0 * np.sqrt(np.einsum("ij,ij->i", w, w) + eps_dv))
+        Drow=[1.0 / (2.0 * np.sqrt(np.einsum("ij,ij->i", w, w) + EPS_DV))
               for w in W],
         adam=[numkit.AdamState.zeros((n, c)) for _ in range(V)],
         xi=[rng.random(n) * 0.1 for _ in range(V)],
@@ -132,7 +131,7 @@ def test_update_w_solves_stated_system():
             assert np.abs(res).max() <= 1e-8 * max(1.0, np.abs(C).max())
             # diagonal refreshed from the new W
             want = 1.0 / (2.0 * np.sqrt(
-                np.einsum("ij,ij->i", st.W[v], st.W[v]) + cfg.eps_dv))
+                np.einsum("ij,ij->i", st.W[v], st.W[v]) + EPS_DV))
             assert np.allclose(st.Drow[v], want, rtol=0, atol=1e-15)
 
 
@@ -186,7 +185,7 @@ def test_update_fv_matches_grid_oracle():
     st.Xhat = [np.array([[0.9, 0.0, 0.0], [0.4, 0.0, 0.0]])]
     st.Fv = [np.zeros((3, 2))]
     st.adam = [numkit.AdamState.zeros((3, 2))]
-    cfg = FitConfig(beta=0.05, c=2, k=1, inner_fv_steps=10)
+    cfg = FitConfig(beta=0.05, c=2, k=1)
 
     # grid over the first row of F (other rows stay at their optimum 0,
     # since their data columns are 0 and F* rows are 0 there the penalty
@@ -225,8 +224,8 @@ def test_update_fv_large_beta_drives_to_zero():
     rng = np.random.default_rng(5)
     st = make_state(rng, n=6, dims=(4,), c=2, k=2)
     st.Fv = [rng.normal(size=(6, 2)) * 0.01]
-    cfg = FitConfig(beta=1e6, c=2, k=2, inner_fv_steps=50)
-    for _ in range(10):
+    cfg = FitConfig(beta=1e6, c=2, k=2)
+    for _ in range(50):  # 500 Adam steps
         update_Fv(st, cfg)
     assert np.abs(st.Fv[0]).max() < 1e-6
 

@@ -280,11 +280,22 @@ def test_simplex_qp_single_view():
 
 
 def test_simplex_qp_identical_views_symmetric():
-    # Q = t * ones: objective is constant on the simplex; the polish
-    # resolves the tie to the symmetric point.
-    Q = 2.5 * np.ones((2, 2))
-    c = np.array([-1.0, -1.0])
-    np.testing.assert_allclose(simplex_qp(Q, c), [0.5, 0.5], atol=1e-9)
+    # Q = t * ones, equal c: the objective is constant on the simplex; the
+    # minimum-norm KKT solution on the full support is the uniform point.
+    for V in (2, 3, 5):
+        Q = 2.5 * np.ones((V, V))
+        c = np.full(V, -1.0)
+        np.testing.assert_allclose(simplex_qp(Q, c), np.full(V, 1.0 / V),
+                                   atol=1e-9)
+
+
+def test_simplex_qp_two_identical_best_views_share_a_face():
+    # views 0 and 1 are copies and agree best with the consensus; view 2
+    # fits worse, so the minimizer sits on the face a_2 = 0, split evenly.
+    Q = np.array([[1.0, 1.0, 0.2], [1.0, 1.0, 0.2], [0.2, 0.2, 1.0]])
+    c = np.array([-2.0, -2.0, -0.1])
+    np.testing.assert_allclose(simplex_qp(Q, c), [0.5, 0.5, 0.0],
+                               atol=1e-9)
 
 
 def test_simplex_qp_hand_case():
@@ -310,7 +321,7 @@ def test_simplex_qp_matches_grid_oracle():
 def test_simplex_qp_kkt_residual_random():
     rng = np.random.default_rng(29)
     for _ in range(200):
-        V = int(rng.integers(2, 7))
+        V = int(rng.integers(2, 9))
         B = rng.normal(size=(V, V + 1))
         Q = B @ B.T * rng.uniform(0.1, 10)
         c = rng.normal(size=V) * rng.uniform(0.1, 10)
