@@ -6,7 +6,7 @@ The package is organized as:
 * :mod:`climfs.numkit`     -- dense numeric kernels (Sylvester solver,
   sparse-simplex projections, simplex QP, Laplacians, Adam steps)
 * :mod:`climfs.dataset`    -- multi-view containers, CSV manifests,
-  missing-data simulators, mean imputation, normalization
+  missing-data simulators and mean imputation
 * :mod:`climfs.model`      -- the alternating optimizer and feature ranking
 * :mod:`climfs.evaluation` -- k-means, clustering metrics, selection
   evaluation and structural diagnostics

@@ -1,8 +1,9 @@
 """Reduced models for controlled comparisons.
 
-The two-stage baseline imputes first (per-view means) and then runs the
-factorization-based selection with imputation frozen. The three ablation
-variants each switch off one coupled component of the full model:
+`run_variant` fits any of them by `VariantKind`. The two-stage baseline
+imputes first (per-view means) and then runs the factorization-based
+selection with imputation frozen. The three ablation variants each switch
+off one coupled component of the full model:
 
 * variant I drops adaptive imputation (masked entries stay mean-imputed),
 * variant II drops the consensus cluster-structure regularizer on F*,
@@ -53,10 +54,3 @@ def run_variant(kind: VariantKind, ds_masked: MultiViewDataset,
     state, trace = fit(ds_masked, masks, cfg, components=components)
     return rank_features(state, ratio), state, trace
 
-
-def run_two_stage(ds_masked: MultiViewDataset, masks: MaskMatrix,
-                  cfg: FitConfig, ratio: float = 0.2,
-                  ) -> tuple[SelectionResult, ModelState, FitTrace]:
-    """Impute-then-select baseline: per-view mean fill (done at
-    initialization), then the selection machinery with imputation frozen."""
-    return run_variant(VariantKind.TWO_STAGE, ds_masked, masks, cfg, ratio)

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from climfs.baselines import VariantKind, run_two_stage, run_variant
+from climfs.baselines import VariantKind, run_variant, variant_components
 from climfs.dataset import (MaskMatrix, MissingScenario, MultiViewDataset,
                             apply_missing, load_manifest, load_masks,
                             make_synthetic, save_dataset, save_masks)
@@ -232,33 +232,24 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def _fit_method(method: str, ds, masks, fc: FitConfig, ratio: float):
+    """Fit `method`; returns its state, trace and components."""
     if method == "climfs":
         state, trace = fit(ds, masks, fc, components=FULL_MODEL)
-        sel = rank_features(state, ratio)
-    elif method == "two-stage":
-        sel, state, trace = run_two_stage(ds, masks, fc, ratio)
-    else:
-        sel, state, trace = run_variant(VariantKind(method), ds, masks, fc,
-                                        ratio)
-    return sel, state, trace
-
-
-def _components_for(method: str):
-    if method == "climfs":
-        return FULL_MODEL
-    from climfs.baselines import variant_components
-    return variant_components(VariantKind(method))
+        return state, trace, FULL_MODEL
+    kind = VariantKind(method)
+    _, state, trace = run_variant(kind, ds, masks, fc, ratio)
+    return state, trace, variant_components(kind)
 
 
 def _run_fit(cfg: dict, method: str, strict: bool) -> int:
     ds, masks = _load_simulated(cfg)
     fc = resolve_fit_config(cfg)
     t0 = time.perf_counter()
-    _, state, trace = _fit_method(method, ds, masks, fc,
-                                  cfg["feature_ratios"][0])
+    state, trace, components = _fit_method(method, ds, masks, fc,
+                                           cfg["feature_ratios"][0])
     elapsed = time.perf_counter() - t0
     mroot = Path(cfg["out_dir"]) / "fit" / method
-    save_state(state, fc, _components_for(method), mroot / "state")
+    save_state(state, fc, components, mroot / "state")
     trace.to_csv(mroot / "trace.csv")
     _write_json(mroot / "fit_result.json", {
         "method": method,
@@ -332,7 +323,7 @@ def cmd_diagnose(cfg: dict) -> int:
     _, masks = _load_simulated(cfg)
     method = cfg.get("method", "climfs")
     mroot = Path(cfg["out_dir"]) / "fit" / method
-    state, fc, _ = load_state(mroot / "state")
+    state, _, _ = load_state(mroot / "state")
     result_path = mroot / "fit_result.json"
     if result_path.exists():
         result = json.loads(result_path.read_text())
@@ -340,7 +331,7 @@ def cmd_diagnose(cfg: dict) -> int:
             warnings.warn(f"diagnosing an unconverged '{method}' state",
                           stacklevel=1)
     dsec = cfg.get("diagnostics", {})
-    report = diagnostics_report(state, masks, fc,
+    report = diagnostics_report(state, masks,
                                 rho=float(dsec.get("rho", 0.1)),
                                 zetas=tuple(dsec.get("zetas", (0.1, 0.2))))
     out = Path(cfg["out_dir"]) / "diagnose" / f"{method}.json"

@@ -91,12 +91,6 @@ class MultiViewDataset:
     def dims(self) -> list[int]:
         return [v.shape[0] for v in self.views]
 
-    def copy(self) -> "MultiViewDataset":
-        return MultiViewDataset(
-            views=[v.copy() for v in self.views],
-            labels=None if self.labels is None else self.labels.copy(),
-            view_names=list(self.view_names))
-
 
 @dataclass
 class MaskMatrix:
@@ -122,10 +116,6 @@ class MaskMatrix:
         for m, v in zip(self.masks, ds.views):
             if m.shape != v.shape:
                 raise ValueError("mask/view shape mismatch")
-
-    def observed_fraction(self) -> float:
-        tot = sum(m.size for m in self.masks)
-        return float(sum(m.sum() for m in self.masks) / tot)
 
 
 def _round_count(x: float) -> int:
@@ -225,34 +215,6 @@ def mean_impute(view: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def mean_impute_dataset(ds: MultiViewDataset, masks: MaskMatrix) -> MultiViewDataset:
-    """Per-view `mean_impute`, keeping labels and names."""
-    masks.check_against(ds)
-    views = [mean_impute(v, m) for v, m in zip(ds.views, masks.masks)]
-    return MultiViewDataset(views=views, labels=ds.labels,
-                            view_names=list(ds.view_names))
-
-
-def normalize_columns(ds: MultiViewDataset) -> MultiViewDataset:
-    """Scale every sample column of every view to unit l2 norm.
-
-    Zero columns are left untouched (warning emitted): rescaling them is
-    undefined and downstream code treats them like any other column.
-    """
-    views = []
-    for name, v in zip(ds.view_names, ds.views):
-        norms = np.linalg.norm(v, axis=0)
-        zero = norms == 0.0
-        if zero.any():
-            warnings.warn(
-                f"view {name}: {int(zero.sum())} zero column(s) left "
-                f"unnormalized", stacklevel=2)
-        safe = np.where(zero, 1.0, norms)
-        views.append(v / safe)
-    return MultiViewDataset(views=views, labels=ds.labels,
-                            view_names=list(ds.view_names))
-
-
 # ------------------------------------------------------------- CSV + JSON
 
 
@@ -264,6 +226,28 @@ def _load_csv_matrix(path: Path) -> np.ndarray:
     return arr
 
 
+def _read_index(path: Path, key: str,
+                extra: tuple[str, ...] = ()) -> tuple[dict, list]:
+    """Read a JSON index whose `key` lists {"name": str, "path": str}
+    objects; returns the index and its (name, path) pairs, paths resolved
+    against the index's directory. Any other shape, or a top-level key
+    besides `key` and `extra`, is a ConfigError."""
+    try:
+        spec = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read index {path}: {exc}") from exc
+    entries = spec.get(key) if isinstance(spec, dict) else None
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and set(e) == {"name", "path"}
+            and all(isinstance(x, str) for x in e.values()) for e in entries):
+        raise ConfigError(f"index {path}: '{key}' must be a list of objects "
+                          f"with exactly a name and a path string")
+    unknown = set(spec) - {key, *extra}
+    if unknown:
+        raise ConfigError(f"index {path}: unknown keys {sorted(unknown)}")
+    return spec, [(e["name"], path.parent / e["path"]) for e in entries]
+
+
 def load_manifest(path: str | Path) -> MultiViewDataset:
     """Load a dataset described by a manifest JSON.
 
@@ -273,28 +257,15 @@ def load_manifest(path: str | Path) -> MultiViewDataset:
     Relative paths resolve against the manifest's directory.
     """
     path = Path(path)
-    try:
-        spec = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read manifest {path}: {exc}") from exc
-    if not isinstance(spec, dict) or "views" not in spec:
-        raise ConfigError(f"manifest {path} lacks a 'views' list")
-    base = path.parent
-    views, names = [], []
-    for entry in spec["views"]:
-        if set(entry) != {"name", "path"}:
-            raise ConfigError(f"manifest view entries need exactly name/path, got {sorted(entry)}")
-        views.append(_load_csv_matrix(base / entry["path"]))
-        names.append(str(entry["name"]))
+    spec, entries = _read_index(path, "views", ("labels",))
+    names = [name for name, _ in entries]
+    views = [_load_csv_matrix(p) for _, p in entries]
     labels = None
     if spec.get("labels"):
-        raw = _load_csv_matrix(base / spec["labels"]).reshape(-1)
+        raw = _load_csv_matrix(path.parent / spec["labels"]).reshape(-1)
         labels = raw.astype(int)
         if not np.array_equal(raw, labels):
             raise ConfigError("labels CSV must contain integers")
-    extra = set(spec) - {"views", "labels"}
-    if extra:
-        raise ConfigError(f"unknown manifest keys: {sorted(extra)}")
     try:
         return MultiViewDataset(views=views, labels=labels, view_names=names)
     except ValueError as exc:
@@ -339,11 +310,7 @@ def save_masks(masks: MaskMatrix, view_names: list[str],
 def load_masks(path: str | Path) -> MaskMatrix:
     """Load masks written by `save_masks`."""
     path = Path(path)
-    try:
-        spec = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read mask index {path}: {exc}") from exc
-    masks = [_load_csv_matrix(path.parent / e["path"]) for e in spec["masks"]]
+    masks = [_load_csv_matrix(p) for _, p in _read_index(path, "masks")[1]]
     try:
         return MaskMatrix(masks)
     except ValueError as exc:

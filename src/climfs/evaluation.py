@@ -290,7 +290,7 @@ def _neighbor_consistency(state, masks: MaskMatrix, rho: float) -> list[dict]:
     return out
 
 
-def _consensus_value(state, cfg) -> float:
+def _consensus_value(state) -> float:
     """Value of the consensus-factor subproblem (reconstruction plus the
     consensus-graph smoothness trace) at the current state. The trace is
     taken for the Laplacian of the symmetrized graph, the form under which
@@ -316,12 +316,12 @@ def _cross_view_pairs(masks: MaskMatrix) -> np.ndarray:
     return some[:, None] & some[None, :] & (key[:, None] != key[None, :])
 
 
-def _consensus_consistency(state, masks: MaskMatrix, cfg,
+def _consensus_consistency(state, masks: MaskMatrix,
                            zetas: tuple[float, ...]) -> dict:
     """Consensus-factor rows of strongly fused cross-view pairs must obey
     ||F*_i - F*_j||^2 <= 2 J / zeta, J the consensus subproblem value; a
     pair qualifies when either directed weight H_ij or H_ji reaches zeta."""
-    J = _consensus_value(state, cfg)
+    J = _consensus_value(state)
     gap2 = numkit.sq_dists(state.Fstar.T)
     Hmax = np.maximum(state.H, state.H.T)
     eligible = _cross_view_pairs(masks)
@@ -337,7 +337,7 @@ def _consensus_consistency(state, masks: MaskMatrix, cfg,
     return {"subproblem_value": J, "checks": checks}
 
 
-def diagnostics_report(state, masks: MaskMatrix, cfg, rho: float = 0.1,
+def diagnostics_report(state, masks: MaskMatrix, rho: float = 0.1,
                        zetas: tuple[float, ...] = (0.1, 0.2)) -> dict:
     """Structural diagnostics of a fitted state, JSON-ready.
 
@@ -351,4 +351,4 @@ def diagnostics_report(state, masks: MaskMatrix, cfg, rho: float = 0.1,
     return {"cluster_separation": _cluster_separation(state, masks),
             "neighbor_consistency": _neighbor_consistency(state, masks, rho),
             "consensus_consistency": _consensus_consistency(
-                state, masks, cfg, tuple(zetas))}
+                state, masks, tuple(zetas))}

@@ -33,10 +33,11 @@ uses. Factorization failures and non-finite graphs raise NumericError.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 import warnings
 import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,7 @@ from climfs import numkit
 from climfs.dataset import (MaskMatrix, MultiViewDataset, _round_count,
                             mean_impute)
 from climfs.errors import ConfigError, NumericError
+from climfs.evaluation import kmeans
 
 # Multiplicative-update denominators never drop below this.
 MU_FLOOR = 1e-12
@@ -84,6 +86,12 @@ class FitConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for f in fields(self):  # bools are ints to Python, not here
+            x, whole = getattr(self, f.name), f.type in (int, "int")
+            if isinstance(x, bool) or not isinstance(
+                    x, numbers.Integral if whole else numbers.Real):
+                raise ConfigError(f"{f.name} must be an integer" if whole
+                                  else f"{f.name} must be a real number")
         if not (self.lam > 0 and self.beta > 0 and self.rho > 0):
             raise ConfigError("lam, beta, rho must be positive")
         if self.k < 1 or self.c < 1:
@@ -223,8 +231,6 @@ def _spectral_partition(H: np.ndarray, c: int, seed: int) -> np.ndarray:
     (H + H^T) / 2, rows normalized, then seeded k-means on the rows. The
     Laplacian is built in one n x n array and only those c eigenpairs are
     computed. A non-finite H or an eigensolver failure is a NumericError."""
-    from climfs.evaluation import kmeans  # local import: avoids a cycle
-
     deg = numkit.sym_degrees(H)
     if not np.isfinite(deg).all():
         raise NumericError("non-finite consensus graph at initialization")
@@ -288,8 +294,7 @@ def init_state(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
     Fstar[np.arange(n), labels] = 1.0
 
     Fv = [np.zeros((n, cfg.c)) for _ in range(V)]
-    adam = [numkit.AdamState.zeros((n, cfg.c), lr=FV_ADAM_LR)
-            for _ in range(V)]
+    adam = [numkit.AdamState.zeros((n, cfg.c)) for _ in range(V)]
 
     state = ModelState(Xhat=Xhat, W=W, Fv=Fv, Fstar=Fstar, S=S, H=H,
                        alpha=alpha, Drow=Drow, adam=adam,
@@ -300,7 +305,7 @@ def init_state(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
             half = numkit.ksparse_simplex_columns(_build_q(state, v), cfg.k)[2]
             state.xi[v] = half - alpha[v] ** 2
         state.gamma = numkit.ksparse_simplex_columns(
-            _build_b(state, components, cfg), cfg.k)[2]
+            _build_b(state, components), cfg.k)[2]
     return state
 
 
@@ -329,8 +334,7 @@ def _build_q(state: ModelState, v: int) -> np.ndarray:
     return Q
 
 
-def _build_b(state: ModelState, components: Components,
-             cfg: FitConfig) -> np.ndarray:
+def _build_b(state: ModelState, components: Components) -> np.ndarray:
     """Columnwise costs for the H subproblem: fused-graph attraction plus,
     when the cluster-structure term is active, consensus-factor distances,
     accumulated in place in one n x n array."""
@@ -387,9 +391,7 @@ def update_Fv(state: ModelState, cfg: FitConfig) -> dict:
                               cfg.beta)
         for _ in range(FV_INNER_STEPS):
             g = 2.0 * ((state.Fv[v] + state.Fstar) @ U - J)
-            st, step = numkit.adam_step(state.adam[v], g)
-            vhat = st.v / (1.0 - st.beta2 ** st.t)
-            tvec = st.lr / (np.sqrt(vhat) + st.eps)
+            step, tvec = numkit.adam_step(state.adam[v], g, FV_ADAM_LR)
             theta = 1.0
             accepted = False
             while theta > 2.0 ** -21:
@@ -495,7 +497,7 @@ def update_H(state: ModelState, cfg: FitConfig,
     mirroring `update_S`, with costs from the fused view graphs (and
     consensus-factor distances when the cluster-structure term is on)."""
     skips, perturbed = _refresh_columns(
-        state.H, _build_b(state, components, cfg), cfg.k, state.gamma,
+        state.H, _build_b(state, components), cfg.k, state.gamma,
         guard=True)
     return {"h_guard_skips": skips, "h_perturbed": perturbed}
 
@@ -548,13 +550,9 @@ def _spd_solve(K: np.ndarray, B: np.ndarray) -> np.ndarray:
                            f"{exc}") from exc
 
 
-def _xhat_subobjective(X: np.ndarray, M: np.ndarray,
-                       S: np.ndarray | None) -> float:
+def _xhat_subobjective(X: np.ndarray, M: np.ndarray, S: np.ndarray) -> float:
     R = X - M
-    val = float(np.sum(R * R))
-    if S is not None:
-        val += numkit.laplacian_quad(X, S)
-    return val
+    return float(np.sum(R * R)) + numkit.laplacian_quad(X, S)
 
 
 def update_Xhat(state: ModelState, ds: MultiViewDataset, masks: MaskMatrix,
@@ -569,40 +567,38 @@ def update_Xhat(state: ModelState, ds: MultiViewDataset, masks: MaskMatrix,
     solved against the c factor columns. Observed entries are copied back
     verbatim. If that fast path would increase the subproblem value, the
     masked entries are recomputed by the exact constrained per-row solve
-    instead. A non-finite S^v or a failed factorization is a NumericError.
+    instead. Without graph learning the subproblem is ||X - M||^2, whose
+    constrained minimizer sets the masked entries to M: no guard needed.
+    A non-finite S^v or a failed factorization is a NumericError.
     """
     fallbacks = 0
     for v in range(state.n_views):
         G = state.Fv[v] + state.Fstar
         M = state.W[v] @ G.T
-        S = state.S[v] if components.graph_learning else None
-        if S is None:
-            R = M
-        else:
-            R = state.W[v] @ _spd_solve(_identity_plus_laplacian(S), G).T
         obs = masks.masks[v] == 1.0
+        if not components.graph_learning:
+            state.Xhat[v] = np.where(obs, ds.views[v], M)
+            continue
+        S = state.S[v]
+        R = state.W[v] @ _spd_solve(_identity_plus_laplacian(S), G).T
         cand = np.where(obs, ds.views[v], R)
         f_old = _xhat_subobjective(state.Xhat[v], M, S)
         f_new = _xhat_subobjective(cand, M, S)
         if f_new > f_old + GUARD_RTOL * max(1.0, abs(f_old)):
-            cand = _constrained_impute(
-                state.Xhat[v], M,
-                None if S is None else _identity_plus_laplacian(S),
-                masks.masks[v], ds.views[v])
+            cand = _constrained_impute(state.Xhat[v], M,
+                                       _identity_plus_laplacian(S),
+                                       masks.masks[v], ds.views[v])
             fallbacks += 1
         state.Xhat[v] = cand
     return {"xhat_fallbacks": fallbacks}
 
 
-def _constrained_impute(Xcur: np.ndarray, M: np.ndarray,
-                        K: np.ndarray | None, mask: np.ndarray,
-                        Xorig: np.ndarray) -> np.ndarray:
+def _constrained_impute(Xcur: np.ndarray, M: np.ndarray, K: np.ndarray,
+                        mask: np.ndarray, Xorig: np.ndarray) -> np.ndarray:
     """Exact minimizer of the imputation subproblem with observed entries
-    pinned: independent per-row Cholesky solves of K = I + L (the
-    identity when K is None) on the free coordinates."""
+    pinned: independent per-row Cholesky solves of K = I + L on the free
+    coordinates."""
     obs = mask == 1.0
-    if K is None:
-        return np.where(obs, Xorig, M)
     out = np.where(obs, Xorig, Xcur)
     for r in range(M.shape[0]):
         free = ~obs[r]
@@ -863,7 +859,6 @@ def save_state(state: ModelState, cfg: FitConfig, components: Components,
     header = {"n_views": state.n_views,
               "sweeps": state.sweeps,
               "adam_t": [a.t for a in state.adam],
-              "adam_lr": [a.lr for a in state.adam],
               "cfg": asdict(cfg),
               "components": asdict(components)}
     (out / "header.json").write_text(json.dumps(header, indent=2,
@@ -905,6 +900,5 @@ def load_state(path: str | Path) -> tuple[ModelState, FitConfig, Components]:
         **{f: [arr[f"{f}_{v}"] for v in views] for f in _VIEW_ARRAYS},
         S=[graph(f"S_{v}") for v in views], H=graph("H"), sweeps=sweeps,
         adam=[numkit.AdamState(m=arr[f"adam_m_{v}"], v=arr[f"adam_v_{v}"],
-                               t=header["adam_t"][v], lr=header["adam_lr"][v])
-              for v in views])
+                               t=header["adam_t"][v]) for v in views])
     return state, cfg, components

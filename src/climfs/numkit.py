@@ -26,6 +26,10 @@ QP_KKT_TOL = 1e-8
 # Columns per pass of `ksparse_simplex_columns`, rows per pass of `sq_dists`:
 # their temporaries stay O(n * 256).
 COLUMN_BLOCK = 256
+# Adam decay rates and denominator floor, the Kingma & Ba (2015) defaults.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def solve_scaled_sylvester(d: np.ndarray, lam: float, G: np.ndarray,
@@ -326,39 +330,28 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.m.shape != self.v.shape:
             raise ValueError("moment buffers must share a shape")
-        if not (self.lr > 0 and 0 <= self.beta1 < 1 and 0 <= self.beta2 < 1
-                and self.eps > 0):
-            raise ValueError("invalid Adam hyperparameters")
 
     @classmethod
-    def zeros(cls, shape, lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(m=np.zeros(shape), v=np.zeros(shape), t=0, lr=lr,
-                   beta1=beta1, beta2=beta2, eps=eps)
+    def zeros(cls, shape) -> "AdamState":
+        return cls(m=np.zeros(shape), v=np.zeros(shape))
 
 
-def adam_step(state: AdamState, grad: np.ndarray) -> tuple[AdamState, np.ndarray]:
-    """Advance the Adam moments with `grad` and return the update step.
-
-    The step is lr * mhat / (sqrt(vhat) + eps) with the usual bias
-    corrections; subtract it from the parameter. `state` is mutated in
-    place and returned for convenience.
-    """
+def adam_step(state: AdamState, grad: np.ndarray,
+              lr: float) -> tuple[np.ndarray, np.ndarray]:
+    """Advance the Adam moments with `grad` in place; return the step
+    lr * mhat / (sqrt(vhat) + eps) (bias-corrected moments), to subtract
+    from the parameter, and the rate lr / (sqrt(vhat) + eps) it scales."""
     grad = np.asarray(grad, dtype=float)
     if grad.shape != state.m.shape:
         raise ValueError("gradient shape does not match the Adam state")
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    mhat = state.m / (1.0 - state.beta1 ** state.t)
-    vhat = state.v / (1.0 - state.beta2 ** state.t)
-    step = state.lr * mhat / (np.sqrt(vhat) + state.eps)
-    return state, step
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+    mhat = state.m / (1.0 - ADAM_BETA1 ** state.t)
+    vhat = state.v / (1.0 - ADAM_BETA2 ** state.t)
+    den = np.sqrt(vhat) + ADAM_EPS
+    return lr * mhat / den, lr / den

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from climfs.baselines import VariantKind, run_two_stage, run_variant
+from climfs.baselines import VariantKind, run_variant
 from climfs.cli import main
 from climfs.dataset import (MissingScenario, MultiViewDataset, apply_missing,
                             make_synthetic)
@@ -111,7 +111,8 @@ def planted_comparison():
         traces.append(trace)
         accs = {"climfs": _mean_acc(state, ds.labels, cfg,
                                     rank_features(state, 0.2))}
-        sel, vstate, vtrace = run_two_stage(masked, masks, cfg, ratio=0.2)
+        sel, vstate, vtrace = run_variant(VariantKind.TWO_STAGE, masked,
+                                          masks, cfg, ratio=0.2)
         accs["two-stage"] = _mean_acc(vstate, ds.labels, cfg, sel)
         traces.append(vtrace)
         for kind in (VariantKind.CLIMFS_I, VariantKind.CLIMFS_II,
@@ -159,7 +160,7 @@ def test_graph_column_updates_match_support_enumeration():
                         tol=1e-9, seed=j)
         state, _ = fit(masked, masks, cfg)
         columns = [_build_q(state, v) for v in range(2)]
-        columns.append(_build_b(state, FULL_MODEL, cfg))
+        columns.append(_build_b(state, FULL_MODEL))
         for mat in columns:
             cases.extend((np.delete(mat[:, col], col), cfg.k)
                          for col in range(6))
@@ -253,7 +254,7 @@ def test_similarity_bound_diagnostics_show_zero_violations(
     qualifying_pairs = 0
     for rec in planted_comparison["fulls"]:
         assert rec["trace"].rows[-1]["rel_change"] < rec["cfg"].tol
-        report = diagnostics_report(rec["state"], rec["masks"], rec["cfg"],
+        report = diagnostics_report(rec["state"], rec["masks"],
                                     zetas=(0.1, 0.2))
         for check in report["consensus_consistency"]["checks"]:
             assert check["violations"] == 0

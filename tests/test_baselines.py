@@ -4,8 +4,7 @@ monotonicity, and the two-stage/variant-I correspondence."""
 import numpy as np
 import pytest
 
-from climfs.baselines import (VariantKind, run_two_stage, run_variant,
-                              variant_components)
+from climfs.baselines import VariantKind, run_variant, variant_components
 from climfs.dataset import (MaskMatrix, MissingScenario, MultiViewDataset,
                             apply_missing, make_synthetic, mean_impute)
 from climfs.model import Components, FitConfig, fit, validate_state
@@ -42,7 +41,8 @@ def test_two_stage_equals_variant_i_on_fully_observed():
                         seed=1)
     masks = MaskMatrix(masks=[np.ones_like(v) for v in ds.views])
     cfg = FitConfig(seed=3, **CFG)
-    sel_a, _, tr_a = run_two_stage(ds, masks, cfg, ratio=0.4)
+    sel_a, _, tr_a = run_variant(VariantKind.TWO_STAGE, ds, masks, cfg,
+                                 ratio=0.4)
     sel_b, _, tr_b = run_variant(VariantKind.CLIMFS_I, ds, masks, cfg,
                                  ratio=0.4)
     for a, b in zip(sel_a.selected, sel_b.selected):
@@ -129,5 +129,5 @@ def test_two_stage_all_missing_feature_row_warns():
     mm = MaskMatrix(masks=masks)
     cfg = FitConfig(k=3, c=2, max_iter=3, tol=1e-12)
     with pytest.warns(UserWarning, match="fully missing"):
-        sel, _, _ = run_two_stage(masked, mm, cfg)
+        sel, _, _ = run_variant(VariantKind.TWO_STAGE, masked, mm, cfg)
     assert all(len(s) >= 1 for s in sel.selected)

@@ -11,8 +11,8 @@ import climfs.cli as cli
 import climfs.model as model
 from climfs.cli import load_config, main, resolve_fit_config
 from climfs.dataset import load_manifest, load_masks
-from climfs.errors import NumericError
-from climfs.model import fit, load_state
+from climfs.errors import ConfigError, NumericError
+from climfs.model import FitConfig, fit, load_state
 
 
 def base_config(out_dir) -> dict:
@@ -326,11 +326,37 @@ def invalid_config_cases():
     def boolean_ratio(cfg):
         cfg["feature_ratios"] = [True]
 
+    def boolean_c(cfg):
+        cfg["fit"]["c"] = True
+
+    def float_k(cfg):
+        cfg["fit"]["k"] = 4.5
+
+    def boolean_max_iter(cfg):
+        cfg["fit"]["max_iter"] = True
+
+    def float_seed(cfg):
+        cfg["fit"]["seed"] = 7.0
+
+    def boolean_lambda(cfg):
+        cfg["fit"]["lambda"] = True
+
+    def boolean_beta(cfg):
+        cfg["fit"]["beta"] = True
+
+    def text_rho_fit(cfg):
+        cfg["fit"]["rho"] = "1e4"
+
+    def list_tol(cfg):
+        cfg["fit"]["tol"] = [1e-5]
+
     return [drop_out_dir, both_sources, neither_source, top_typo, fit_typo,
             scenario_typo, bad_method, bad_ratio, empty_ratios, bad_runs,
             bad_kind, bad_delta, bad_fit_value, removed_fit_key,
             removed_eps_dv, removed_inner_fv_steps, scalar_zetas, zero_zeta,
-            empty_zetas, text_rho, boolean_runs, boolean_ratio]
+            empty_zetas, text_rho, boolean_runs, boolean_ratio, boolean_c,
+            float_k, boolean_max_iter, float_seed, boolean_lambda,
+            boolean_beta, text_rho_fit, list_tol]
 
 
 @pytest.mark.parametrize("mutate", invalid_config_cases(),
@@ -429,6 +455,21 @@ def test_evaluate_without_labels_exits_2(tmp_path):
     assert main(["evaluate", "--config", p]) == 2
 
 
+@pytest.mark.parametrize("index, content", [
+    ("masks.json", {}),
+    ("masks.json", {"masks": [{"name": "view0"}]}),
+    ("manifest.json", {"views": 3, "labels": "labels.csv"}),
+], ids=["empty_masks", "mask_without_path", "views_number"])
+def test_malformed_dataset_index_exits_2(tmp_path, capsys, index, content):
+    p = write_config(tmp_path / "cfg.json", base_config(tmp_path / "out"))
+    assert main(["simulate", "--config", p]) == 0
+    (tmp_path / "out" / "dataset" / index).write_text(json.dumps(content))
+    capsys.readouterr()
+    for command in ("fit", "evaluate", "diagnose"):
+        assert main([command, "--config", p]) == 2
+    assert capsys.readouterr().err.count(f"index {tmp_path}") == 3
+
+
 # --------------------------------------------------------- numeric errors
 
 
@@ -480,6 +521,15 @@ def test_lambda_config_key_maps_onto_lam():
     fc = resolve_fit_config({"fit": {"lambda": 0.25, "k": 3, "c": 2}})
     assert fc.lam == 0.25
     assert fc.k == 3
+
+
+def test_fit_config_rejects_wrong_types():
+    for bad in ({"k": 2.5}, {"c": True}, {"seed": 1.0}, {"max_iter": "9"},
+                {"lam": True}, {"tol": None}):
+        with pytest.raises(ConfigError, match="must be an integer|must be a "
+                                              "real number"):
+            FitConfig(**bad).validate()
+    FitConfig(k=np.int64(3), lam=np.float64(0.5), tol=np.inf).validate()
 
 
 def test_load_config_fills_defaults(tmp_path):

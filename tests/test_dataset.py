@@ -12,7 +12,6 @@ import pytest
 from climfs.dataset import (MaskMatrix, MissingScenario, MultiViewDataset,
                             ScenarioKind, apply_missing, load_manifest,
                             load_masks, make_synthetic, mean_impute,
-                            mean_impute_dataset, normalize_columns,
                             save_dataset, save_masks)
 from climfs.errors import ConfigError
 
@@ -48,7 +47,6 @@ def test_mask_matrix_validates_binary():
     ds = two_view_dataset()
     mm = MaskMatrix.all_observed(ds)
     mm.check_against(ds)
-    assert mm.observed_fraction() == 1.0
 
 
 def test_scenario_rejects_bad_delta():
@@ -107,6 +105,30 @@ def test_masks_round_trip(tmp_path):
     back = load_masks(idx)
     for a, b in zip(back.masks, masks.masks):
         assert np.array_equal(a, b)
+
+
+MALFORMED_INDEXES = {
+    "masks_empty": ("masks.json", {}),
+    "mask_without_path": ("masks.json", {"masks": [{"name": "a"}]}),
+    "masks_not_a_list": ("masks.json", {"masks": {"name": "a",
+                                                  "path": "a.csv"}}),
+    "masks_extra_key": ("masks.json", {"masks": [], "extra": 1}),
+    "masks_root_list": ("masks.json", [{"name": "a", "path": "a.csv"}]),
+    "views_number": ("manifest.json", {"views": 3}),
+    "view_entry_list": ("manifest.json", {"views": [["a", "a.csv"]]}),
+    "view_path_number": ("manifest.json",
+                         {"views": [{"name": "a", "path": 3}]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INDEXES))
+def test_malformed_index_is_a_config_error(tmp_path, case):
+    name, index = MALFORMED_INDEXES[case]
+    np.savetxt(tmp_path / "a.csv", np.ones((2, 3)), delimiter=",")
+    (tmp_path / name).write_text(json.dumps(index))
+    load = load_masks if name == "masks.json" else load_manifest
+    with pytest.raises(ConfigError):
+        load(tmp_path / name)
 
 
 # ------------------------------------------------------------- scenarios
@@ -209,34 +231,6 @@ def test_mean_impute_all_missing_row_warns_zero():
         out = mean_impute(view, mask)
     np.testing.assert_allclose(out[0], [0.0, 0.0])
     np.testing.assert_allclose(out[1], [5.0, 6.0])
-
-
-def test_mean_impute_dataset_keeps_observed():
-    ds = two_view_dataset(n=15, seed=21)
-    masked, masks = apply_missing(
-        ds, MissingScenario(kind="mixed", delta=0.4, seed=7))
-    imp = mean_impute_dataset(masked, masks)
-    for iv, v, m in zip(imp.views, ds.views, masks.masks):
-        assert np.array_equal(iv[m == 1.0], v[m == 1.0])
-        assert np.all(np.isfinite(iv))
-
-
-# --------------------------------------------------------- normalization
-
-
-def test_normalize_columns_unit_norm():
-    ds = two_view_dataset(n=9, seed=2)
-    out = normalize_columns(ds)
-    for v in out.views:
-        np.testing.assert_allclose(np.linalg.norm(v, axis=0), 1.0, atol=1e-12)
-
-
-def test_normalize_columns_zero_column_warns():
-    views = [np.array([[1.0, 0.0], [1.0, 0.0]])]
-    with pytest.warns(UserWarning):
-        out = normalize_columns(MultiViewDataset(views=views))
-    np.testing.assert_allclose(out.views[0][:, 1], 0.0)
-    np.testing.assert_allclose(np.linalg.norm(out.views[0][:, 0]), 1.0)
 
 
 # ------------------------------------------------------------- synthetic

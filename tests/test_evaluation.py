@@ -289,8 +289,8 @@ def test_cross_view_pairs_match_pairwise_loop():
 
 
 def test_diagnostics_report_structure_and_bounds():
-    state, masks, cfg = fitted(0)
-    rep = diagnostics_report(state, masks, cfg)
+    state, masks, _ = fitted(0)
+    rep = diagnostics_report(state, masks)
     assert {"cluster_separation", "neighbor_consistency",
             "consensus_consistency"} <= rep.keys()
     for rec in rep["cluster_separation"]:
@@ -307,10 +307,10 @@ def test_diagnostics_report_structure_and_bounds():
 def test_diagnostics_orthonormal_consensus_premise_flag():
     # with F^v = 0 the premise reduces to delta > 4 / sigma_min, checked
     # against a manual evaluation on the same pairs
-    state, masks, cfg = fitted(1)
+    state, masks, _ = fitted(1)
     for v in range(state.n_views):
         state.Fv[v] = np.zeros_like(state.Fv[v])
-    rep = diagnostics_report(state, masks, cfg)
+    rep = diagnostics_report(state, masks)
     for v, rec in enumerate(rep["cluster_separation"]):
         smin = rec["sigma_min"]
         idx = np.where((masks.masks[v] == 0.0).any(axis=0))[0]
@@ -332,10 +332,10 @@ def test_diagnostics_orthonormal_consensus_premise_flag():
 
 
 def test_diagnostics_same_cluster_pairs_counted():
-    state, masks, cfg = fitted(2)
+    state, masks, _ = fitted(2)
     # force two imputed samples into identical consensus rows
     idx = np.where((masks.masks[0] == 0.0).any(axis=0))[0]
     assert idx.size >= 2
     state.Fstar[idx[1]] = state.Fstar[idx[0]]
-    rep = diagnostics_report(state, masks, cfg)
+    rep = diagnostics_report(state, masks)
     assert rep["cluster_separation"][0]["same_pairs"] >= 1

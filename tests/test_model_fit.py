@@ -3,6 +3,7 @@ convergence, determinism, checkpoint round-trips, and feature ranking."""
 
 import copy
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -292,6 +293,27 @@ def test_checkpoint_roundtrip_and_resume_equivalence(tmp_path):
     assert trace_c.iterations == 5 and loaded.sweeps == 15
 
 
+def test_checkpoint_with_an_adam_lr_header_resumes_bitwise(tmp_path):
+    # checkpoints used to store each view's Adam step size, always
+    # FV_ADAM_LR; the header no longer has it and older ones still resume
+    masked, masks = small_instance(seed=12)
+    base = dict(k=4, c=2, tol=1e-12, seed=6)
+    straight, trace_a = fit(masked, masks, FitConfig(max_iter=9, **base))
+    cfg = FitConfig(max_iter=5, **base)
+    ckpt = save_state(fit(masked, masks, cfg)[0], cfg, Components(),
+                      tmp_path / "ck")
+    header = json.loads((ckpt / "header.json").read_text())
+    assert "adam_lr" not in header
+    header["adam_lr"] = [0.01, 0.01]
+    (ckpt / "header.json").write_text(json.dumps(header))
+    loaded, cfg_l, comp_l = load_state(ckpt)
+    resumed, trace_b = fit(masked, masks,
+                           dataclasses.replace(cfg_l, max_iter=4), comp_l,
+                           state=loaded)
+    assert_states_bitwise_equal(straight, resumed)
+    assert np.array_equal(trace_a.objectives()[5:], trace_b.objectives())
+
+
 def test_checkpoint_roundtrip_is_bitwise_for_any_graph(tmp_path):
     # graphs are stored by their nonzero entries; nothing may rely on
     # the k-nonzeros invariant or lose a NaN or the sign of a zero
@@ -513,7 +535,7 @@ def test_fit_constraint_rows_equal_a_full_check_after_every_sub_update(kind):
     start.S[0][:, 0] = 0.0
     start.S[0][1:cfg.k + 2, 0] = 1.0 / (cfg.k + 1)
     far = np.argmax(np.where(np.arange(start.n_samples) == 1, -np.inf,
-                             _build_b(start, comps, cfg)[:, 1]))
+                             _build_b(start, comps)[:, 1]))
     start.H[:, 1] = 0.0
     start.H[far, 1] = 1.5
     start.alpha = start.alpha * 1.2

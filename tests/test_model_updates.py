@@ -314,11 +314,9 @@ def test_build_q_matches_literal_loops():
 def test_build_b_matches_literal_loops():
     rng = np.random.default_rng(12)
     st = make_state(rng, n=7, dims=(4, 3), c=2, k=2)
-    cfg = FitConfig(c=2, k=2)
-    assert np.allclose(_build_b(st, Components(), cfg), b_loops(st),
-                       atol=1e-12)
+    assert np.allclose(_build_b(st, Components()), b_loops(st), atol=1e-12)
     assert np.allclose(
-        _build_b(st, Components(cluster_structure=False), cfg),
+        _build_b(st, Components(cluster_structure=False)),
         b_loops(st, cluster_structure=False), atol=1e-12)
 
 
@@ -652,7 +650,7 @@ def test_graph_terms_match_laplacian_forms():
             assert abs(terms[key] - val) <= 1e-12 * abs(val), key
         recon = sum(float(np.sum((X - W @ (F + st.Fstar).T) ** 2))
                     for X, W, F in zip(st.Xhat, st.W, st.Fv))
-        value = _consensus_value(st, cfg)
+        value = _consensus_value(st)
         assert abs(value - (recon + expect["fstar_smooth"])) \
             <= 1e-12 * abs(value)
 
