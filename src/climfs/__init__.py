@@ -10,7 +10,8 @@ The package is organized as:
 * :mod:`climfs.model`      -- the alternating optimizer and feature ranking
 * :mod:`climfs.evaluation` -- k-means, clustering metrics, selection
   evaluation and structural diagnostics
-* :mod:`climfs.baselines`  -- two-stage baseline and reduced variants
+* :mod:`climfs.baselines`  -- the method table: the full model and its
+  reduced variants, the impute-then-select baseline among them
 * :mod:`climfs.cli`        -- experiment runner
 """
 

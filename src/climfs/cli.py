@@ -35,17 +35,14 @@ from pathlib import Path
 
 import numpy as np
 
-from climfs.baselines import VariantKind, run_variant, variant_components
+from climfs.baselines import METHODS, run_variant
 from climfs.dataset import (MaskMatrix, MissingScenario, MultiViewDataset,
                             apply_missing, load_manifest, load_masks,
                             make_synthetic, save_dataset, save_masks)
 from climfs.errors import ConfigError, NumericError
 from climfs.evaluation import diagnostics_report, evaluate_selection
-from climfs.model import (FULL_MODEL, FitConfig, fit, load_state,
-                          rank_features, save_state)
-
-METHODS = ("climfs", "two-stage", "climfs-i", "climfs-ii", "climfs-iii")
-ABLATION_METHODS = ("climfs", "climfs-i", "climfs-ii", "climfs-iii")
+from climfs.model import (FitConfig, fit, load_state, rank_features,
+                          save_state)
 
 _SYNTH_KEYS = {"n", "views", "clusters", "informative", "noise",
                "separation", "noise_scale", "seed"}
@@ -68,10 +65,14 @@ def _reject_unknown(section, allowed: set, where: str) -> None:
             f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
 
 
+def _is_number(x) -> bool:
+    """A JSON number; booleans, which Python counts as ints, are not
+    numbers here."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _is_positive(x) -> bool:
-    """A JSON number above 0; booleans, which Python counts as ints, are
-    not numbers here."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0
+    return _is_number(x) and x > 0
 
 
 def load_config(path: str | Path) -> dict:
@@ -96,8 +97,15 @@ def load_config(path: str | Path) -> dict:
         _reject_unknown(data["synthetic"], _SYNTH_KEYS, "data.synthetic")
 
     if "scenario" in raw:
-        _reject_unknown(raw["scenario"], {"kind", "delta", "seed"},
-                        "scenario")
+        sc = raw["scenario"]
+        _reject_unknown(sc, {"kind", "delta", "seed"}, "scenario")
+        seed = sc.get("seed", 0)
+        if not (isinstance(sc.get("kind", "mixed"), str)
+                and _is_number(sc.get("delta", 0.3))
+                and _is_number(seed) and isinstance(seed, int)):
+            raise ConfigError("scenario.kind must be a string, "
+                              "scenario.delta a real number and "
+                              "scenario.seed an integer")
     if "fit" in raw:
         _reject_unknown(raw["fit"], _FIT_KEYS, "fit")
     if "diagnostics" in raw:
@@ -161,15 +169,13 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _snapshot(cfg: dict, directory: Path) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "config.json").write_text(
-        json.dumps(cfg, indent=2, sort_keys=True) + "\n")
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _snapshot(cfg: dict, directory: Path) -> None:
+    _write_json(directory / "config.json", cfg)
 
 
 # ------------------------------------------------------------ dataset I/O
@@ -215,8 +221,8 @@ def cmd_simulate(cfg: dict) -> int:
         sc = cfg["scenario"]
         try:
             scenario = MissingScenario(kind=sc.get("kind", "mixed"),
-                                       delta=float(sc.get("delta", 0.3)),
-                                       seed=int(sc.get("seed", 0)))
+                                       delta=sc.get("delta", 0.3),
+                                       seed=sc.get("seed", 0))
             masked, masks = apply_missing(ds, scenario)
         except ValueError as exc:
             raise ConfigError(f"bad scenario: {exc}") from exc
@@ -231,25 +237,18 @@ def cmd_simulate(cfg: dict) -> int:
     return 0
 
 
-def _fit_method(method: str, ds, masks, fc: FitConfig, ratio: float):
-    """Fit `method`; returns its state, trace and components."""
-    if method == "climfs":
-        state, trace = fit(ds, masks, fc, components=FULL_MODEL)
-        return state, trace, FULL_MODEL
-    kind = VariantKind(method)
-    _, state, trace = run_variant(kind, ds, masks, fc, ratio)
-    return state, trace, variant_components(kind)
-
-
 def _run_fit(cfg: dict, method: str, strict: bool) -> int:
     ds, masks = _load_simulated(cfg)
     fc = resolve_fit_config(cfg)
     t0 = time.perf_counter()
-    state, trace, components = _fit_method(method, ds, masks, fc,
-                                           cfg["feature_ratios"][0])
+    if method == "climfs":
+        state, trace = fit(ds, masks, fc, METHODS[method])
+    else:
+        _, state, trace = run_variant(method, ds, masks, fc,
+                                      cfg["feature_ratios"][0])
     elapsed = time.perf_counter() - t0
     mroot = Path(cfg["out_dir"]) / "fit" / method
-    save_state(state, fc, components, mroot / "state")
+    save_state(state, fc, METHODS[method], mroot / "state")
     trace.to_csv(mroot / "trace.csv")
     _write_json(mroot / "fit_result.json", {
         "method": method,
@@ -294,8 +293,15 @@ def _evaluate_method(cfg: dict, method: str, labels) -> list[dict]:
     return rows
 
 
-def _write_summary(cfg: dict, rows: list[dict]) -> Path:
-    rows = sorted(rows, key=lambda r: (r["method"], r["ratio"]))
+def _evaluate_all(cfg: dict, methods) -> Path:
+    """Evaluate every method's fit; returns the path of the summary CSV."""
+    ds, _ = _load_simulated(cfg)
+    if ds.labels is None:
+        raise ConfigError("dataset has no labels; evaluation needs them")
+    rows = []
+    for method in methods:
+        rows.extend(_evaluate_method(cfg, method, ds.labels))
+    rows.sort(key=lambda r: (r["method"], r["ratio"]))
     lines = ["method,ratio,acc_mean,nmi_mean"]
     for r in rows:
         lines.append(f"{r['method']},{r['ratio']:g},"
@@ -307,14 +313,8 @@ def _write_summary(cfg: dict, rows: list[dict]) -> Path:
 
 
 def cmd_evaluate(cfg: dict) -> int:
-    ds, _ = _load_simulated(cfg)
-    if ds.labels is None:
-        raise ConfigError("dataset has no labels; evaluation needs them")
-    methods = cfg.get("methods") or [cfg.get("method", "climfs")]
-    rows = []
-    for method in methods:
-        rows.extend(_evaluate_method(cfg, method, ds.labels))
-    path = _write_summary(cfg, rows)
+    path = _evaluate_all(cfg, cfg.get("methods")
+                         or [cfg.get("method", "climfs")])
     print(f"summary written to {path}")
     return 0
 
@@ -326,7 +326,13 @@ def cmd_diagnose(cfg: dict) -> int:
     state, _, _ = load_state(mroot / "state")
     result_path = mroot / "fit_result.json"
     if result_path.exists():
-        result = json.loads(result_path.read_text())
+        try:
+            result = json.loads(result_path.read_text())
+        except (OSError, ValueError) as exc:  # JSONDecodeError included
+            raise ConfigError(f"cannot read {result_path} ({exc}); "
+                              f"refit it") from exc
+        if not isinstance(result, dict):
+            raise ConfigError(f"{result_path} is not a JSON object; refit it")
         if not result.get("converged", False):
             warnings.warn(f"diagnosing an unconverged '{method}' state",
                           stacklevel=1)
@@ -342,16 +348,8 @@ def cmd_diagnose(cfg: dict) -> int:
 
 
 def cmd_ablate(cfg: dict, strict: bool) -> int:
-    worst = 0
-    for method in ABLATION_METHODS:
-        worst = max(worst, _run_fit(cfg, method, strict))
-    ds, _ = _load_simulated(cfg)
-    if ds.labels is None:
-        raise ConfigError("dataset has no labels; evaluation needs them")
-    rows = []
-    for method in ABLATION_METHODS:
-        rows.extend(_evaluate_method(cfg, method, ds.labels))
-    path = _write_summary(cfg, rows)
+    worst = max([_run_fit(cfg, method, strict) for method in METHODS])
+    path = _evaluate_all(cfg, METHODS)
     print(f"ablation summary written to {path}")
     return worst
 

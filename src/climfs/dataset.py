@@ -260,9 +260,12 @@ def load_manifest(path: str | Path) -> MultiViewDataset:
     spec, entries = _read_index(path, "views", ("labels",))
     names = [name for name, _ in entries]
     views = [_load_csv_matrix(p) for _, p in entries]
-    labels = None
-    if spec.get("labels"):
-        raw = _load_csv_matrix(path.parent / spec["labels"]).reshape(-1)
+    labels, labels_path = None, spec.get("labels")
+    if not isinstance(labels_path, (str, type(None))):
+        raise ConfigError(f"manifest {path}: 'labels' must be a path string "
+                          f"or null")
+    if labels_path:
+        raw = _load_csv_matrix(path.parent / labels_path).reshape(-1)
         labels = raw.astype(int)
         if not np.array_equal(raw, labels):
             raise ConfigError("labels CSV must contain integers")

@@ -10,7 +10,7 @@ bounds, with violation counts and margins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -161,10 +161,7 @@ class EvalReport:
     feature_ratio: float
 
     def to_dict(self) -> dict:
-        return {"acc_mean": self.acc_mean, "nmi_mean": self.nmi_mean,
-                "acc_runs": self.acc_runs, "nmi_runs": self.nmi_runs,
-                "runs": self.runs, "seed": self.seed,
-                "feature_ratio": self.feature_ratio}
+        return asdict(self)
 
 
 def evaluate_selection(ds: MultiViewDataset, sel, c: int, runs: int = 50,

@@ -8,10 +8,11 @@ fused from the S^v through learned view weights alpha, and graph-smoothed
 re-imputation of the masked entries of X^v.
 
 One outer iteration applies, in order: W (Sylvester solve under the
-iteratively reweighted l2,1 majorizer), the D^v refresh, F^v (proximal
-Adam steps), F* (multiplicative update with an orthogonality penalty),
-S^v, H (closed-form k-sparse simplex columns with self-tuned quadratic
-coefficients), alpha (simplex QP), and the masked entries of X^v.
+iteratively reweighted l2,1 majorizer, whose diagonal D^v is taken from
+the W it replaces), F^v (proximal Adam steps), F* (multiplicative update
+with an orthogonality penalty), S^v, H (closed-form k-sparse simplex
+columns with self-tuned quadratic coefficients), alpha (simplex QP), and
+the masked entries of X^v.
 
 Every step is guarded so the traced objective is non-increasing: the
 F^v / F* steps backtrack, the S / H column updates keep the previous
@@ -132,7 +133,6 @@ class ModelState:
     S: list[np.ndarray]             # (n, n) view graphs, simplex columns
     H: np.ndarray                   # (n, n) consensus graph
     alpha: np.ndarray               # (V,) view weights on the simplex
-    Drow: list[np.ndarray]          # (d_v,) reweighted l2,1 diagonals
     adam: list[numkit.AdamState]    # per-view Adam moments for Fv
     xi: list[np.ndarray]            # (n,) per-column S quadratic offsets
     gamma: np.ndarray               # (n,) per-column H quadratic weights
@@ -275,8 +275,6 @@ def init_state(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
     Xhat = [mean_impute(v, m) for v, m in zip(ds.views, masks.masks)]
     alpha = np.full(V, 1.0 / V)
     W = [np.ones((d, cfg.c)) for d in ds.dims]
-    Drow = [1.0 / (2.0 * np.sqrt(np.einsum("ij,ij->i", w, w) + EPS_DV))
-            for w in W]
 
     S = [np.zeros((n, n)) for _ in range(V)]
     H = np.zeros((n, n))
@@ -297,7 +295,7 @@ def init_state(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
     adam = [numkit.AdamState.zeros((n, cfg.c)) for _ in range(V)]
 
     state = ModelState(Xhat=Xhat, W=W, Fv=Fv, Fstar=Fstar, S=S, H=H,
-                       alpha=alpha, Drow=Drow, adam=adam,
+                       alpha=alpha, adam=adam,
                        xi=[np.zeros(n) for _ in range(V)],
                        gamma=np.zeros(n))
     if components.graph_learning:
@@ -352,16 +350,16 @@ def _build_b(state: ModelState, components: Components) -> np.ndarray:
 
 
 def update_W(state: ModelState, cfg: FitConfig) -> dict:
-    """Per view: solve lam * diag(D^v) W + W (F^v+F*)^T (F^v+F*) = Xhat F,
-    then refresh D^v from the new W (majorize-minimize order: the solve
+    """Per view: solve lam * diag(D^v) W + W (F^v+F*)^T (F^v+F*) = Xhat F
+    with the reweighted l2,1 diagonal D^v_ii = 1 / (2 sqrt(||W_i.||^2 +
+    EPS_DV)) of the W being replaced (majorize-minimize order: the solve
     uses the diagonal of the previous iterate)."""
     for v in range(state.n_views):
         F = state.Fv[v] + state.Fstar
-        G = F.T @ F
-        C = state.Xhat[v] @ F
-        state.W[v] = numkit.solve_scaled_sylvester(state.Drow[v], cfg.lam, G, C)
-        state.Drow[v] = 1.0 / (2.0 * np.sqrt(
-            np.einsum("ij,ij->i", state.W[v], state.W[v]) + EPS_DV))
+        W = state.W[v]
+        d = 1.0 / (2.0 * np.sqrt(np.einsum("ij,ij->i", W, W) + EPS_DV))
+        state.W[v] = numkit.solve_scaled_sylvester(d, cfg.lam, F.T @ F,
+                                                   state.Xhat[v] @ F)
     return {}
 
 
@@ -684,7 +682,6 @@ CHECKED_PARTS = ("Fstar", "S", "H", "alpha", "Xhat")
 
 def validate_state(state: ModelState, ds: MultiViewDataset,
                    masks: MaskMatrix, cfg: FitConfig,
-                   components: Components = FULL_MODEL,
                    parts: tuple[str, ...] = CHECKED_PARTS) -> dict:
     """Constraint measurements of the listed `parts`: continuous violations
     (rounding noise; inf when a graph, alpha or F* holds a non-finite
@@ -743,7 +740,7 @@ def fit(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
     obj, _ = objective(state, cfg, components)
     if not np.isfinite(obj):
         raise NumericError("non-finite objective at the start state")
-    checks = validate_state(state, ds, masks, cfg, components)
+    checks = validate_state(state, ds, masks, cfg)
     if not checks["observed_bitwise_equal"]:
         raise NumericError("observed entries corrupted at initialization")
     latest = checks["parts"]
@@ -762,7 +759,7 @@ def fit(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
             nonlocal viol, nnz_bad
             for key, val in result.items():
                 counters[key] = counters.get(key, 0) + val
-            chk = validate_state(state, ds, masks, cfg, components, written)
+            chk = validate_state(state, ds, masks, cfg, written)
             if not chk["observed_bitwise_equal"]:
                 raise NumericError("observed entries were modified")
             latest.update(chk["parts"])
@@ -832,7 +829,7 @@ def rank_features(state: ModelState, ratio: float) -> SelectionResult:
 
 
 # ModelState arrays a checkpoint stores as they are: one per view, shared.
-_VIEW_ARRAYS = ("Xhat", "W", "Fv", "Drow", "xi")
+_VIEW_ARRAYS = ("Xhat", "W", "Fv", "xi")
 _SHARED_ARRAYS = ("Fstar", "alpha", "gamma")
 
 
@@ -856,8 +853,7 @@ def save_state(state: ModelState, cfg: FitConfig, components: Components,
         idx = np.flatnonzero(G.view(np.uint64))  # keeps -0.0 and NaN
         arrays.update({f"{name}_idx": idx, f"{name}_vals": G.ravel()[idx]})
     np.savez(out / "state.npz", **arrays)
-    header = {"n_views": state.n_views,
-              "sweeps": state.sweeps,
+    header = {"sweeps": state.sweeps,
               "adam_t": [a.t for a in state.adam],
               "cfg": asdict(cfg),
               "components": asdict(components)}
@@ -869,7 +865,9 @@ def save_state(state: ModelState, cfg: FitConfig, components: Components,
 def load_state(path: str | Path) -> tuple[ModelState, FitConfig, Components]:
     """Reload a checkpoint written by `save_state`; a missing, unreadable
     or earlier-version (CSV arrays, removed keys, no sweep count) one is a
-    ConfigError."""
+    ConfigError. The view count is the length of alpha; the `n_views`
+    header entry and `Drow_<v>` arrays of earlier checkpoints are
+    ignored."""
     path = Path(path)
     if not (path / "header.json").is_file():
         raise ConfigError(f"no fitted state under {path}; run 'fit' first")
@@ -894,7 +892,7 @@ def load_state(path: str | Path) -> tuple[ModelState, FitConfig, Components]:
         np.put(G, arr[f"{name}_idx"], arr[f"{name}_vals"])
         return G
 
-    views = range(header["n_views"])
+    views = range(arr["alpha"].shape[0])
     state = ModelState(
         **{f: arr[f] for f in _SHARED_ARRAYS},
         **{f: [arr[f"{f}_{v}"] for v in views] for f in _VIEW_ARRAYS},

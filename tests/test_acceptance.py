@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from climfs.baselines import VariantKind, run_variant
+from climfs.baselines import run_variant
 from climfs.cli import main
 from climfs.dataset import (MissingScenario, MultiViewDataset, apply_missing,
                             make_synthetic)
@@ -111,15 +111,11 @@ def planted_comparison():
         traces.append(trace)
         accs = {"climfs": _mean_acc(state, ds.labels, cfg,
                                     rank_features(state, 0.2))}
-        sel, vstate, vtrace = run_variant(VariantKind.TWO_STAGE, masked,
-                                          masks, cfg, ratio=0.2)
-        accs["two-stage"] = _mean_acc(vstate, ds.labels, cfg, sel)
-        traces.append(vtrace)
-        for kind in (VariantKind.CLIMFS_I, VariantKind.CLIMFS_II,
-                     VariantKind.CLIMFS_III):
+        # climfs-i is the impute-then-select baseline
+        for kind in ("climfs-i", "climfs-ii", "climfs-iii"):
             sel, vstate, vtrace = run_variant(kind, masked, masks, cfg,
                                               ratio=0.2)
-            accs[kind.value] = _mean_acc(vstate, ds.labels, cfg, sel)
+            accs[kind] = _mean_acc(vstate, ds.labels, cfg, sel)
             traces.append(vtrace)
         rows.append(accs)
         fulls.append({"state": state, "trace": trace, "cfg": cfg,
@@ -269,7 +265,7 @@ def test_similarity_bound_diagnostics_show_zero_violations(
 
 def test_full_model_beats_baselines_on_planted_clusters(planted_comparison):
     rows = planted_comparison["rows"]
-    for rival in ("two-stage", "climfs-i", "climfs-ii", "climfs-iii"):
+    for rival in ("climfs-i", "climfs-ii", "climfs-iii"):
         wins = sum(row["climfs"] > row[rival] for row in rows)
         assert wins >= 4, (rival,
                            [(row["climfs"], row[rival]) for row in rows])

@@ -1,10 +1,10 @@
-"""Reduced-model behavior: component mappings, frozen modules, trace
-monotonicity, and the two-stage/variant-I correspondence."""
+"""Reduced-model behavior: the method table, frozen modules and trace
+monotonicity."""
 
 import numpy as np
 import pytest
 
-from climfs.baselines import VariantKind, run_variant, variant_components
+from climfs.baselines import METHODS, run_variant
 from climfs.dataset import (MaskMatrix, MissingScenario, MultiViewDataset,
                             apply_missing, make_synthetic, mean_impute)
 from climfs.model import Components, FitConfig, fit, validate_state
@@ -22,38 +22,20 @@ CFG = dict(k=4, c=2, max_iter=12, tol=1e-12)
 
 
 def test_variant_component_mapping():
-    assert variant_components(VariantKind.CLIMFS_I) == Components(
-        adaptive_imputation=False)
-    assert variant_components(VariantKind.CLIMFS_II) == Components(
-        cluster_structure=False)
-    assert variant_components(VariantKind.CLIMFS_III) == Components(
-        graph_learning=False)
-    assert variant_components(VariantKind.TWO_STAGE) == variant_components(
-        VariantKind.CLIMFS_I)
-    assert variant_components("climfs-ii") == Components(
-        cluster_structure=False)
-    with pytest.raises(ValueError):
-        variant_components("climfs-iv")
-
-
-def test_two_stage_equals_variant_i_on_fully_observed():
-    ds = make_synthetic(n=24, views=2, clusters=2, informative=3, noise=4,
-                        seed=1)
-    masks = MaskMatrix(masks=[np.ones_like(v) for v in ds.views])
-    cfg = FitConfig(seed=3, **CFG)
-    sel_a, _, tr_a = run_variant(VariantKind.TWO_STAGE, ds, masks, cfg,
-                                 ratio=0.4)
-    sel_b, _, tr_b = run_variant(VariantKind.CLIMFS_I, ds, masks, cfg,
-                                 ratio=0.4)
-    for a, b in zip(sel_a.selected, sel_b.selected):
-        assert np.array_equal(a, b)
-    assert np.array_equal(tr_a.objectives(), tr_b.objectives())
+    assert METHODS == {
+        "climfs": Components(),
+        "climfs-i": Components(adaptive_imputation=False),
+        "climfs-ii": Components(cluster_structure=False),
+        "climfs-iii": Components(graph_learning=False)}
+    masked, masks = instance()
+    with pytest.raises(KeyError):
+        run_variant("climfs-iv", masked, masks, FitConfig(**CFG))
 
 
 def test_variant_i_keeps_mean_imputation_frozen():
     masked, masks = instance(seed=2)
     cfg = FitConfig(**CFG)
-    _, state, _ = run_variant(VariantKind.CLIMFS_I, masked, masks, cfg)
+    _, state, _ = run_variant("climfs-i", masked, masks, cfg)
     for view, mask, xh in zip(masked.views, masks.masks, state.Xhat):
         assert np.array_equal(xh, mean_impute(view, mask))
 
@@ -61,7 +43,7 @@ def test_variant_i_keeps_mean_imputation_frozen():
 def test_variant_iii_has_zero_graph_terms_and_frozen_graphs():
     masked, masks = instance(seed=3)
     cfg = FitConfig(**CFG)
-    _, state, trace = run_variant(VariantKind.CLIMFS_III, masked, masks, cfg)
+    _, state, trace = run_variant("climfs-iii", masked, masks, cfg)
     for row in trace.rows:
         assert row["smooth"] == 0.0
         assert row["cross_view"] == 0.0
@@ -79,20 +61,19 @@ def test_variant_iii_has_zero_graph_terms_and_frozen_graphs():
 def test_variant_ii_drops_consensus_regularizer():
     masked, masks = instance(seed=4)
     cfg = FitConfig(**CFG)
-    _, _, trace = run_variant(VariantKind.CLIMFS_II, masked, masks, cfg)
+    _, _, trace = run_variant("climfs-ii", masked, masks, cfg)
     for row in trace.rows:
         assert row["fstar_smooth"] == 0.0
 
 
-@pytest.mark.parametrize("kind", list(VariantKind))
+@pytest.mark.parametrize("kind", ["climfs-i", "climfs-ii", "climfs-iii"])
 def test_every_variant_trace_monotone_and_constrained(kind):
     masked, masks = instance(seed=5)
     cfg = FitConfig(seed=5, **CFG)
     _, state, trace = run_variant(kind, masked, masks, cfg)
     obj = trace.objectives()
     assert (np.diff(obj) <= 1e-9 * np.maximum(1.0, np.abs(obj[:-1]))).all()
-    checks = validate_state(state, masked, masks, cfg,
-                            variant_components(kind))
+    checks = validate_state(state, masked, masks, cfg)
     assert checks["max_violation"] <= 1e-10
     assert checks["nnz_bad_columns"] == 0
     assert checks["observed_bitwise_equal"]
@@ -102,8 +83,7 @@ def test_variants_are_deterministic_and_distinct():
     masked, masks = instance(seed=6)
     cfg = FitConfig(seed=6, **CFG)
     traces = {}
-    for kind in (VariantKind.CLIMFS_I, VariantKind.CLIMFS_II,
-                 VariantKind.CLIMFS_III):
+    for kind in ("climfs-i", "climfs-ii", "climfs-iii"):
         _, _, t1 = run_variant(kind, masked, masks, cfg)
         _, _, t2 = run_variant(kind, masked, masks, cfg)
         assert np.array_equal(t1.objectives(), t2.objectives())
@@ -117,6 +97,7 @@ def test_variants_are_deterministic_and_distinct():
 
 
 def test_two_stage_all_missing_feature_row_warns():
+    # climfs-i is the impute-then-select (two-stage) baseline
     rng = np.random.default_rng(7)
     views = [rng.normal(size=(3, 10)), rng.normal(size=(2, 10))]
     labels = np.array([0, 1] * 5)
@@ -129,5 +110,5 @@ def test_two_stage_all_missing_feature_row_warns():
     mm = MaskMatrix(masks=masks)
     cfg = FitConfig(k=3, c=2, max_iter=3, tol=1e-12)
     with pytest.warns(UserWarning, match="fully missing"):
-        sel, _, _ = run_variant(VariantKind.TWO_STAGE, masked, mm, cfg)
+        sel, _, _ = run_variant("climfs-i", masked, mm, cfg)
     assert all(len(s) >= 1 for s in sel.selected)

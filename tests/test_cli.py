@@ -350,13 +350,29 @@ def invalid_config_cases():
     def list_tol(cfg):
         cfg["fit"]["tol"] = [1e-5]
 
+    def list_delta(cfg):
+        cfg["scenario"]["delta"] = [0.3]
+
+    def null_delta(cfg):
+        cfg["scenario"]["delta"] = None
+
+    def text_delta(cfg):
+        cfg["scenario"]["delta"] = "0.3"
+
+    def float_scenario_seed(cfg):
+        cfg["scenario"]["seed"] = 1.7
+
+    def boolean_scenario_seed(cfg):
+        cfg["scenario"]["seed"] = True
+
     return [drop_out_dir, both_sources, neither_source, top_typo, fit_typo,
             scenario_typo, bad_method, bad_ratio, empty_ratios, bad_runs,
             bad_kind, bad_delta, bad_fit_value, removed_fit_key,
             removed_eps_dv, removed_inner_fv_steps, scalar_zetas, zero_zeta,
             empty_zetas, text_rho, boolean_runs, boolean_ratio, boolean_c,
             float_k, boolean_max_iter, float_seed, boolean_lambda,
-            boolean_beta, text_rho_fit, list_tol]
+            boolean_beta, text_rho_fit, list_tol, list_delta, null_delta,
+            text_delta, float_scenario_seed, boolean_scenario_seed]
 
 
 @pytest.mark.parametrize("mutate", invalid_config_cases(),
@@ -453,6 +469,34 @@ def test_evaluate_without_labels_exits_2(tmp_path):
     assert main(["simulate", "--config", p]) == 0
     assert main(["fit", "--config", p]) == 0
     assert main(["evaluate", "--config", p]) == 2
+
+
+@pytest.mark.parametrize("labels", [3, True, ["labels.csv"]],
+                         ids=["number", "true", "list"])
+def test_manifest_labels_not_a_path_exit_2(tmp_path, capsys, labels):
+    np.savetxt(tmp_path / "v0.csv", np.ones((3, 20)), delimiter=",")
+    (tmp_path / "manifest.json").write_text(json.dumps({
+        "views": [{"name": "v0", "path": "v0.csv"}], "labels": labels}))
+    cfg = base_config(tmp_path / "out")
+    cfg["data"] = {"manifest": str(tmp_path / "manifest.json")}
+    p = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["simulate", "--config", p]) == 2
+    assert "'labels' must be a path string or null" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["{broken", "[]"],
+                         ids=["not_json", "not_an_object"])
+def test_unreadable_fit_result_exits_2(tmp_path, capsys, content):
+    cfg = base_config(tmp_path / "out")
+    cfg["fit"].update(max_iter=1, tol=1e-13)
+    p = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["simulate", "--config", p]) == 0
+    assert main(["fit", "--config", p]) == 0
+    result = tmp_path / "out" / "fit" / "climfs" / "fit_result.json"
+    result.write_text(content)
+    capsys.readouterr()
+    assert main(["diagnose", "--config", p]) == 2
+    assert "refit it" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("index, content", [

@@ -118,6 +118,11 @@ MALFORMED_INDEXES = {
     "view_entry_list": ("manifest.json", {"views": [["a", "a.csv"]]}),
     "view_path_number": ("manifest.json",
                          {"views": [{"name": "a", "path": 3}]}),
+    **{f"labels_{name}": ("manifest.json",
+                          {"views": [{"name": "a", "path": "a.csv"}],
+                           "labels": labels})
+       for name, labels in (("number", 3), ("true", True),
+                            ("list", ["a.csv"]))},
 }
 
 

@@ -14,16 +14,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from climfs.baselines import VariantKind, variant_components
+from climfs.baselines import METHODS
 from climfs.dataset import (MaskMatrix, MissingScenario, MultiViewDataset,
                             apply_missing, make_synthetic)
 from climfs.errors import ConfigError, NumericError
 from climfs.evaluation import kmeans
-from climfs.model import (CHECKED_PARTS, Components, FitConfig, ModelState,
-                          _build_b, _spectral_partition, fit, init_state,
-                          load_state, objective, rank_features, save_state,
-                          update_alpha, update_Fstar, update_Fv, update_H,
-                          update_S, update_W, update_Xhat, validate_state)
+from climfs.model import (CHECKED_PARTS, EPS_DV, Components, FitConfig,
+                          ModelState, _build_b, _spectral_partition, fit,
+                          init_state, load_state, objective, rank_features,
+                          save_state, update_alpha, update_Fstar, update_Fv,
+                          update_H, update_S, update_W, update_Xhat,
+                          validate_state)
 
 
 def small_instance(seed=0, n=30, delta=0.3):
@@ -314,6 +315,35 @@ def test_checkpoint_with_an_adam_lr_header_resumes_bitwise(tmp_path):
     assert np.array_equal(trace_a.objectives()[5:], trace_b.objectives())
 
 
+def test_checkpoint_with_drow_arrays_and_n_views_resumes_bitwise(tmp_path):
+    # checkpoints used to store the l2,1 diagonals D^v, a function of W,
+    # as Drow_<v> arrays and the view count in the header; both are
+    # ignored on load
+    masked, masks = small_instance(seed=12)
+    base = dict(k=4, c=2, tol=1e-12, seed=6)
+    straight, trace_a = fit(masked, masks, FitConfig(max_iter=9, **base))
+    cfg = FitConfig(max_iter=5, **base)
+    state = fit(masked, masks, cfg)[0]
+    ckpt = save_state(state, cfg, Components(), tmp_path / "ck")
+    header = json.loads((ckpt / "header.json").read_text())
+    assert "n_views" not in header
+    header["n_views"] = state.n_views
+    (ckpt / "header.json").write_text(json.dumps(header))
+    with np.load(ckpt / "state.npz") as npz:
+        arrays = dict(npz)
+    assert not any(name.startswith("Drow") for name in arrays)
+    for v, W in enumerate(state.W):
+        arrays[f"Drow_{v}"] = 1.0 / (2.0 * np.sqrt(
+            np.einsum("ij,ij->i", W, W) + EPS_DV))
+    np.savez(ckpt / "state.npz", **arrays)
+    loaded, cfg_l, comp_l = load_state(ckpt)
+    resumed, trace_b = fit(masked, masks,
+                           dataclasses.replace(cfg_l, max_iter=4), comp_l,
+                           state=loaded)
+    assert_states_bitwise_equal(straight, resumed)
+    assert np.array_equal(trace_a.objectives()[5:], trace_b.objectives())
+
+
 def test_checkpoint_roundtrip_is_bitwise_for_any_graph(tmp_path):
     # graphs are stored by their nonzero entries; nothing may rely on
     # the k-nonzeros invariant or lose a NaN or the sign of a zero
@@ -351,11 +381,11 @@ def test_resume_from_nonfinite_checkpoint_raises_numeric_error(tmp_path):
     masked, masks = small_instance(seed=11)
     cfg = FitConfig(k=4, c=2, max_iter=2, tol=1e-12)
     state, _ = fit(masked, masks, cfg)
-    state.Drow[0][0] = np.nan
+    state.W[0][0, 0] = np.nan
     loaded, cfg_l, comp_l = load_state(
         save_state(state, cfg, Components(), tmp_path / "ck"))
-    assert np.isnan(loaded.Drow[0][0])
-    with pytest.raises(NumericError, match="non-finite entries in a Sylvester"):
+    assert np.isnan(loaded.W[0][0, 0])
+    with pytest.raises(NumericError, match="non-finite objective"):
         fit(masked, masks, cfg_l, comp_l, state=loaded)
 
 
@@ -527,8 +557,7 @@ def _sub_updates(state, masked, masks, cfg, comps):
 def test_fit_constraint_rows_equal_a_full_check_after_every_sub_update(kind):
     masked, masks = small_instance(seed=16)
     cfg = FitConfig(k=4, c=2, max_iter=5, tol=1e-15)
-    comps = (Components() if kind == "climfs"
-             else variant_components(VariantKind(kind)))
+    comps = METHODS[kind]
     start = init_state(masked, masks, cfg, comps)
     # distinct violations in S (k+1 nonzeros), H and alpha, so a part that
     # is not re-measured after its block, or not carried, shows in a row
@@ -547,7 +576,7 @@ def test_fit_constraint_rows_equal_a_full_check_after_every_sub_update(kind):
         viol, bad = 0.0, 0
         for step, _written in steps:
             step()
-            chk = validate_state(start, masked, masks, cfg, comps)
+            chk = validate_state(start, masked, masks, cfg)
             viol = max(viol, chk["max_violation"])
             bad = max(bad, chk["nnz_bad_columns"])
         replay.append((viol, bad))
