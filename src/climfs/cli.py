@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import sys
 import time
@@ -44,8 +45,8 @@ from climfs.evaluation import diagnostics_report, evaluate_selection
 from climfs.model import (FitConfig, fit, load_state, rank_features,
                           save_state)
 
-_SYNTH_KEYS = {"n", "views", "clusters", "informative", "noise",
-               "separation", "noise_scale", "seed"}
+_SYNTH_KEYS = set(inspect.signature(make_synthetic).parameters)
+_SCENARIO_KEYS = {f.name for f in dataclasses.fields(MissingScenario)}
 # The config names FitConfig's `lam` "lambda".
 _FIT_KEYS = {"lambda" if f.name == "lam" else f.name
              for f in dataclasses.fields(FitConfig)}
@@ -65,14 +66,10 @@ def _reject_unknown(section, allowed: set, where: str) -> None:
             f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
 
 
-def _is_number(x) -> bool:
-    """A JSON number; booleans, which Python counts as ints, are not
-    numbers here."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _is_positive(x) -> bool:
-    return _is_number(x) and x > 0
+    """A positive JSON number; booleans, which Python counts as ints, are
+    not numbers here."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0
 
 
 def load_config(path: str | Path) -> dict:
@@ -97,25 +94,19 @@ def load_config(path: str | Path) -> dict:
         _reject_unknown(data["synthetic"], _SYNTH_KEYS, "data.synthetic")
 
     if "scenario" in raw:
-        sc = raw["scenario"]
-        _reject_unknown(sc, {"kind", "delta", "seed"}, "scenario")
-        seed = sc.get("seed", 0)
-        if not (isinstance(sc.get("kind", "mixed"), str)
-                and _is_number(sc.get("delta", 0.3))
-                and _is_number(seed) and isinstance(seed, int)):
-            raise ConfigError("scenario.kind must be a string, "
-                              "scenario.delta a real number and "
-                              "scenario.seed an integer")
+        resolve_scenario(raw)
     if "fit" in raw:
         _reject_unknown(raw["fit"], _FIT_KEYS, "fit")
     if "diagnostics" in raw:
         dsec = raw["diagnostics"]
         _reject_unknown(dsec, {"rho", "zetas"}, "diagnostics")
-        rho, zetas = dsec.get("rho", 0.1), dsec.get("zetas", [0.1])
-        if not (_is_positive(rho) and isinstance(zetas, list) and zetas
-                and all(_is_positive(z) for z in zetas)):
-            raise ConfigError("diagnostics.rho must be a positive number and "
-                              "diagnostics.zetas a non-empty list of them")
+        if "rho" in dsec and not _is_positive(dsec["rho"]):
+            raise ConfigError("diagnostics.rho must be a positive number")
+        zetas = dsec.get("zetas")
+        if "zetas" in dsec and not (isinstance(zetas, list) and zetas and all(
+                _is_positive(z) for z in zetas)):
+            raise ConfigError("diagnostics.zetas must be a non-empty list of "
+                              "positive numbers")
 
     ratios = raw.get("feature_ratios", [0.2])
     if (not isinstance(ratios, list) or not ratios
@@ -133,11 +124,21 @@ def load_config(path: str | Path) -> dict:
     if not isinstance(methods, list):
         raise ConfigError("methods must be a list")
     for m in methods + [raw.get("method", "climfs")]:
-        if m not in METHODS:
+        if not isinstance(m, str) or m not in METHODS:
             raise ConfigError(f"unknown method '{m}' (choose from "
                               f"{', '.join(METHODS)})")
     resolve_fit_config(raw)      # value-level validation, fail fast
     return raw
+
+
+def resolve_scenario(cfg: dict) -> MissingScenario:
+    """The 'scenario' section, whose keys are MissingScenario's fields, as
+    a MissingScenario, which checks the values and supplies defaults."""
+    _reject_unknown(cfg["scenario"], _SCENARIO_KEYS, "scenario")
+    try:
+        return MissingScenario(**cfg["scenario"])
+    except ValueError as exc:
+        raise ConfigError(f"bad scenario: {exc}") from exc
 
 
 def resolve_fit_config(cfg: dict) -> FitConfig:
@@ -218,11 +219,8 @@ def _load_simulated(cfg: dict) -> tuple[MultiViewDataset, MaskMatrix]:
 def cmd_simulate(cfg: dict) -> int:
     ds = _load_or_generate(cfg)
     if "scenario" in cfg:
-        sc = cfg["scenario"]
+        scenario = resolve_scenario(cfg)
         try:
-            scenario = MissingScenario(kind=sc.get("kind", "mixed"),
-                                       delta=sc.get("delta", 0.3),
-                                       seed=sc.get("seed", 0))
             masked, masks = apply_missing(ds, scenario)
         except ValueError as exc:
             raise ConfigError(f"bad scenario: {exc}") from exc
@@ -336,10 +334,7 @@ def cmd_diagnose(cfg: dict) -> int:
         if not result.get("converged", False):
             warnings.warn(f"diagnosing an unconverged '{method}' state",
                           stacklevel=1)
-    dsec = cfg.get("diagnostics", {})
-    report = diagnostics_report(state, masks,
-                                rho=float(dsec.get("rho", 0.1)),
-                                zetas=tuple(dsec.get("zetas", (0.1, 0.2))))
+    report = diagnostics_report(state, masks, **cfg.get("diagnostics", {}))
     out = Path(cfg["out_dir"]) / "diagnose" / f"{method}.json"
     _write_json(out, report)
     _snapshot(cfg, out.parent)

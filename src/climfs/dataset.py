@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import json
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,17 +35,26 @@ class ScenarioKind(str, enum.Enum):
 
 @dataclass
 class MissingScenario:
-    """Simulation request: which regime, how much, and the seed."""
+    """Simulation request: which regime, how much, and the seed.
 
-    kind: ScenarioKind
-    delta: float
-    seed: int
+    `kind` names a ScenarioKind, `delta` is a real number in (0, 1) and
+    `seed` a non-negative integer; numpy scalars count, booleans do not.
+    Any other value is a ValueError: nothing is rounded or converted.
+    """
+
+    kind: ScenarioKind = ScenarioKind.MIXED
+    delta: float = 0.3
+    seed: int = 0
 
     def __post_init__(self) -> None:
-        self.kind = ScenarioKind(self.kind)
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        self.seed = int(self.seed)
+        self.kind = ScenarioKind(self.kind)  # ValueError unless a kind name
+        if (isinstance(self.delta, bool) or not isinstance(
+                self.delta, numbers.Real) or not 0.0 < self.delta < 1.0):
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
+        if (isinstance(self.seed, bool) or not isinstance(
+                self.seed, numbers.Integral) or self.seed < 0):
+            raise ValueError(f"seed must be a non-negative integer, got "
+                             f"{self.seed!r}")
 
 
 @dataclass
@@ -143,11 +153,10 @@ def apply_missing(ds: MultiViewDataset,
 
     * view: exactly round(delta * n) samples each lose one whole view,
       chosen uniformly (requires >= 2 views).
-    * variable: each view independently loses round(delta * d_v * n)
-      entries, uniformly without replacement.
-    * mixed: the view stage first, then for each view
-      round(delta * d_v * n_remaining) entries vanish from the columns of
-      samples that kept the view.
+    * variable: each view loses round(delta * d_v * n_kept) entries,
+      uniformly without replacement, from the columns of the n_kept
+      samples that have the view (all n of them here).
+    * mixed: the view stage, then the variable stage.
 
     Masked entries are zeroed in the returned dataset; observed entries
     are copied verbatim. Raises ValueError if any sample would end up with
@@ -166,15 +175,8 @@ def apply_missing(ds: MultiViewDataset,
         for sample, view in zip(hit, dropped_view):
             masks[view][:, sample] = 0.0
 
-    if scenario.kind == ScenarioKind.VARIABLE:
-        for v, mask in enumerate(masks):
-            d_v = mask.shape[0]
-            cnt = _round_count(scenario.delta * d_v * n)
-            flat = rng.choice(d_v * n, size=cnt, replace=False)
-            mask.reshape(-1)[flat] = 0.0
-
-    if scenario.kind == ScenarioKind.MIXED:
-        for v, mask in enumerate(masks):
+    if scenario.kind in (ScenarioKind.VARIABLE, ScenarioKind.MIXED):
+        for mask in masks:
             keep = np.flatnonzero(mask.any(axis=0))
             d_v = mask.shape[0]
             cnt = _round_count(scenario.delta * d_v * keep.shape[0])

@@ -346,6 +346,7 @@ def diagnostics_report(state, masks: MaskMatrix, rho: float = 0.1,
     expected to be zero wherever the stated premises hold.
     """
     return {"cluster_separation": _cluster_separation(state, masks),
-            "neighbor_consistency": _neighbor_consistency(state, masks, rho),
+            "neighbor_consistency": _neighbor_consistency(state, masks,
+                                                          float(rho)),
             "consensus_consistency": _consensus_consistency(
                 state, masks, tuple(zetas))}

@@ -19,9 +19,9 @@ F^v / F* steps backtrack, the S / H column updates keep the previous
 column when swapping in the freshly tuned coefficient would not pay for
 itself, and the imputation step falls back to the exact per-row
 constrained solve if the fast path would increase its subproblem. Guard
-trigger counts are recorded per iteration in the trace. The guards, and
-the constraint check of what each sub-update wrote, are always on: no
-setting switches them off. Checkpoints restore every array bit for bit.
+trigger counts are recorded per iteration in the trace. The guards and
+the constraint check of what each sub-update wrote always run.
+Checkpoints restore every array bit for bit.
 
 The graphs are dense n x n arrays, but a fit keeps few n x n temporaries:
 graph terms are reductions (degrees from row and column sums, products
@@ -71,10 +71,10 @@ class FitConfig:
 
     lam, beta weight the l2,1 and l1 penalties; k is the graph sparsity
     (neighbors per column, 1 <= k <= n-2); c the number of clusters;
-    rho the orthogonality penalty on F*. The l2,1 smoothing `EPS_DV` and
-    the F^v step count `FV_INNER_STEPS` are module constants, and the
-    descent guards and the constraint suite after each sub-update always
-    run; none of them is a setting.
+    rho the orthogonality penalty on F*; max_iter caps the sweeps, tol
+    bounds the relative objective change that stops them, and seed
+    (>= 0) seeds the initialization and the CLI's k-means scoring.
+    `validate` checks types and values.
     """
 
     lam: float = 1.0
@@ -99,6 +99,8 @@ class FitConfig:
             raise ConfigError("k and c must be positive integers")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not self.tol > 0:
             raise ConfigError("tol must be positive (inf allowed)")
 
@@ -863,11 +865,10 @@ def save_state(state: ModelState, cfg: FitConfig, components: Components,
 
 
 def load_state(path: str | Path) -> tuple[ModelState, FitConfig, Components]:
-    """Reload a checkpoint written by `save_state`; a missing, unreadable
-    or earlier-version (CSV arrays, removed keys, no sweep count) one is a
-    ConfigError. The view count is the length of alpha; the `n_views`
-    header entry and `Drow_<v>` arrays of earlier checkpoints are
-    ignored."""
+    """Reload a checkpoint written by `save_state`. A missing or
+    unreadable one, one without a sweep count, or one whose cfg or
+    components hold a key FitConfig or Components lacks is a
+    ConfigError. The view count is the length of alpha."""
     path = Path(path)
     if not (path / "header.json").is_file():
         raise ConfigError(f"no fitted state under {path}; run 'fit' first")

@@ -129,6 +129,23 @@ def test_infinite_tol_trace_has_exactly_one_row(tmp_path):
     assert lines[1].split(",")[0] == "1"
 
 
+def test_diagnostics_section_overrides_only_the_keys_it_sets(tmp_path):
+    cfg = base_config(tmp_path / "out")
+    cfg["fit"].update(max_iter=1, tol=1e-13)
+    cfg["diagnostics"] = {"rho": 1}
+    p = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["simulate", "--config", p]) == 0
+    assert main(["fit", "--config", p]) == 0
+    with pytest.warns(UserWarning, match="unconverged"):
+        assert main(["diagnose", "--config", p]) == 0
+    text = (tmp_path / "out" / "diagnose" / "climfs.json").read_text()
+    report = json.loads(text)
+    assert '"rho": 1.0' in text
+    assert {r["rho"] for r in report["neighbor_consistency"]} == {1.0}
+    assert [c["zeta"] for c in report["consensus_consistency"]["checks"]] \
+        == [0.1, 0.2]
+
+
 def test_strict_flag_turns_nonconvergence_into_exit_4(tmp_path):
     cfg = base_config(tmp_path / "out")
     cfg["fit"]["max_iter"] = 2
@@ -365,6 +382,18 @@ def invalid_config_cases():
     def boolean_scenario_seed(cfg):
         cfg["scenario"]["seed"] = True
 
+    def negative_fit_seed(cfg):
+        cfg["fit"]["seed"] = -1
+
+    def negative_scenario_seed(cfg):
+        cfg["scenario"]["seed"] = -1
+
+    def list_method(cfg):
+        cfg["method"] = ["climfs"]
+
+    def nested_methods(cfg):
+        cfg["methods"] = [["climfs"]]
+
     return [drop_out_dir, both_sources, neither_source, top_typo, fit_typo,
             scenario_typo, bad_method, bad_ratio, empty_ratios, bad_runs,
             bad_kind, bad_delta, bad_fit_value, removed_fit_key,
@@ -372,7 +401,9 @@ def invalid_config_cases():
             empty_zetas, text_rho, boolean_runs, boolean_ratio, boolean_c,
             float_k, boolean_max_iter, float_seed, boolean_lambda,
             boolean_beta, text_rho_fit, list_tol, list_delta, null_delta,
-            text_delta, float_scenario_seed, boolean_scenario_seed]
+            text_delta, float_scenario_seed, boolean_scenario_seed,
+            negative_fit_seed, negative_scenario_seed, list_method,
+            nested_methods]
 
 
 @pytest.mark.parametrize("mutate", invalid_config_cases(),
@@ -392,6 +423,14 @@ def test_unreadable_or_malformed_config_exits_2(tmp_path):
     lst = tmp_path / "list.json"
     lst.write_text("[1, 2]")
     assert main(["simulate", "--config", str(lst)]) == 2
+
+
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    p = write_config(tmp_path / "cfg.json", base_config(tmp_path / "out"))
+    assert main(["simulate", "--config", p]) == 0
+    assert main(["fit", "--config", p, "--seed", "-3"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert main(["simulate", "--config", p, "--seed", "-3"]) == 2
 
 
 def test_fit_before_simulate_exits_2(tmp_path):

@@ -58,6 +58,21 @@ def test_scenario_rejects_bad_delta():
     assert sc.kind is ScenarioKind.VARIABLE
 
 
+@pytest.mark.parametrize("args", [("mixed", 0.5, 1.7), ("mixed", 0.5, True),
+                                  ("mixed", "0.3", 0), ("mixed", 0.5, -1),
+                                  (3, 0.5, 0)])
+def test_scenario_rejects_wrong_types_without_coercing(args):
+    with pytest.raises(ValueError):
+        MissingScenario(*args)
+
+
+def test_scenario_defaults_and_numpy_scalars():
+    assert MissingScenario() == MissingScenario("mixed", 0.3, 0)
+    assert MissingScenario().kind is ScenarioKind.MIXED
+    sc = MissingScenario("view", np.float64(0.25), np.int64(4))
+    assert (sc.delta, sc.seed) == (0.25, 4)
+
+
 # ------------------------------------------------------------- manifests
 
 
