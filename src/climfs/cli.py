@@ -42,8 +42,8 @@ from climfs.dataset import (MaskMatrix, MissingScenario, MultiViewDataset,
                             make_synthetic, save_dataset, save_masks)
 from climfs.errors import ConfigError, NumericError
 from climfs.evaluation import diagnostics_report, evaluate_selection
-from climfs.model import (FitConfig, fit, load_state, rank_features,
-                          save_state)
+from climfs.model import (FitConfig, ModelState, fit, load_state,
+                          rank_features, save_state)
 
 _SYNTH_KEYS = set(inspect.signature(make_synthetic).parameters)
 _SCENARIO_KEYS = {f.name for f in dataclasses.fields(MissingScenario)}
@@ -266,11 +266,19 @@ def cmd_fit(cfg: dict, strict: bool) -> int:
     return _run_fit(cfg, cfg.get("method", "climfs"), strict)
 
 
-def _evaluate_method(cfg: dict, method: str, labels) -> list[dict]:
-    mroot = Path(cfg["out_dir"]) / "fit" / method
-    state, fc, _ = load_state(mroot / "state")
+def _load_fit(cfg: dict, method: str, ds) -> tuple[ModelState, FitConfig]:
+    """`method`'s fitted state and settings, checked against `ds`."""
+    state, fc, _ = load_state(Path(cfg["out_dir"]) / "fit" / method / "state")
+    if [x.shape for x in state.Xhat] != [x.shape for x in ds.views]:
+        raise ConfigError(f"the '{method}' fit does not match the dataset "
+                          f"under {_dataset_dir(cfg)}; refit it")
+    return state, fc
+
+
+def _evaluate_method(cfg: dict, method: str, ds) -> list[dict]:
+    state, fc = _load_fit(cfg, method, ds)
     imputed = MultiViewDataset(views=[x.copy() for x in state.Xhat],
-                               labels=labels)
+                               labels=ds.labels)
     rows = []
     for ratio in cfg["feature_ratios"]:
         sel = rank_features(state, ratio)
@@ -298,7 +306,7 @@ def _evaluate_all(cfg: dict, methods) -> Path:
         raise ConfigError("dataset has no labels; evaluation needs them")
     rows = []
     for method in methods:
-        rows.extend(_evaluate_method(cfg, method, ds.labels))
+        rows.extend(_evaluate_method(cfg, method, ds))
     rows.sort(key=lambda r: (r["method"], r["ratio"]))
     lines = ["method,ratio,acc_mean,nmi_mean"]
     for r in rows:
@@ -318,11 +326,10 @@ def cmd_evaluate(cfg: dict) -> int:
 
 
 def cmd_diagnose(cfg: dict) -> int:
-    _, masks = _load_simulated(cfg)
+    ds, masks = _load_simulated(cfg)
     method = cfg.get("method", "climfs")
-    mroot = Path(cfg["out_dir"]) / "fit" / method
-    state, _, _ = load_state(mroot / "state")
-    result_path = mroot / "fit_result.json"
+    state, _ = _load_fit(cfg, method, ds)
+    result_path = Path(cfg["out_dir"]) / "fit" / method / "fit_result.json"
     if result_path.exists():
         try:
             result = json.loads(result_path.read_text())

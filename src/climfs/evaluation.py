@@ -193,42 +193,43 @@ def evaluate_selection(ds: MultiViewDataset, sel, c: int, runs: int = 50,
 # -------------------------------------------------------------- diagnostics
 
 
-def _normalized_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(X, axis=0)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    return X / safe, safe
+def _imputed_distances(state, masks: MaskMatrix) -> list[tuple]:
+    """Per view: the samples with a masked entry, the column norms of the
+    imputed data (1 for a zero column), and the distances between those
+    samples' normalized columns (None for fewer than two samples)."""
+    out = []
+    for X, mask in zip(state.Xhat, masks.masks):
+        idx = np.where((mask == 0.0).any(axis=0))[0]
+        norms = np.linalg.norm(X, axis=0)
+        scale = np.where(norms == 0.0, 1.0, norms)
+        D = (np.sqrt(numkit.sq_dists(X[:, idx] / scale[idx]))
+             if idx.size >= 2 else None)
+        out.append((idx, scale, D))
+    return out
 
 
-def _missing_samples(mask: np.ndarray) -> np.ndarray:
-    """Indices of samples with at least one masked entry in this view."""
-    return np.where((mask == 0.0).any(axis=0))[0]
-
-
-def _cluster_separation(state, masks: MaskMatrix) -> list[dict]:
+def _cluster_separation(state, dists: list[tuple]) -> list[dict]:
     """Per view: imputed same-cluster pairs (identical consensus rows)
     must sit within mu = sigma_max ||F^v||_1 / 2 + 1 of each other, and
     cross-cluster pairs at least nu = sigma_min (delta - ||F^v||_1)/2 - 1
     apart, whenever ||F^v||_1 < (sigma_min delta - 4)/(sigma_min +
     sigma_max) holds for the pair (delta is that pair's consensus row
     distance). Distances are taken on column-normalized imputed data, the
-    scaling under which the bounds are stated.
+    scaling under which the bounds are stated (`_imputed_distances`).
     """
     out = []
     F = state.Fstar
-    for v in range(state.n_views):
+    for v, (idx, _, D) in enumerate(dists):
         sv = np.linalg.svd(state.W[v], compute_uv=False)
         smax, smin = float(sv[0]), float(sv[-1])
         fv1 = float(np.abs(state.Fv[v]).sum())
         mu = 0.5 * smax * fv1 + 1.0
-        idx = _missing_samples(masks.masks[v])
         rec = {"view": v, "sigma_max": smax, "sigma_min": smin,
                "fv_l1": fv1, "mu": mu, "imputed_samples": int(idx.size),
                "same_pairs": 0, "same_violations": 0, "cross_pairs": 0,
                "premise_pairs": 0, "cross_violations": 0,
                "premise_status": "no imputed pairs"}
-        if idx.size >= 2:
-            Xn, _ = _normalized_columns(state.Xhat[v])
-            D = np.sqrt(numkit.sq_dists(Xn[:, idx]))
+        if D is not None:
             rows = F[idx]
             same = (rows[:, None, :] == rows[None, :, :]).all(axis=2)
             delta = np.sqrt(numkit.sq_dists(rows.T))
@@ -258,21 +259,18 @@ def _cluster_separation(state, masks: MaskMatrix) -> list[dict]:
     return out
 
 
-def _neighbor_consistency(state, masks: MaskMatrix, rho: float) -> list[dict]:
+def _neighbor_consistency(state, dists: list[tuple], rho: float) -> list[dict]:
     """Per view: for imputed samples i with a strong imputed neighbor j
     (directed weight S^v_ji >= rho), the column-normalized distance must
     stay below 3/2 - rho + ||c_i||/2, where c_i is the reconstruction
     W^v (F^v_i + F*_i) of sample i under the same column scaling."""
     out = []
-    for v in range(state.n_views):
-        idx = _missing_samples(masks.masks[v])
+    for v, (idx, scale, D) in enumerate(dists):
         rec = {"view": v, "rho": rho, "pairs": 0, "violations": 0,
                "min_margin": None}
-        if idx.size >= 2:
-            Xn, scale = _normalized_columns(state.Xhat[v])
+        if D is not None:
             C = state.W[v] @ (state.Fv[v] + state.Fstar).T
             cnorm = np.linalg.norm(C, axis=0) / scale
-            D = np.sqrt(numkit.sq_dists(Xn[:, idx]))
             Ssub = state.S[v][np.ix_(idx, idx)]
             omega1 = 1.5 - rho + 0.5 * cnorm[idx]
             strong = Ssub >= rho
@@ -345,8 +343,9 @@ def diagnostics_report(state, masks: MaskMatrix, rho: float = 0.1,
     similarity keeps consensus-factor rows close). Violation counts are
     expected to be zero wherever the stated premises hold.
     """
-    return {"cluster_separation": _cluster_separation(state, masks),
-            "neighbor_consistency": _neighbor_consistency(state, masks,
+    dists = _imputed_distances(state, masks)
+    return {"cluster_separation": _cluster_separation(state, dists),
+            "neighbor_consistency": _neighbor_consistency(state, dists,
                                                           float(rho)),
             "consensus_consistency": _consensus_consistency(
                 state, masks, tuple(zetas))}

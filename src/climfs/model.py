@@ -15,13 +15,13 @@ columns with self-tuned quadratic coefficients), alpha (simplex QP), and
 the masked entries of X^v.
 
 Every step is guarded so the traced objective is non-increasing: the
-F^v / F* steps backtrack, the S / H column updates keep the previous
-column when swapping in the freshly tuned coefficient would not pay for
-itself, and the imputation step falls back to the exact per-row
+F^v / F* steps halve their step, the S / H column updates keep the
+previous column when swapping in the freshly tuned coefficient would not
+pay for itself, and the imputation step falls back to the exact per-row
 constrained solve if the fast path would increase its subproblem. Guard
-trigger counts are recorded per iteration in the trace. The guards and
-the constraint check of what each sub-update wrote always run.
-Checkpoints restore every array bit for bit.
+trigger counts and the constraints, measured after every sweep, are
+recorded per iteration in the trace. Checkpoints restore every array bit
+for bit.
 
 The graphs are dense n x n arrays, but a fit keeps few n x n temporaries:
 graph terms are reductions (degrees from row and column sums, products
@@ -63,6 +63,8 @@ FV_ADAM_LR = 0.01
 FV_INNER_STEPS = 10
 # Smoothing inside the reweighted l2,1 diagonal and the w_l21 term.
 EPS_DV = 1e-8
+# Weight of the orthogonality penalty ||F*^T F* - I||_F^2 on F*.
+ORTH_RHO = 1e4
 
 
 @dataclass
@@ -71,17 +73,15 @@ class FitConfig:
 
     lam, beta weight the l2,1 and l1 penalties; k is the graph sparsity
     (neighbors per column, 1 <= k <= n-2); c the number of clusters;
-    rho the orthogonality penalty on F*; max_iter caps the sweeps, tol
-    bounds the relative objective change that stops them, and seed
-    (>= 0) seeds the initialization and the CLI's k-means scoring.
-    `validate` checks types and values.
+    max_iter caps the sweeps, tol bounds the relative objective change
+    that stops them, and seed (>= 0) seeds the initialization and the
+    CLI's k-means scoring. `validate` checks types and values.
     """
 
     lam: float = 1.0
     beta: float = 1.0
     k: int = 5
     c: int = 2
-    rho: float = 1e4
     max_iter: int = 200
     tol: float = 1e-5
     seed: int = 0
@@ -93,8 +93,8 @@ class FitConfig:
                     x, numbers.Integral if whole else numbers.Real):
                 raise ConfigError(f"{f.name} must be an integer" if whole
                                   else f"{f.name} must be a real number")
-        if not (self.lam > 0 and self.beta > 0 and self.rho > 0):
-            raise ConfigError("lam, beta, rho must be positive")
+        if not (self.lam > 0 and self.beta > 0):
+            raise ConfigError("lam and beta must be positive")
         if self.k < 1 or self.c < 1:
             raise ConfigError("k and c must be positive integers")
         if self.max_iter < 1:
@@ -365,6 +365,17 @@ def update_W(state: ModelState, cfg: FitConfig) -> dict:
     return {}
 
 
+def _first_descent(f_cur: float, candidate, value):
+    """Step halving of F^v and F*: the first candidate(theta), theta = 1,
+    1/2, ..., 2^-20, whose value is not above f_cur, with that value and
+    the thetas rejected before it; (None, f_cur, 21) if there is none."""
+    for halvings in range(21):
+        cand = candidate(0.5 ** halvings)
+        if (f_cand := value(cand)) <= f_cur:
+            return cand, f_cand, halvings
+    return None, f_cur, 21
+
+
 def _fv_objective(Xhat: np.ndarray, W: np.ndarray, Fv: np.ndarray,
                   Fstar: np.ndarray, beta: float) -> float:
     R = Xhat - W @ (Fv + Fstar).T
@@ -377,9 +388,9 @@ def update_Fv(state: ModelState, cfg: FitConfig) -> dict:
     The smooth gradient is 2((F^v + F*) U - Xhat^T W) with U = W^T W; the
     Adam step gives per-coordinate effective stepsizes t_ij, and the exact
     prox of beta * l1 at those stepsizes is a soft threshold at t_ij*beta.
-    Each inner step backtracks (halving the step) until the subproblem
-    value is non-increasing; Adam moments advance once per inner step
-    regardless of the accepted damping.
+    Each inner step halves the step until the subproblem value is
+    non-increasing; Adam moments advance once per inner step regardless
+    of the accepted damping, and the step number follows from the sweeps.
     """
     backtracks = 0
     stalls = 0
@@ -389,29 +400,25 @@ def update_Fv(state: ModelState, cfg: FitConfig) -> dict:
         J = state.Xhat[v].T @ W
         f_cur = _fv_objective(state.Xhat[v], W, state.Fv[v], state.Fstar,
                               cfg.beta)
-        for _ in range(FV_INNER_STEPS):
+        for s in range(FV_INNER_STEPS):
             g = 2.0 * ((state.Fv[v] + state.Fstar) @ U - J)
-            step, tvec = numkit.adam_step(state.adam[v], g, FV_ADAM_LR)
-            theta = 1.0
-            accepted = False
-            while theta > 2.0 ** -21:
-                cand = numkit.soft_threshold(state.Fv[v] - theta * step,
-                                             theta * tvec * cfg.beta)
-                f_cand = _fv_objective(state.Xhat[v], W, cand, state.Fstar,
-                                       cfg.beta)
-                if f_cand <= f_cur:
-                    state.Fv[v] = cand
-                    f_cur = f_cand
-                    accepted = True
-                    break
-                theta /= 2.0
-                backtracks += 1
-            if not accepted:
-                stalls += 1
+            step, tvec = numkit.adam_step(
+                state.adam[v], g, FV_ADAM_LR,
+                FV_INNER_STEPS * state.sweeps + s + 1)
+            cand, f_cur, rejected = _first_descent(
+                f_cur,
+                lambda th: numkit.soft_threshold(state.Fv[v] - th * step,
+                                                 th * tvec * cfg.beta),
+                lambda F: _fv_objective(state.Xhat[v], W, F, state.Fstar,
+                                        cfg.beta))
+            backtracks += rejected
+            stalls += cand is None
+            if cand is not None:
+                state.Fv[v] = cand
     return {"fv_backtracks": backtracks, "fv_stalls": stalls}
 
 
-def _fstar_objective(state: ModelState, Fstar: np.ndarray, cfg: FitConfig,
+def _fstar_objective(state: ModelState, Fstar: np.ndarray,
                      deg: np.ndarray | None) -> float:
     """F* subproblem value; `deg` is numkit.sym_degrees(H), or None when
     the cluster-structure term is off."""
@@ -422,7 +429,7 @@ def _fstar_objective(state: ModelState, Fstar: np.ndarray, cfg: FitConfig,
     if deg is not None:
         total += numkit.laplacian_quad(Fstar.T, state.H, deg)
     Gram = Fstar.T @ Fstar - np.eye(Fstar.shape[1])
-    total += cfg.rho * float(np.sum(Gram * Gram))
+    total += ORTH_RHO * float(np.sum(Gram * Gram))
     return total
 
 
@@ -435,14 +442,14 @@ def update_Fstar(state: ModelState, cfg: FitConfig,
       F* <- F* * [sum_v (J+ + M- + F* U-) + A_H F* + 2 rho F*]
                / [sum_v (J- + M+ + F* U+) + D_H F* + 2 rho F* F*^T F*]
 
-    with J = Xhat^T W, U = W^T W, M = F^v U, A_H F* = (H F* + H^T F*) / 2
-    and D_H the degrees of (H + H^T) / 2; the graph terms drop when the
-    cluster-structure component is off. If a full step would increase the
-    subproblem value, the ratio is damped elementwise (ratio ** theta, a
-    descent direction in theta), halving theta until non-increase.
+    with J = Xhat^T W, U = W^T W, M = F^v U, A_H F* = (H F* + H^T F*) / 2,
+    D_H the degrees of (H + H^T) / 2 and rho = ORTH_RHO; the graph terms
+    drop when the cluster-structure component is off. Where a full step
+    would raise the subproblem value, the ratio is damped to ratio ** theta
+    (a descent direction in theta), halving theta until non-increase.
     """
-    num = 2.0 * cfg.rho * state.Fstar
-    den = 2.0 * cfg.rho * (state.Fstar @ (state.Fstar.T @ state.Fstar))
+    num = 2.0 * ORTH_RHO * state.Fstar
+    den = 2.0 * ORTH_RHO * (state.Fstar @ (state.Fstar.T @ state.Fstar))
     for v in range(state.n_views):
         W = state.W[v]
         U = W.T @ W
@@ -459,17 +466,13 @@ def update_Fstar(state: ModelState, cfg: FitConfig,
         den += deg[:, None] * state.Fstar
 
     ratio = num / np.maximum(den, MU_FLOOR)
-    f_cur = _fstar_objective(state, state.Fstar, cfg, deg)
-    theta = 1.0
-    backtracks = 0
-    while theta > 2.0 ** -21:
-        cand = state.Fstar * ratio ** theta
-        if _fstar_objective(state, cand, cfg, deg) <= f_cur:
-            state.Fstar = cand
-            return {"fstar_backtracks": backtracks}
-        theta /= 2.0
-        backtracks += 1
-    return {"fstar_backtracks": backtracks, "fstar_stalls": 1}
+    cand, _, rejected = _first_descent(
+        _fstar_objective(state, state.Fstar, deg),
+        lambda th: state.Fstar * ratio ** th,
+        lambda F: _fstar_objective(state, F, deg))
+    if cand is not None:
+        state.Fstar = cand
+    return {"fstar_backtracks": rejected, "fstar_stalls": int(cand is None)}
 
 
 def update_S(state: ModelState, cfg: FitConfig) -> dict:
@@ -585,21 +588,20 @@ def update_Xhat(state: ModelState, ds: MultiViewDataset, masks: MaskMatrix,
         f_old = _xhat_subobjective(state.Xhat[v], M, S)
         f_new = _xhat_subobjective(cand, M, S)
         if f_new > f_old + GUARD_RTOL * max(1.0, abs(f_old)):
-            cand = _constrained_impute(state.Xhat[v], M,
-                                       _identity_plus_laplacian(S),
+            cand = _constrained_impute(M, _identity_plus_laplacian(S),
                                        masks.masks[v], ds.views[v])
             fallbacks += 1
         state.Xhat[v] = cand
     return {"xhat_fallbacks": fallbacks}
 
 
-def _constrained_impute(Xcur: np.ndarray, M: np.ndarray, K: np.ndarray,
-                        mask: np.ndarray, Xorig: np.ndarray) -> np.ndarray:
+def _constrained_impute(M: np.ndarray, K: np.ndarray, mask: np.ndarray,
+                        Xorig: np.ndarray) -> np.ndarray:
     """Exact minimizer of the imputation subproblem with observed entries
     pinned: independent per-row Cholesky solves of K = I + L on the free
     coordinates."""
     obs = mask == 1.0
-    out = np.where(obs, Xorig, Xcur)
+    out = Xorig.copy()
     for r in range(M.shape[0]):
         free = ~obs[r]
         if not free.any():
@@ -629,7 +631,7 @@ def objective(state: ModelState, cfg: FitConfig,
     * s_quad:       sum_v sum_j xi_vj ||S^v_.j||^2 (stored coefficients)
     * fusion:       -<H, sum_v alpha_v S^v> + sum_j gamma_j ||H_.j||^2
     * fstar_smooth: tr(F*^T L_H F*)
-    * orth_penalty: rho ||F*^T F* - I||_F^2
+    * orth_penalty: ORTH_RHO ||F*^T F* - I||_F^2
 
     The total is the sum of all listed terms; sub-updates are guarded to
     keep it non-increasing across the alternating sweep. The graph terms
@@ -671,27 +673,23 @@ def objective(state: ModelState, cfg: FitConfig,
         terms["fstar_smooth"] = 0.0
 
     Gram = state.Fstar.T @ state.Fstar - np.eye(state.Fstar.shape[1])
-    terms["orth_penalty"] = cfg.rho * float(np.sum(Gram * Gram))
+    terms["orth_penalty"] = ORTH_RHO * float(np.sum(Gram * Gram))
 
     return float(sum(terms.values())), terms
 
 
 # ------------------------------------------------------------- validation
 
-# What `validate_state` checks; each is written by one block only.
-CHECKED_PARTS = ("Fstar", "S", "H", "alpha", "Xhat")
-
 
 def validate_state(state: ModelState, ds: MultiViewDataset,
-                   masks: MaskMatrix, cfg: FitConfig,
-                   parts: tuple[str, ...] = CHECKED_PARTS) -> dict:
-    """Constraint measurements of the listed `parts`: continuous violations
-    (rounding noise; inf when a graph, alpha or F* holds a non-finite
-    entry) and graph columns without exactly k nonzeros, per part under
-    "parts" and combined. Observed entries ("Xhat") are compared bitwise,
-    and read as equal when "Xhat" is not listed."""
+                   masks: MaskMatrix, cfg: FitConfig) -> dict:
+    """Constraint measurements of F*, S, H and alpha, in the order of the
+    blocks that write them: continuous violations (rounding noise; inf
+    when a graph, alpha or F* holds a non-finite entry) and graph columns
+    without exactly k nonzeros, per part under "parts" and combined.
+    Observed entries are compared bitwise."""
     measured = {}
-    for part in [p for p in parts if p != "Xhat"]:
+    for part in ("Fstar", "S", "H", "alpha"):
         viol, bad = 0.0, 0
         for A in state.S if part == "S" else [getattr(state, part)]:
             # a sum is finite exactly when every summed entry is (short of
@@ -705,12 +703,25 @@ def validate_state(state: ModelState, ds: MultiViewDataset,
             if part in ("S", "H"):
                 bad += int(np.sum(np.count_nonzero(A, axis=0) != cfg.k))
         measured[part] = (viol, bad)
-    obs_exact = "Xhat" not in parts or all(
-        np.array_equal(xh[m == 1.0], xv[m == 1.0])
-        for xh, xv, m in zip(state.Xhat, ds.views, masks.masks))
+    obs_exact = all(np.array_equal(xh[m == 1.0], xv[m == 1.0])
+                    for xh, xv, m in zip(state.Xhat, ds.views, masks.masks))
     return {"max_violation": max([0.0] + [m[0] for m in measured.values()]),
             "nnz_bad_columns": sum(m[1] for m in measured.values()),
             "observed_bitwise_equal": obs_exact, "parts": measured}
+
+
+def _checked_objective(state: ModelState, ds: MultiViewDataset,
+                       masks: MaskMatrix, cfg: FitConfig,
+                       components: Components, when: str) -> tuple:
+    """Objective, terms and `validate_state`'s per-part readings; a
+    non-finite objective or a changed observed entry is a NumericError."""
+    obj, terms = objective(state, cfg, components)
+    if not np.isfinite(obj):
+        raise NumericError(f"non-finite objective {when}")
+    checks = validate_state(state, ds, masks, cfg)
+    if not checks["observed_bitwise_equal"]:
+        raise NumericError(f"observed entries were modified {when}")
+    return obj, terms, checks["parts"]
 
 
 # -------------------------------------------------------------------- fit
@@ -728,10 +739,11 @@ def fit(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
     iteration: objective, term breakdown, constraint measurements, guard
     counters and wall time. Rows are numbered by `state.sweeps`, the
     sweeps the state has completed, so a resumed trace continues the
-    numbering of the run it resumes. Constraint readings equal a full check after
-    every sub-update; only what a sub-update wrote is re-measured. The
-    first row's rel_change is against the start state. A non-finite
-    objective, at the start or after any iteration, raises NumericError.
+    numbering of the run it resumes. Constraints are measured on the start
+    state and after every sweep; a row's readings equal the largest of a
+    full check after every sub-update. The first row's rel_change is
+    against the start state. A non-finite objective or a changed observed
+    entry raises NumericError.
     """
     cfg.validate()
     masks.check_against(ds)
@@ -739,14 +751,8 @@ def fit(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
         state = init_state(ds, masks, cfg, components)
 
     trace = FitTrace()
-    obj, _ = objective(state, cfg, components)
-    if not np.isfinite(obj):
-        raise NumericError("non-finite objective at the start state")
-    checks = validate_state(state, ds, masks, cfg)
-    if not checks["observed_bitwise_equal"]:
-        raise NumericError("observed entries corrupted at initialization")
-    latest = checks["parts"]
-
+    obj, _, before = _checked_objective(state, ds, masks, cfg, components,
+                                        "at the start state")
     counters_zero = {k: 0 for k in
                      ("fv_backtracks", "fv_stalls", "fstar_backtracks",
                       "fstar_stalls", "s_guard_skips", "s_perturbed",
@@ -754,33 +760,27 @@ def fit(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
 
     for it in range(1, cfg.max_iter + 1):
         t_iter = time.perf_counter()
-        counters = dict(counters_zero)
-        viol, nnz_bad = 0.0, 0
-
-        def _absorb(result: dict, *written: str) -> None:
-            nonlocal viol, nnz_bad
-            for key, val in result.items():
-                counters[key] = counters.get(key, 0) + val
-            chk = validate_state(state, ds, masks, cfg, written)
-            if not chk["observed_bitwise_equal"]:
-                raise NumericError("observed entries were modified")
-            latest.update(chk["parts"])
-            viol = max(viol, *(m[0] for m in latest.values()))
-            nnz_bad = max(nnz_bad, sum(m[1] for m in latest.values()))
-
-        _absorb(update_W(state, cfg))
-        _absorb(update_Fv(state, cfg))
-        _absorb(update_Fstar(state, cfg, components), "Fstar")
+        counters = dict(counters_zero)  # each key has one writing block
+        counters.update(update_W(state, cfg))
+        counters.update(update_Fv(state, cfg))
+        counters.update(update_Fstar(state, cfg, components))
         if components.graph_learning:
-            _absorb(update_S(state, cfg), "S")
-            _absorb(update_H(state, cfg, components), "H")
-            _absorb(update_alpha(state, cfg), "alpha")
+            counters.update(update_S(state, cfg))
+            counters.update(update_H(state, cfg, components))
+            counters.update(update_alpha(state, cfg))
         if components.adaptive_imputation:
-            _absorb(update_Xhat(state, ds, masks, cfg, components), "Xhat")
+            counters.update(update_Xhat(state, ds, masks, cfg, components))
 
-        obj_new, terms = objective(state, cfg, components)
-        if not np.isfinite(obj_new):
-            raise NumericError(f"non-finite objective after iteration {it}")
+        obj_new, terms, after = _checked_objective(
+            state, ds, masks, cfg, components, f"after iteration {it}")
+        # each checked part has one writer (parts in writer order): a full
+        # check after any sub-update reads the parts written so far as
+        # after the sweep and the rest as before it; keep the largest
+        viol = max([0.0] + [m[0] for r in (before, after) for m in r.values()])
+        nnz_bad = max(sum((after if j < i else before)[p][1]
+                          for j, p in enumerate(after))
+                      for i in range(len(after) + 1))
+        before = after
         rel = abs(obj_new - obj) / max(abs(obj), 1e-30)
         state.sweeps += 1
         trace.rows.append({"iter": state.sweeps, "objective": obj_new,
@@ -855,9 +855,7 @@ def save_state(state: ModelState, cfg: FitConfig, components: Components,
         idx = np.flatnonzero(G.view(np.uint64))  # keeps -0.0 and NaN
         arrays.update({f"{name}_idx": idx, f"{name}_vals": G.ravel()[idx]})
     np.savez(out / "state.npz", **arrays)
-    header = {"sweeps": state.sweeps,
-              "adam_t": [a.t for a in state.adam],
-              "cfg": asdict(cfg),
+    header = {"sweeps": state.sweeps, "cfg": asdict(cfg),
               "components": asdict(components)}
     (out / "header.json").write_text(json.dumps(header, indent=2,
                                                 sort_keys=True) + "\n")
@@ -865,10 +863,10 @@ def save_state(state: ModelState, cfg: FitConfig, components: Components,
 
 
 def load_state(path: str | Path) -> tuple[ModelState, FitConfig, Components]:
-    """Reload a checkpoint written by `save_state`. A missing or
-    unreadable one, one without a sweep count, or one whose cfg or
-    components hold a key FitConfig or Components lacks is a
-    ConfigError. The view count is the length of alpha."""
+    """Reload a checkpoint written by `save_state`. A missing one, or one
+    with an entry missing or malformed (cfg and components keys included),
+    is a ConfigError; header keys not read here, like the `adam_t` of
+    earlier versions, are ignored. The view count is the length of alpha."""
     path = Path(path)
     if not (path / "header.json").is_file():
         raise ConfigError(f"no fitted state under {path}; run 'fit' first")
@@ -876,28 +874,27 @@ def load_state(path: str | Path) -> tuple[ModelState, FitConfig, Components]:
         header = json.loads((path / "header.json").read_text())
         with np.load(path / "state.npz") as npz:
             arr = dict(npz)
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
-        raise ConfigError(f"cannot read checkpoint {path} ({exc}); if an "
-                          f"earlier version wrote it, refit it") from exc
-    try:
         cfg = FitConfig(**header["cfg"])
         components = Components(**header["components"])
-        sweeps = header["sweeps"]
-    except (TypeError, KeyError) as exc:  # a key added or removed since
-        raise ConfigError(f"checkpoint {path} does not fit this version "
-                          f"(refit it): {exc}") from exc
-    n = arr["Fstar"].shape[0]
+        if not (isinstance(header["sweeps"], int) and header["sweeps"] >= 0):
+            raise ValueError("sweeps must be a non-negative integer")
+        n = arr["Fstar"].shape[0]
 
-    def graph(name: str) -> np.ndarray:
-        G = np.zeros((n, n))
-        np.put(G, arr[f"{name}_idx"], arr[f"{name}_vals"])
-        return G
+        def graph(name: str) -> np.ndarray:
+            G = np.zeros((n, n))
+            np.put(G, arr[f"{name}_idx"], arr[f"{name}_vals"])
+            return G
 
-    views = range(arr["alpha"].shape[0])
-    state = ModelState(
-        **{f: arr[f] for f in _SHARED_ARRAYS},
-        **{f: [arr[f"{f}_{v}"] for v in views] for f in _VIEW_ARRAYS},
-        S=[graph(f"S_{v}") for v in views], H=graph("H"), sweeps=sweeps,
-        adam=[numkit.AdamState(m=arr[f"adam_m_{v}"], v=arr[f"adam_v_{v}"],
-                               t=header["adam_t"][v]) for v in views])
+        views = range(arr["alpha"].shape[0])
+        state = ModelState(
+            **{f: arr[f] for f in _SHARED_ARRAYS},
+            **{f: [arr[f"{f}_{v}"] for v in views] for f in _VIEW_ARRAYS},
+            S=[graph(f"S_{v}") for v in views], H=graph("H"),
+            sweeps=header["sweeps"],
+            adam=[numkit.AdamState(m=arr[f"adam_m_{v}"],
+                                   v=arr[f"adam_v_{v}"]) for v in views])
+    except (OSError, ValueError, TypeError, KeyError, IndexError,
+            zipfile.BadZipFile) as exc:  # an entry missing or malformed
+        raise ConfigError(f"cannot read checkpoint {path} ({exc}); if an "
+                          f"earlier version wrote it, refit it") from exc
     return state, cfg, components

@@ -321,15 +321,11 @@ def sq_dists(X: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for Adam-style adaptive steps.
-
-    Moments have the same shape as the parameter being stepped. Instances
-    are single-owner mutable: `adam_step` advances them in place.
-    """
+    """First/second moment accumulators for Adam-style adaptive steps,
+    shaped like the parameter stepped; `adam_step` advances them."""
 
     m: np.ndarray
     v: np.ndarray
-    t: int = 0
 
     def __post_init__(self) -> None:
         if self.m.shape != self.v.shape:
@@ -340,18 +336,18 @@ class AdamState:
         return cls(m=np.zeros(shape), v=np.zeros(shape))
 
 
-def adam_step(state: AdamState, grad: np.ndarray,
-              lr: float) -> tuple[np.ndarray, np.ndarray]:
-    """Advance the Adam moments with `grad` in place; return the step
-    lr * mhat / (sqrt(vhat) + eps) (bias-corrected moments), to subtract
-    from the parameter, and the rate lr / (sqrt(vhat) + eps) it scales."""
+def adam_step(state: AdamState, grad: np.ndarray, lr: float,
+              t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Advance the Adam moments with `grad` in place as step number t
+    (1 for the first step); return the step lr * mhat / (sqrt(vhat) + eps)
+    (moments bias-corrected for t steps), to subtract from the parameter,
+    and the rate lr / (sqrt(vhat) + eps) it scales."""
     grad = np.asarray(grad, dtype=float)
     if grad.shape != state.m.shape:
         raise ValueError("gradient shape does not match the Adam state")
-    state.t += 1
     state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
     state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
-    mhat = state.m / (1.0 - ADAM_BETA1 ** state.t)
-    vhat = state.v / (1.0 - ADAM_BETA2 ** state.t)
+    mhat = state.m / (1.0 - ADAM_BETA1 ** t)
+    vhat = state.v / (1.0 - ADAM_BETA2 ** t)
     den = np.sqrt(vhat) + ADAM_EPS
     return lr * mhat / den, lr / den

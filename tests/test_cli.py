@@ -325,6 +325,9 @@ def invalid_config_cases():
     def removed_inner_fv_steps(cfg):
         cfg["fit"]["inner_fv_steps"] = 10
 
+    def removed_rho(cfg):
+        cfg["fit"]["rho"] = 1e4
+
     def scalar_zetas(cfg):
         cfg["diagnostics"] = {"zetas": 0.1}
 
@@ -397,7 +400,8 @@ def invalid_config_cases():
     return [drop_out_dir, both_sources, neither_source, top_typo, fit_typo,
             scenario_typo, bad_method, bad_ratio, empty_ratios, bad_runs,
             bad_kind, bad_delta, bad_fit_value, removed_fit_key,
-            removed_eps_dv, removed_inner_fv_steps, scalar_zetas, zero_zeta,
+            removed_eps_dv, removed_inner_fv_steps, removed_rho,
+            scalar_zetas, zero_zeta,
             empty_zetas, text_rho, boolean_runs, boolean_ratio, boolean_c,
             float_k, boolean_max_iter, float_seed, boolean_lambda,
             boolean_beta, text_rho_fit, list_tol, list_delta, null_delta,
@@ -454,7 +458,7 @@ def test_checkpoint_from_an_earlier_version_exits_2(tmp_path):
     assert main(["fit", "--config", p]) == 0
     header_path = tmp_path / "out" / "fit" / "climfs" / "state" / "header.json"
     fitted = header_path.read_text()
-    for removed in ("strict_descent", "eps_dv"):
+    for removed in ("strict_descent", "eps_dv", "rho"):
         header = json.loads(fitted)
         header["cfg"][removed] = 1e-8
         header_path.write_text(json.dumps(header))
@@ -476,6 +480,41 @@ def test_checkpoint_without_a_sweep_count_exits_2(tmp_path, capsys):
     assert main(["evaluate", "--config", p]) == 2
     assert main(["diagnose", "--config", p]) == 2
     assert capsys.readouterr().err.count("refit it") == 2
+
+
+@pytest.mark.parametrize("entry", ["W_1", "Fstar", "S_0_idx", "adam_m_0"])
+def test_checkpoint_without_an_array_exits_2(tmp_path, capsys, entry):
+    cfg = base_config(tmp_path / "out")
+    cfg["fit"].update(max_iter=1, tol=1e-13)
+    p = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["simulate", "--config", p]) == 0
+    assert main(["fit", "--config", p]) == 0
+    npz = tmp_path / "out" / "fit" / "climfs" / "state" / "state.npz"
+    with np.load(npz) as arrays:
+        kept = {name: a for name, a in arrays.items() if name != entry}
+    assert len(kept) == len(arrays) - 1
+    np.savez(npz, **kept)
+    capsys.readouterr()
+    assert main(["evaluate", "--config", p]) == 2
+    assert main(["diagnose", "--config", p]) == 2
+    assert capsys.readouterr().err.count("refit it") == 2
+
+
+def test_fit_of_an_earlier_dataset_exits_2(tmp_path, capsys):
+    # simulate again at another n after fitting: the fit no longer
+    # matches the dataset it is evaluated and diagnosed against
+    cfg = base_config(tmp_path / "out")
+    cfg["fit"].update(max_iter=1, tol=1e-13)
+    p = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["simulate", "--config", p]) == 0
+    assert main(["fit", "--config", p]) == 0
+    cfg["data"]["synthetic"]["n"] = 50
+    write_config(tmp_path / "cfg.json", cfg)
+    assert main(["simulate", "--config", p]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--config", p]) == 2
+    assert main(["diagnose", "--config", p]) == 2
+    assert capsys.readouterr().err.count("does not match the dataset") == 2
 
 
 def test_csv_checkpoint_from_an_earlier_version_exits_2(tmp_path, capsys):

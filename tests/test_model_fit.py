@@ -19,12 +19,14 @@ from climfs.dataset import (MaskMatrix, MissingScenario, MultiViewDataset,
                             apply_missing, make_synthetic)
 from climfs.errors import ConfigError, NumericError
 from climfs.evaluation import kmeans
-from climfs.model import (CHECKED_PARTS, EPS_DV, Components, FitConfig,
-                          ModelState, _build_b, _spectral_partition, fit,
-                          init_state, load_state, objective, rank_features,
-                          save_state, update_alpha, update_Fstar, update_Fv,
-                          update_H, update_S, update_W, update_Xhat,
-                          validate_state)
+from climfs.model import (EPS_DV, Components, FitConfig, ModelState,
+                          _build_b, _spectral_partition, fit, init_state,
+                          load_state, objective, rank_features, save_state,
+                          update_alpha, update_Fstar, update_Fv, update_H,
+                          update_S, update_W, update_Xhat, validate_state)
+
+# The state parts `validate_state` reads; each is written by one block.
+CHECKED_PARTS = ("Fstar", "S", "H", "alpha", "Xhat")
 
 
 def small_instance(seed=0, n=30, delta=0.3):
@@ -296,7 +298,9 @@ def test_checkpoint_roundtrip_and_resume_equivalence(tmp_path):
 
 def test_checkpoint_with_an_adam_lr_header_resumes_bitwise(tmp_path):
     # checkpoints used to store each view's Adam step size, always
-    # FV_ADAM_LR; the header no longer has it and older ones still resume
+    # FV_ADAM_LR, and step count, always FV_INNER_STEPS times the sweeps;
+    # the header no longer has either and older ones still resume, the
+    # stored count ignored even when it is wrong
     masked, masks = small_instance(seed=12)
     base = dict(k=4, c=2, tol=1e-12, seed=6)
     straight, trace_a = fit(masked, masks, FitConfig(max_iter=9, **base))
@@ -304,8 +308,9 @@ def test_checkpoint_with_an_adam_lr_header_resumes_bitwise(tmp_path):
     ckpt = save_state(fit(masked, masks, cfg)[0], cfg, Components(),
                       tmp_path / "ck")
     header = json.loads((ckpt / "header.json").read_text())
-    assert "adam_lr" not in header
+    assert "adam_lr" not in header and "adam_t" not in header
     header["adam_lr"] = [0.01, 0.01]
+    header["adam_t"] = [0, 7]
     (ckpt / "header.json").write_text(json.dumps(header))
     loaded, cfg_l, comp_l = load_state(ckpt)
     resumed, trace_b = fit(masked, masks,
@@ -513,17 +518,11 @@ def test_validate_state_flags_tampering():
     st.S[0][1, 0] = 1.0
     assert validate_state(st, masked, masks, cfg)["nnz_bad_columns"] == 1
 
-    # each part is measured only when listed
-    assert validate_state(st, masked, masks, cfg,
-                          parts=("Fstar", "H", "alpha"))["nnz_bad_columns"] == 0
-
     st = init_state(masked, masks, cfg)
     r, c = np.argwhere(masks.masks[0] == 1.0)[0]
     st.Xhat[0][r, c] += 1.0
     assert not validate_state(st, masked, masks,
                               cfg)["observed_bitwise_equal"]
-    assert validate_state(st, masked, masks, cfg,
-                          parts=("S",))["observed_bitwise_equal"]
 
     # NaN is a violation, not a clean reading
     st = init_state(masked, masks, cfg)

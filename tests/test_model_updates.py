@@ -258,7 +258,7 @@ def test_update_fstar_fixed_point_when_ratio_is_one():
     st.Fstar = F
     st.Fv = [np.zeros((n, c)) for _ in range(st.n_views)]
     st.Xhat = [W @ F.T for W in st.W]
-    cfg = FitConfig(rho=1e4, c=c, k=2)
+    cfg = FitConfig(c=c, k=2)
     comp = Components(cluster_structure=False)
     before = st.Fstar.copy()
     update_Fstar(st, cfg, comp)
@@ -279,13 +279,13 @@ def test_update_fstar_preserves_zeros_and_sign():
 def test_update_fstar_descends_subobjective():
     from climfs.model import _fstar_objective
     rng = np.random.default_rng(9)
-    cfg = FitConfig(rho=100.0, c=2, k=2)
+    cfg = FitConfig(c=2, k=2)
     for _ in range(30):
         st = make_state(rng)
         deg = numkit.sym_degrees(st.H)
-        before = _fstar_objective(st, st.Fstar, cfg, deg)
+        before = _fstar_objective(st, st.Fstar, deg)
         update_Fstar(st, cfg)
-        after = _fstar_objective(st, st.Fstar, cfg, deg)
+        after = _fstar_objective(st, st.Fstar, deg)
         assert after <= before + 1e-9 * max(1.0, abs(before))
 
 
@@ -293,7 +293,7 @@ def test_update_fstar_orthogonality_drift_bounded():
     rng = np.random.default_rng(10)
     st = make_state(rng, n=10, dims=(6, 5), c=3, k=2)
     st.Fstar = np.abs(rng.normal(size=(10, 3)))
-    cfg = FitConfig(rho=1e4, c=3, k=2)
+    cfg = FitConfig(c=3, k=2)
     gram0 = np.linalg.norm(st.Fstar.T @ st.Fstar - np.eye(3))
     for _ in range(50):
         update_Fstar(st, cfg)
@@ -571,8 +571,8 @@ def test_constrained_impute_is_stationary():
         st, ds, masks = _xhat_instance(seed + 20)
         M = st.W[0] @ (st.Fv[0] + st.Fstar).T
         L = numkit.laplacian(st.S[0])
-        Z = _constrained_impute(st.Xhat[0], M, np.eye(L.shape[0]) + L,
-                                masks.masks[0], ds.views[0])
+        Z = _constrained_impute(M, np.eye(L.shape[0]) + L, masks.masks[0],
+                                ds.views[0])
         grad = 2.0 * (Z - M) + 2.0 * Z @ L
         free = masks.masks[0] == 0.0
         assert np.abs(grad[free]).max() <= 1e-8

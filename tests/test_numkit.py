@@ -383,16 +383,15 @@ def test_sq_dists_matches_pairwise_loop():
 
 def test_adam_first_step_hand_value():
     st = AdamState.zeros((1,))
-    step, rate = adam_step(st, np.array([1.0]), 0.1)
+    step, rate = adam_step(st, np.array([1.0]), 0.1, 1)
     # mhat = vhat = 1 after bias correction -> step = rate = lr / (1 + eps)
     assert step[0] == pytest.approx(0.1 / (1.0 + 1e-8), rel=1e-12)
     assert rate[0] == pytest.approx(0.1 / (1.0 + 1e-8), rel=1e-12)
-    assert st.t == 1
 
 
 def test_adam_zero_gradient_zero_step():
     st = AdamState.zeros((3, 2))
-    step, rate = adam_step(st, np.zeros((3, 2)), 1e-3)
+    step, rate = adam_step(st, np.zeros((3, 2)), 1e-3, 1)
     np.testing.assert_allclose(step, 0.0, atol=0)
     # vhat = 0, so the rate is lr / eps
     np.testing.assert_array_equal(rate, 1e-3 / ADAM_EPS)
@@ -400,18 +399,18 @@ def test_adam_zero_gradient_zero_step():
 
 def test_adam_constant_gradient_step_approaches_lr():
     st = AdamState.zeros((1,))
-    for _ in range(5000):
-        step, _ = adam_step(st, np.array([2.0]), 0.05)
+    for t in range(1, 5001):
+        step, _ = adam_step(st, np.array([2.0]), 0.05, t)
     assert step[0] == pytest.approx(0.05, rel=1e-3)
 
 
 def test_adam_rate_matches_the_bias_corrected_second_moment():
     rng = np.random.default_rng(0)
     st = AdamState.zeros((4, 3))
-    for lr in (1e-3, 0.01, 0.5):
-        step, rate = adam_step(st, rng.normal(size=(4, 3)), lr)
-        vhat = st.v / (1.0 - ADAM_BETA2 ** st.t)
-        mhat = st.m / (1.0 - ADAM_BETA1 ** st.t)
+    for t, lr in enumerate((1e-3, 0.01, 0.5), start=1):
+        step, rate = adam_step(st, rng.normal(size=(4, 3)), lr, t)
+        vhat = st.v / (1.0 - ADAM_BETA2 ** t)
+        mhat = st.m / (1.0 - ADAM_BETA1 ** t)
         np.testing.assert_array_equal(rate, lr / (np.sqrt(vhat) + ADAM_EPS))
         np.testing.assert_array_equal(
             step, lr * mhat / (np.sqrt(vhat) + ADAM_EPS))
@@ -420,4 +419,4 @@ def test_adam_rate_matches_the_bias_corrected_second_moment():
 def test_adam_shape_mismatch():
     st = AdamState.zeros((2,))
     with pytest.raises(ValueError):
-        adam_step(st, np.zeros(3), 1e-3)
+        adam_step(st, np.zeros(3), 1e-3, 1)
