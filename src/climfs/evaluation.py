@@ -271,7 +271,8 @@ def _neighbor_consistency(state, dists: list[tuple], rho: float) -> list[dict]:
         if D is not None:
             C = state.W[v] @ (state.Fv[v] + state.Fstar).T
             cnorm = np.linalg.norm(C, axis=0) / scale
-            Ssub = state.S[v][np.ix_(idx, idx)]
+            S = numkit.densify(state.S_nbr[v], state.S_w[v])
+            Ssub = S[np.ix_(idx, idx)]
             omega1 = 1.5 - rho + 0.5 * cnorm[idx]
             strong = Ssub >= rho
             np.fill_diagonal(strong, False)
@@ -295,7 +296,8 @@ def _consensus_value(state) -> float:
     for v in range(state.n_views):
         R = state.Xhat[v] - state.W[v] @ (state.Fv[v] + state.Fstar).T
         total += float(np.sum(R * R))
-    return total + numkit.laplacian_quad(state.Fstar.T, state.H)
+    return total + numkit.laplacian_quad(state.Fstar.T, state.H_nbr,
+                                         state.H_w)
 
 
 def _cross_view_pairs(masks: MaskMatrix) -> np.ndarray:
@@ -318,7 +320,8 @@ def _consensus_consistency(state, masks: MaskMatrix,
     pair qualifies when either directed weight H_ij or H_ji reaches zeta."""
     J = _consensus_value(state)
     gap2 = numkit.sq_dists(state.Fstar.T)
-    Hmax = np.maximum(state.H, state.H.T)
+    H = state.H
+    Hmax = np.maximum(H, H.T)
     eligible = _cross_view_pairs(masks)
     checks = []
     for zeta in zetas:

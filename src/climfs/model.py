@@ -23,12 +23,18 @@ trigger counts and the constraints, measured after every sweep, are
 recorded per iteration in the trace. Checkpoints restore every array bit
 for bit.
 
-The graphs are dense n x n arrays, but a fit keeps few n x n temporaries:
-graph terms are reductions (degrees from row and column sums, products
-of a graph with the thin factors), costs are accumulated in place, the
-imputation system is factored by Cholesky in the one array that holds
-it, and the spectral initialization asks only for the c eigenpairs it
-uses. Factorization failures and non-finite graphs raise NumericError.
+Each graph is held as (n, k) neighbour arrays: for column j, the rows
+nbr[j] (ascending) and their weights w[j] (see `numkit`). The graph
+updates build their costs 256 columns at a time: one block of rows of
+the distance matrix, with the other graphs' weights added at their
+neighbours, and the descent guard reads the old columns' costs from that
+same block. Every other graph term is an O(n k) reduction. Only the
+imputation system (factored by Cholesky in the one n x n array that
+holds it) and the spectral initialization (which asks only for the c
+eigenpairs it uses) build a dense graph matrix. `ModelState.S` and
+`ModelState.H` give dense read-only copies for readers outside the
+optimizer. Factorization failures and non-finite graphs raise
+NumericError.
 """
 
 from __future__ import annotations
@@ -126,14 +132,19 @@ FULL_MODEL = Components()
 @dataclass
 class ModelState:
     """All optimization variables; arrays follow the (features, samples)
-    column-sample convention of `climfs.dataset`."""
+    column-sample convention of `climfs.dataset`. Each graph is a pair of
+    (n, k) arrays: row j of `*_nbr` lists the rows of graph column j (the
+    neighbours of sample j) in ascending order, and row j of `*_w` their
+    weights."""
 
     Xhat: list[np.ndarray]          # (d_v, n) imputed data
     W: list[np.ndarray]             # (d_v, c) projections
     Fv: list[np.ndarray]            # (n, c) view-specific factors
     Fstar: np.ndarray               # (n, c) consensus factor, >= 0
-    S: list[np.ndarray]             # (n, n) view graphs, simplex columns
-    H: np.ndarray                   # (n, n) consensus graph
+    S_nbr: list[np.ndarray]         # (n, k) view graph neighbours
+    S_w: list[np.ndarray]           # (n, k) view graph weights, simplex
+    H_nbr: np.ndarray               # (n, k) consensus graph neighbours
+    H_w: np.ndarray                 # (n, k) consensus graph weights
     alpha: np.ndarray               # (V,) view weights on the simplex
     adam: list[numkit.AdamState]    # per-view Adam moments for Fv
     xi: list[np.ndarray]            # (n,) per-column S quadratic offsets
@@ -147,6 +158,22 @@ class ModelState:
     @property
     def n_samples(self) -> int:
         return self.Fstar.shape[0]
+
+    @property
+    def S(self) -> list[np.ndarray]:
+        """Dense read-only copies of the view graphs, made on each access."""
+        return [_dense(nbr, w) for nbr, w in zip(self.S_nbr, self.S_w)]
+
+    @property
+    def H(self) -> np.ndarray:
+        """Dense read-only copy of the consensus graph, made on each access."""
+        return _dense(self.H_nbr, self.H_w)
+
+
+def _dense(nbr: np.ndarray, w: np.ndarray) -> np.ndarray:
+    G = numkit.densify(nbr, w)
+    G.flags.writeable = False
+    return G
 
 
 @dataclass
@@ -186,34 +213,62 @@ class SelectionResult:
 # ----------------------------------------------------------------- helpers
 
 
-def _refresh_columns(G: np.ndarray, C: np.ndarray, k: int, coef: np.ndarray,
-                     offset: float = 0.0,
-                     guard: bool = False) -> tuple[int, int]:
-    """Swap the closed-form k-sparse simplex solution of every column of
-    the costs C into graph G and its half-gap minus `offset` into `coef`,
-    in place. With `guard`, only where q.s + (coef + offset) ||s||^2 does
-    not increase beyond the slack. Without it G may be C itself: the costs
-    are read in full before G is written. Returns (skipped, perturbed)
-    counts."""
-    nbr, w, half, perturbed = numkit.ksparse_simplex_columns(C, k)
-    cols = np.arange(C.shape[0])
-    if guard:  # graph diagonals are zero, so C's diagonal adds nothing
-        old = np.einsum("ij,ij->j", C, G) \
-            + (coef + offset) * np.einsum("ij,ij->j", G, G)
-        new = np.einsum("jt,jt->j", C[nbr, cols[:, None]], w) \
-            + half * np.einsum("jt,jt->j", w, w)
-        cols = cols[~(new > old + GUARD_RTOL * np.maximum(1.0, np.abs(old)))]
-    G[:, cols] = 0.0
-    G[nbr[cols], cols[:, None]] = w[cols]
-    coef[cols] = half[cols] - offset
-    return C.shape[0] - cols.size, int(perturbed.sum())
+def _row_sums(P: np.ndarray) -> np.ndarray:
+    """Sums of the rows of P, left to right: the order in which a sum over
+    a dense graph column adds its nonzeros when the neighbours ascend."""
+    total = np.zeros(P.shape[0])
+    for t in range(P.shape[1]):
+        total += P[:, t]
+    return total
 
 
-def _add_scaled(Y: np.ndarray, a: float, X: np.ndarray) -> None:
-    """Y += a * X in place, a row block at a time, so no n x n temporary
-    is made."""
-    for r in range(0, Y.shape[0], numkit.COLUMN_BLOCK):
-        Y[r:r + numkit.COLUMN_BLOCK] += a * X[r:r + numkit.COLUMN_BLOCK]
+def _refresh(costs, n: int, k: int, old: tuple | None = None,
+             offset: float = 0.0) -> tuple:
+    """Solve every column of a k-sparse simplex graph, COLUMN_BLOCK columns
+    at a time: `costs(cols, out)` returns the cost rows of the columns
+    `cols` (row r prices every sample as a neighbour of column cols[r]),
+    written to `out`, one block buffer reused for every block, and
+    `numkit.ksparse_simplex_columns` gives each column its closed-form
+    weights and half-gap, stored as the coefficient half-gap - offset.
+    With `old` = (nbr, w, coef), a column keeps its old neighbours,
+    weights and coefficient where q.s + (coef + offset) ||s||^2 would
+    increase beyond the slack. Returns the neighbours (ascending per
+    column), weights and coefficients, and the skipped and perturbed
+    column counts."""
+    nbr = np.empty((n, k), dtype=np.intp)
+    w, coef = np.empty((n, k)), np.empty(n)
+    skipped = perturbed = 0
+    buf = np.empty((min(numkit.COLUMN_BLOCK, n), n))
+    for j0 in range(0, n, numkit.COLUMN_BLOCK):
+        cols = np.arange(j0, min(j0 + numkit.COLUMN_BLOCK, n))
+        Q = costs(cols, buf[:cols.size])
+        at = np.arange(cols.size)[:, None]
+        if old is not None:  # before the kernel overwrites Q[r, cols[r]]
+            o_nbr, o_w, o_coef = (a[cols] for a in old)
+            f_old = _row_sums(Q[at, o_nbr] * o_w) \
+                + (o_coef + offset) * _row_sums(o_w * o_w)
+        b_nbr, b_w, half, pert = numkit.ksparse_simplex_columns(Q, cols, k)
+        b_coef = half - offset
+        if old is not None:
+            f_new = np.einsum("jt,jt->j", Q[at, b_nbr], b_w) \
+                + half * np.einsum("jt,jt->j", b_w, b_w)
+            skip = f_new > f_old + GUARD_RTOL * np.maximum(1.0, np.abs(f_old))
+            b_nbr[skip], b_w[skip], b_coef[skip] = \
+                o_nbr[skip], o_w[skip], o_coef[skip]
+            skipped += int(skip.sum())
+        order = np.argsort(b_nbr, axis=1)
+        nbr[cols], w[cols] = b_nbr[at, order], b_w[at, order]
+        coef[cols] = b_coef
+        perturbed += int(pert.sum())
+    return nbr, w, coef, skipped, perturbed
+
+
+def _add_graph(Q: np.ndarray, cols: np.ndarray, a: float, nbr: np.ndarray,
+               w: np.ndarray) -> None:
+    """Add a * A[:, cols].T to the C-contiguous cost rows Q of the columns
+    `cols`, at the neighbours of those columns only."""
+    at = nbr[cols] + np.arange(cols.size)[:, None] * Q.shape[1]
+    np.add.at(Q.reshape(-1), at.ravel(), (a * w[cols]).ravel())
 
 
 def _positive_part(A: np.ndarray) -> np.ndarray:
@@ -227,20 +282,21 @@ def _negative_part(A: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------------------- init
 
 
-def _spectral_partition(H: np.ndarray, c: int, seed: int) -> np.ndarray:
+def _spectral_partition(nbr: np.ndarray, w: np.ndarray, c: int,
+                        seed: int) -> np.ndarray:
     """Cluster samples from the consensus graph: the eigenvectors of the c
-    smallest eigenvalues of the symmetric-normalized Laplacian of
-    (H + H^T) / 2, rows normalized, then seeded k-means on the rows. The
-    Laplacian is built in one n x n array and only those c eigenpairs are
-    computed. A non-finite H or an eigensolver failure is a NumericError."""
-    deg = numkit.sym_degrees(H)
-    if not np.isfinite(deg).all():
+    smallest eigenvalues of the symmetric-normalized Laplacian of its
+    symmetrized form (whose diagonal is zero), rows normalized, then
+    seeded k-means on the rows. The Laplacian is built in one n x n array
+    and only those c eigenpairs are computed. A non-finite graph or an
+    eigensolver failure is a NumericError."""
+    if not np.isfinite(w).all():
         raise NumericError("non-finite consensus graph at initialization")
-    dinv = 1.0 / np.sqrt(np.maximum(deg, 1e-30))
-    L = H + H.T
-    L *= -0.5 * dinv[:, None]
+    dinv = 1.0 / np.sqrt(np.maximum(numkit.sym_degrees(nbr, w), 1e-30))
+    L = numkit.laplacian(nbr, w)
+    L *= dinv[:, None]
     L *= dinv[None, :]
-    L.flat[::L.shape[0] + 1] += 1.0
+    L.flat[::L.shape[0] + 1] = 1.0
     try:
         # L is symmetric up to rounding, so its transpose is the
         # Fortran-ordered array LAPACK overwrites without a copy
@@ -253,6 +309,23 @@ def _spectral_partition(H: np.ndarray, c: int, seed: int) -> np.ndarray:
     return kmeans(emb, c, seed=seed)
 
 
+def _half_sq_dists(X: np.ndarray, cols: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    D = numkit.sq_dists(X, cols, out)
+    D *= 0.5
+    return D
+
+
+def _mean_half_sq_dists(Xs: list[np.ndarray], cols: np.ndarray,
+                        out: np.ndarray) -> np.ndarray:
+    """The mean over the views Xs of `_half_sq_dists`, in `out`."""
+    out.fill(0.0)
+    for X in Xs:
+        out += _half_sq_dists(X, cols)
+    out /= len(Xs)
+    return out
+
+
 def init_state(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
                components: Components = FULL_MODEL) -> ModelState:
     """Deterministic initialization.
@@ -260,17 +333,16 @@ def init_state(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
     Masked entries are mean-imputed; alpha is uniform; W is all-ones (so
     the first Sylvester solve sees a uniform row weighting); S^v and H are
     k-sparse simplex graphs built from the closed form on (mean-imputed)
-    squared distances; F* is a binary one-hot membership from spectral
-    clustering of the initial H; F^v starts at zero. The graphs are built
-    from zero, so their columns are set without the descent guard. One
-    distance matrix is alive at a time; H accumulates the mean half
-    squared distance and is then overwritten by the graph built from it.
+    half squared distances, H on their mean over the views; F* is a
+    binary one-hot membership from spectral clustering of the initial H;
+    F^v starts at zero. The graphs are built from nothing, so their
+    columns are set without the descent guard.
     """
     cfg.validate()
     masks.check_against(ds)
-    n, V = ds.n_samples, ds.n_views
-    if cfg.k > n - 2:
-        raise ConfigError(f"k={cfg.k} too large for n={n} (need k <= n-2)")
+    n, V, k = ds.n_samples, ds.n_views, cfg.k
+    if k > n - 2:
+        raise ConfigError(f"k={k} too large for n={n} (need k <= n-2)")
     if cfg.c > n:
         raise ConfigError("more clusters than samples")
 
@@ -278,73 +350,73 @@ def init_state(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
     alpha = np.full(V, 1.0 / V)
     W = [np.ones((d, cfg.c)) for d in ds.dims]
 
-    S = [np.zeros((n, n)) for _ in range(V)]
-    H = np.zeros((n, n))
-    for Sv, x in zip(S, Xhat):
-        D = numkit.sq_dists(x)
-        D *= 0.5
-        _refresh_columns(Sv, D, cfg.k, np.empty(n))
-        H += D
-        del D  # before the next view's distances are made
-    H /= V
-    _refresh_columns(H, H, cfg.k, np.empty(n))
+    S = [_refresh(lambda cols, out: _half_sq_dists(x, cols, out), n, k)[:2]
+         for x in Xhat]
+    H_nbr, H_w = _refresh(lambda cols, out: _mean_half_sq_dists(Xhat, cols,
+                                                                out), n, k)[:2]
 
-    labels = _spectral_partition(H, cfg.c, cfg.seed)
+    labels = _spectral_partition(H_nbr, H_w, cfg.c, cfg.seed)
     Fstar = np.zeros((n, cfg.c))
     Fstar[np.arange(n), labels] = 1.0
 
     Fv = [np.zeros((n, cfg.c)) for _ in range(V)]
     adam = [numkit.AdamState.zeros((n, cfg.c)) for _ in range(V)]
 
-    state = ModelState(Xhat=Xhat, W=W, Fv=Fv, Fstar=Fstar, S=S, H=H,
-                       alpha=alpha, adam=adam,
+    state = ModelState(Xhat=Xhat, W=W, Fv=Fv, Fstar=Fstar,
+                       S_nbr=[g[0] for g in S], S_w=[g[1] for g in S],
+                       H_nbr=H_nbr, H_w=H_w, alpha=alpha, adam=adam,
                        xi=[np.zeros(n) for _ in range(V)],
                        gamma=np.zeros(n))
     if components.graph_learning:
         for v in range(V):
-            half = numkit.ksparse_simplex_columns(_build_q(state, v), cfg.k)[2]
-            state.xi[v] = half - alpha[v] ** 2
-        state.gamma = numkit.ksparse_simplex_columns(
-            _build_b(state, components), cfg.k)[2]
+            state.xi[v] = _refresh(
+                lambda cols, out: _build_q(state, v, cols, out), n, k,
+                offset=alpha[v] ** 2)[2]
+        state.gamma = _refresh(
+            lambda cols, out: _build_b(state, components, cols, out), n,
+            k)[2]
     return state
 
 
 # ------------------------------------------------------- cost-row builders
 
 
-def _build_q(state: ModelState, v: int) -> np.ndarray:
-    """Columnwise costs for the S^v subproblem: entry (i, j) prices sample
-    i as a neighbor of sample j.
+def _build_q(state: ModelState, v: int, cols: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Costs of the S^v subproblem for the columns `cols`, in `out` if
+    given: entry (r, i) prices sample i as a neighbor of sample
+    j = cols[r].
 
     q_ij = ||xhat_i - xhat_j||^2 / 2 - alpha_v H_ij
            + 2 alpha_v sum_{m != v} alpha_m S^m_ij
 
     The cross-view factor 2 is the exact gradient of the double-sum
     coupling sum_{v,m} alpha_v alpha_m <S^v, S^m>, in which each unordered
-    pair appears twice. The terms are added into the distance matrix in
-    place.
+    pair appears twice. The graph terms are added at the neighbours of
+    each column only.
     """
     a = state.alpha
-    Q = numkit.sq_dists(state.Xhat[v])
-    Q *= 0.5
-    _add_scaled(Q, -a[v], state.H)
+    Q = _half_sq_dists(state.Xhat[v], cols, out)
+    _add_graph(Q, cols, -a[v], state.H_nbr, state.H_w)
     for m in range(state.n_views):
         if m != v:
-            _add_scaled(Q, 2.0 * a[v] * a[m], state.S[m])
+            _add_graph(Q, cols, 2.0 * a[v] * a[m], state.S_nbr[m],
+                       state.S_w[m])
     return Q
 
 
-def _build_b(state: ModelState, components: Components) -> np.ndarray:
-    """Columnwise costs for the H subproblem: fused-graph attraction plus,
-    when the cluster-structure term is active, consensus-factor distances,
-    accumulated in place in one n x n array."""
+def _build_b(state: ModelState, components: Components, cols: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Costs of the H subproblem for the columns `cols`, rows and `out` as
+    in `_build_q`: fused-graph attraction plus, when the cluster-structure
+    term is active, consensus-factor distances."""
     if components.cluster_structure:
-        B = numkit.sq_dists(state.Fstar.T)
-        B *= 0.5
+        B = _half_sq_dists(state.Fstar.T, cols, out)
     else:
-        B = np.zeros((state.n_samples, state.n_samples))
-    for a, Sv in zip(state.alpha, state.S):
-        _add_scaled(B, -a, Sv)
+        B = np.empty((cols.size, state.n_samples)) if out is None else out
+        B.fill(0.0)
+    for a, nbr, w in zip(state.alpha, state.S_nbr, state.S_w):
+        _add_graph(B, cols, -a, nbr, w)
     return B
 
 
@@ -427,7 +499,7 @@ def _fstar_objective(state: ModelState, Fstar: np.ndarray,
         R = state.Xhat[v] - state.W[v] @ (state.Fv[v] + Fstar).T
         total += float(np.sum(R * R))
     if deg is not None:
-        total += numkit.laplacian_quad(Fstar.T, state.H, deg)
+        total += numkit.laplacian_quad(Fstar.T, state.H_nbr, state.H_w, deg)
     Gram = Fstar.T @ Fstar - np.eye(Fstar.shape[1])
     total += ORTH_RHO * float(np.sum(Gram * Gram))
     return total
@@ -461,8 +533,8 @@ def update_Fstar(state: ModelState, cfg: FitConfig,
             + state.Fstar @ _positive_part(U)
     deg = None
     if components.cluster_structure:
-        deg = numkit.sym_degrees(state.H)
-        num += (state.H @ state.Fstar + state.H.T @ state.Fstar) / 2.0
+        deg = numkit.sym_degrees(state.H_nbr, state.H_w)
+        num += numkit.sym_matmul(state.H_nbr, state.H_w, state.Fstar)
         den += deg[:, None] * state.Fstar
 
     ratio = num / np.maximum(den, MU_FLOOR)
@@ -481,28 +553,32 @@ def update_S(state: ModelState, cfg: FitConfig) -> dict:
 
     Column j minimizes q.s + half_gap * ||s||^2 over the k-sparse simplex,
     with the self-tuned half gap; the stored xi_vj = half_gap - alpha_v^2
-    feeds the traced objective. A view's columns are solved in one batch;
-    a column's swap (new column and coefficient together) is kept only
-    where it does not increase the traced objective.
+    feeds the traced objective. A view's columns are solved a block at a
+    time (`_refresh`); a column's swap (new column and coefficient
+    together) is kept only where it does not increase the traced
+    objective.
     """
     skips = perturbed = 0
-    for v in range(state.n_views):
-        skip, pert = _refresh_columns(state.S[v], _build_q(state, v), cfg.k,
-                                      state.xi[v], state.alpha[v] ** 2,
-                                      guard=True)
+    n, V = state.n_samples, state.n_views
+    for v in range(V):
+        (state.S_nbr[v], state.S_w[v], state.xi[v], skip, pert) = _refresh(
+            lambda cols, out: _build_q(state, v, cols, out), n, cfg.k,
+            (state.S_nbr[v], state.S_w[v], state.xi[v]), state.alpha[v] ** 2)
         skips, perturbed = skips + skip, perturbed + pert
-    return {"s_guard_skips": skips, "s_perturbed": perturbed}
+    return {"s_columns": n * V, "s_guard_skips": skips,
+            "s_perturbed": perturbed}
 
 
 def update_H(state: ModelState, cfg: FitConfig,
              components: Components = FULL_MODEL) -> dict:
-    """Closed-form refresh of all consensus graph columns in one batch,
-    mirroring `update_S`, with costs from the fused view graphs (and
+    """Closed-form refresh of all consensus graph columns, mirroring
+    `update_S`, with costs from the fused view graphs (and
     consensus-factor distances when the cluster-structure term is on)."""
-    skips, perturbed = _refresh_columns(
-        state.H, _build_b(state, components), cfg.k, state.gamma,
-        guard=True)
-    return {"h_guard_skips": skips, "h_perturbed": perturbed}
+    n = state.n_samples
+    (state.H_nbr, state.H_w, state.gamma, skips, perturbed) = _refresh(
+        lambda cols, out: _build_b(state, components, cols, out), n, cfg.k,
+        (state.H_nbr, state.H_w, state.gamma))
+    return {"h_columns": n, "h_guard_skips": skips, "h_perturbed": perturbed}
 
 
 def _graph_inner_products(state: ModelState) -> tuple[np.ndarray, np.ndarray]:
@@ -512,8 +588,10 @@ def _graph_inner_products(state: ModelState) -> tuple[np.ndarray, np.ndarray]:
     h = np.empty(V)
     for v in range(V):
         for m in range(v, V):
-            Q[v, m] = Q[m, v] = np.vdot(state.S[v], state.S[m])
-        h[v] = np.vdot(state.H, state.S[v])
+            Q[v, m] = Q[m, v] = numkit.graph_inner(
+                state.S_nbr[v], state.S_w[v], state.S_nbr[m], state.S_w[m])
+        h[v] = numkit.graph_inner(state.H_nbr, state.H_w, state.S_nbr[v],
+                                  state.S_w[v])
     return Q, h
 
 
@@ -527,15 +605,15 @@ def update_alpha(state: ModelState, cfg: FitConfig) -> dict:
     return {}
 
 
-def _identity_plus_laplacian(S: np.ndarray) -> np.ndarray:
-    """I + L for the Laplacian L of (S + S^T) / 2, built in one n x n
-    array (exactly symmetric); a non-finite S is a NumericError."""
-    deg = numkit.sym_degrees(S)
-    if not np.isfinite(deg).all():
-        raise NumericError("non-finite view graph in the imputation system")
-    K = S + S.T
-    K *= -0.5
-    K.flat[::K.shape[0] + 1] += 1.0 + deg
+def _identity_plus_laplacian(nbr: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """I + L for the Laplacian L of the symmetrized graph, built in one
+    n x n array (exactly symmetric); a non-finite or negative weight is a
+    NumericError."""
+    if not (np.isfinite(w).all() and (w >= 0.0).all()):
+        raise NumericError("non-finite or negative view graph weight in the "
+                           "imputation system")
+    K = numkit.laplacian(nbr, w)
+    K.flat[::K.shape[0] + 1] += 1.0
     return K
 
 
@@ -553,9 +631,10 @@ def _spd_solve(K: np.ndarray, B: np.ndarray) -> np.ndarray:
                            f"{exc}") from exc
 
 
-def _xhat_subobjective(X: np.ndarray, M: np.ndarray, S: np.ndarray) -> float:
+def _xhat_subobjective(X: np.ndarray, M: np.ndarray, nbr: np.ndarray,
+                       w: np.ndarray) -> float:
     R = X - M
-    return float(np.sum(R * R)) + numkit.laplacian_quad(X, S)
+    return float(np.sum(R * R)) + numkit.laplacian_quad(X, nbr, w)
 
 
 def update_Xhat(state: ModelState, ds: MultiViewDataset, masks: MaskMatrix,
@@ -572,7 +651,8 @@ def update_Xhat(state: ModelState, ds: MultiViewDataset, masks: MaskMatrix,
     masked entries are recomputed by the exact constrained per-row solve
     instead. Without graph learning the subproblem is ||X - M||^2, whose
     constrained minimizer sets the masked entries to M: no guard needed.
-    A non-finite S^v or a failed factorization is a NumericError.
+    A non-finite or negative weight of S^v or a failed factorization is a
+    NumericError.
     """
     fallbacks = 0
     for v in range(state.n_views):
@@ -582,13 +662,13 @@ def update_Xhat(state: ModelState, ds: MultiViewDataset, masks: MaskMatrix,
         if not components.graph_learning:
             state.Xhat[v] = np.where(obs, ds.views[v], M)
             continue
-        S = state.S[v]
-        R = state.W[v] @ _spd_solve(_identity_plus_laplacian(S), G).T
+        S = state.S_nbr[v], state.S_w[v]
+        R = state.W[v] @ _spd_solve(_identity_plus_laplacian(*S), G).T
         cand = np.where(obs, ds.views[v], R)
-        f_old = _xhat_subobjective(state.Xhat[v], M, S)
-        f_new = _xhat_subobjective(cand, M, S)
+        f_old = _xhat_subobjective(state.Xhat[v], M, *S)
+        f_new = _xhat_subobjective(cand, M, *S)
         if f_new > f_old + GUARD_RTOL * max(1.0, abs(f_old)):
-            cand = _constrained_impute(M, _identity_plus_laplacian(S),
+            cand = _constrained_impute(M, _identity_plus_laplacian(*S),
                                        masks.masks[v], ds.views[v])
             fallbacks += 1
         state.Xhat[v] = cand
@@ -635,9 +715,9 @@ def objective(state: ModelState, cfg: FitConfig,
 
     The total is the sum of all listed terms; sub-updates are guarded to
     keep it non-increasing across the alternating sweep. The graph terms
-    are reductions: smooth and fstar_smooth are
-    numkit.laplacian_quad forms, and the inner products of the graphs are
-    taken once per unordered pair, so no n x n array is made.
+    are O(n k) reductions on the neighbour arrays: smooth and fstar_smooth
+    are numkit.laplacian_quad forms, and the inner products of the graphs
+    are taken once per unordered pair.
     """
     terms = {}
     recon = 0.0
@@ -656,19 +736,20 @@ def objective(state: ModelState, cfg: FitConfig,
 
     if components.graph_learning:
         Q, h = _graph_inner_products(state)
-        terms["smooth"] = sum(numkit.laplacian_quad(X, Sv)
-                              for X, Sv in zip(state.Xhat, state.S))
+        terms["smooth"] = sum(numkit.laplacian_quad(X, nbr, w) for X, nbr, w
+                              in zip(state.Xhat, state.S_nbr, state.S_w))
         terms["cross_view"] = float(state.alpha @ Q @ state.alpha)
-        terms["s_quad"] = sum(float(xi_v @ np.einsum("ij,ij->j", Sv, Sv))
-                              for xi_v, Sv in zip(state.xi, state.S))
+        terms["s_quad"] = sum(float(xi_v @ _row_sums(w * w))
+                              for xi_v, w in zip(state.xi, state.S_w))
         terms["fusion"] = -float(state.alpha @ h) + float(
-            state.gamma @ np.einsum("ij,ij->j", state.H, state.H))
+            state.gamma @ _row_sums(state.H_w * state.H_w))
     else:
         terms["smooth"] = terms["cross_view"] = 0.0
         terms["s_quad"] = terms["fusion"] = 0.0
 
     if components.cluster_structure:
-        terms["fstar_smooth"] = numkit.laplacian_quad(state.Fstar.T, state.H)
+        terms["fstar_smooth"] = numkit.laplacian_quad(
+            state.Fstar.T, state.H_nbr, state.H_w)
     else:
         terms["fstar_smooth"] = 0.0
 
@@ -681,28 +762,49 @@ def objective(state: ModelState, cfg: FitConfig,
 # ------------------------------------------------------------- validation
 
 
+def _graph_violations(nbr: np.ndarray, w: np.ndarray,
+                      k: int) -> tuple[float, int]:
+    """Continuous violation (|column sum - 1| and negative weights; inf for
+    a non-finite weight) and the count of columns that are not k distinct
+    in-range neighbours with nonzero weights, none the column itself."""
+    n = nbr.shape[0]
+    sums = _row_sums(w)
+    viol = float(np.abs(sums - 1.0).max(initial=0.0)) \
+        if np.isfinite(sums).all() else np.inf
+    viol = max(viol, -float(w.min(initial=0.0)))
+    if nbr.shape != (n, k) or w.shape != (n, k):
+        return viol, n
+    srt = np.sort(nbr, axis=1)
+    bad = (w == 0.0).any(axis=1) | (srt[:, 1:] == srt[:, :-1]).any(axis=1) \
+        | (srt[:, 0] < 0) | (srt[:, -1] >= n) \
+        | (nbr == np.arange(n)[:, None]).any(axis=1)
+    return viol, int(bad.sum())
+
+
 def validate_state(state: ModelState, ds: MultiViewDataset,
                    masks: MaskMatrix, cfg: FitConfig) -> dict:
     """Constraint measurements of F*, S, H and alpha, in the order of the
     blocks that write them: continuous violations (rounding noise; inf
     when a graph, alpha or F* holds a non-finite entry) and graph columns
-    without exactly k nonzeros, per part under "parts" and combined.
-    Observed entries are compared bitwise."""
+    that are not k distinct neighbours with nonzero weights (none the
+    column itself), per part under "parts" and combined. Observed entries
+    are compared bitwise."""
     measured = {}
     for part in ("Fstar", "S", "H", "alpha"):
-        viol, bad = 0.0, 0
-        for A in state.S if part == "S" else [getattr(state, part)]:
-            # a sum is finite exactly when every summed entry is (short of
-            # overflow); alpha and every graph column lie on the simplex
-            sums = A.sum() if part == "Fstar" else A.sum(axis=0)
-            if not np.isfinite(sums).all():
-                viol = np.inf
-            elif part != "Fstar":
-                viol = max(viol, float(np.abs(sums - 1.0).max()))
-            viol = max(viol, -float(A.min()))
-            if part in ("S", "H"):
-                bad += int(np.sum(np.count_nonzero(A, axis=0) != cfg.k))
-        measured[part] = (viol, bad)
+        if part in ("S", "H"):
+            graphs = zip(state.S_nbr, state.S_w) if part == "S" \
+                else [(state.H_nbr, state.H_w)]
+            found = [_graph_violations(nbr, w, cfg.k) for nbr, w in graphs]
+            measured[part] = (max([0.0] + [f[0] for f in found]),
+                              sum(f[1] for f in found))
+            continue
+        A = getattr(state, part)
+        # a sum is finite exactly when every summed entry is (short of
+        # overflow); alpha lies on the simplex
+        total = float(A.sum())
+        viol = np.inf if not np.isfinite(total) \
+            else 0.0 if part == "Fstar" else abs(total - 1.0)
+        measured[part] = (max(viol, -float(A.min())), 0)
     obs_exact = all(np.array_equal(xh[m == 1.0], xv[m == 1.0])
                     for xh, xv, m in zip(state.Xhat, ds.views, masks.masks))
     return {"max_violation": max([0.0] + [m[0] for m in measured.values()]),
@@ -737,9 +839,11 @@ def fit(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
     identical to an uninterrupted run because every update is
     deterministic given the state. The trace holds one row per completed
     iteration: objective, term breakdown, constraint measurements, guard
-    counters and wall time. Rows are numbered by `state.sweeps`, the
-    sweeps the state has completed, so a resumed trace continues the
-    numbering of the run it resumes. Constraints are measured on the start
+    counters, the seconds of each block (t_W ... t_Xhat, and t_check for
+    the objective and constraint check) and the wall time they add up to.
+    Rows are numbered by `state.sweeps`, the sweeps the state has
+    completed, so a resumed trace continues the numbering of the run it
+    resumes. Constraints are measured on the start
     state and after every sweep; a row's readings equal the largest of a
     full check after every sub-update. The first row's rel_change is
     against the start state. A non-finite objective or a changed observed
@@ -753,26 +857,37 @@ def fit(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
     trace = FitTrace()
     obj, _, before = _checked_objective(state, ds, masks, cfg, components,
                                         "at the start state")
-    counters_zero = {k: 0 for k in
-                     ("fv_backtracks", "fv_stalls", "fstar_backtracks",
-                      "fstar_stalls", "s_guard_skips", "s_perturbed",
-                      "h_guard_skips", "h_perturbed", "xhat_fallbacks")}
+    # the blocks of a sweep in order, looked up by name at call time
+    blocks = [("W", lambda: update_W(state, cfg)),
+              ("Fv", lambda: update_Fv(state, cfg)),
+              ("Fstar", lambda: update_Fstar(state, cfg, components))]
+    if components.graph_learning:
+        blocks += [("S", lambda: update_S(state, cfg)),
+                   ("H", lambda: update_H(state, cfg, components)),
+                   ("alpha", lambda: update_alpha(state, cfg))]
+    if components.adaptive_imputation:
+        blocks.append(("Xhat", lambda: update_Xhat(state, ds, masks, cfg,
+                                                   components)))
+    counters_zero = {
+        **{k: 0 for k in ("fv_backtracks", "fv_stalls", "fstar_backtracks",
+                          "fstar_stalls", "s_columns", "s_guard_skips",
+                          "s_perturbed", "h_columns", "h_guard_skips",
+                          "h_perturbed", "xhat_fallbacks")},
+        **{f"t_{b}": 0.0 for b in ("W", "Fv", "Fstar", "S", "H", "alpha",
+                                   "Xhat", "check")}}
 
     for it in range(1, cfg.max_iter + 1):
-        t_iter = time.perf_counter()
+        t_iter = t_last = time.perf_counter()
         counters = dict(counters_zero)  # each key has one writing block
-        counters.update(update_W(state, cfg))
-        counters.update(update_Fv(state, cfg))
-        counters.update(update_Fstar(state, cfg, components))
-        if components.graph_learning:
-            counters.update(update_S(state, cfg))
-            counters.update(update_H(state, cfg, components))
-            counters.update(update_alpha(state, cfg))
-        if components.adaptive_imputation:
-            counters.update(update_Xhat(state, ds, masks, cfg, components))
+        for name, block in blocks:
+            counters.update(block())
+            t_now = time.perf_counter()
+            counters[f"t_{name}"], t_last = t_now - t_last, t_now
 
         obj_new, terms, after = _checked_objective(
             state, ds, masks, cfg, components, f"after iteration {it}")
+        t_now = time.perf_counter()
+        counters["t_check"] = t_now - t_last
         # each checked part has one writer (parts in writer order): a full
         # check after any sub-update reads the parts written so far as
         # after the sweep and the rest as before it; keep the largest
@@ -787,7 +902,7 @@ def fit(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
                            **terms,
                            "rel_change": rel, "max_violation": viol,
                            "nnz_bad_columns": nnz_bad, **counters,
-                           "seconds": time.perf_counter() - t_iter})
+                           "seconds": t_now - t_iter})
         trace.iterations = it
         obj = obj_new
         if rel < cfg.tol:
@@ -839,21 +954,18 @@ def save_state(state: ModelState, cfg: FitConfig, components: Components,
                out_dir: str | Path) -> Path:
     """Write the full state (optimizer variables plus Adam moments) to
     `out_dir`: settings in header.json, arrays in one uncompressed
-    state.npz. Each graph is stored as the flat indices and values of its
-    entries whose bits are not all zero, so every array reloads bit for
-    bit, whatever its sparsity, and resumed runs continue identically."""
+    state.npz, each graph as its (n, k) neighbour and weight arrays
+    (S_<v>_nbr, S_<v>_w, H_nbr, H_w). Every array reloads bit for bit, so
+    resumed runs continue identically."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     arrays = {f: getattr(state, f) for f in _SHARED_ARRAYS}
-    graphs = {"H": state.H}
+    arrays.update({"H_nbr": state.H_nbr, "H_w": state.H_w})
     for v in range(state.n_views):
         arrays.update({f"{f}_{v}": getattr(state, f)[v] for f in _VIEW_ARRAYS})
         arrays.update({f"adam_m_{v}": state.adam[v].m,
-                       f"adam_v_{v}": state.adam[v].v})
-        graphs[f"S_{v}"] = state.S[v]
-    for name, G in graphs.items():
-        idx = np.flatnonzero(G.view(np.uint64))  # keeps -0.0 and NaN
-        arrays.update({f"{name}_idx": idx, f"{name}_vals": G.ravel()[idx]})
+                       f"adam_v_{v}": state.adam[v].v,
+                       f"S_{v}_nbr": state.S_nbr[v], f"S_{v}_w": state.S_w[v]})
     np.savez(out / "state.npz", **arrays)
     header = {"sweeps": state.sweeps, "cfg": asdict(cfg),
               "components": asdict(components)}
@@ -864,9 +976,12 @@ def save_state(state: ModelState, cfg: FitConfig, components: Components,
 
 def load_state(path: str | Path) -> tuple[ModelState, FitConfig, Components]:
     """Reload a checkpoint written by `save_state`. A missing one, or one
-    with an entry missing or malformed (cfg and components keys included),
-    is a ConfigError; header keys not read here, like the `adam_t` of
-    earlier versions, are ignored. The view count is the length of alpha."""
+    with an entry missing or malformed (cfg and components keys included;
+    a graph array not shaped (n, k), neighbours that are not integers in
+    [0, n)), is a ConfigError, as is one in the flat-index graph layout of
+    earlier versions; header keys not read here, like the `adam_t` of
+    earlier versions, are ignored. The view count is the length of
+    alpha."""
     path = Path(path)
     if not (path / "header.json").is_file():
         raise ConfigError(f"no fitted state under {path}; run 'fit' first")
@@ -880,16 +995,24 @@ def load_state(path: str | Path) -> tuple[ModelState, FitConfig, Components]:
             raise ValueError("sweeps must be a non-negative integer")
         n = arr["Fstar"].shape[0]
 
-        def graph(name: str) -> np.ndarray:
-            G = np.zeros((n, n))
-            np.put(G, arr[f"{name}_idx"], arr[f"{name}_vals"])
-            return G
+        def graph(name: str) -> tuple[np.ndarray, np.ndarray]:
+            nbr, w = arr[f"{name}_nbr"], arr[f"{name}_w"]
+            if nbr.shape != (n, cfg.k) or w.shape != (n, cfg.k):
+                raise ValueError(f"{name} graph arrays must be shaped "
+                                 f"({n}, {cfg.k})")
+            if not np.issubdtype(nbr.dtype, np.integer):
+                raise ValueError(f"{name} neighbours must be integers")
+            if ((nbr < 0) | (nbr >= n)).any():
+                raise ValueError(f"{name} neighbour outside [0, {n})")
+            return nbr.astype(np.intp, copy=False), w
 
         views = range(arr["alpha"].shape[0])
+        S = [graph(f"S_{v}") for v in views]
         state = ModelState(
             **{f: arr[f] for f in _SHARED_ARRAYS},
             **{f: [arr[f"{f}_{v}"] for v in views] for f in _VIEW_ARRAYS},
-            S=[graph(f"S_{v}") for v in views], H=graph("H"),
+            S_nbr=[g[0] for g in S], S_w=[g[1] for g in S],
+            **dict(zip(("H_nbr", "H_w"), graph("H"))),
             sweeps=header["sweeps"],
             adam=[numkit.AdamState(m=arr[f"adam_m_{v}"],
                                    v=arr[f"adam_v_{v}"]) for v in views])

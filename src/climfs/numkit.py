@@ -1,8 +1,11 @@
-"""Dense numeric kernels used by the alternating optimizer.
+"""Numeric kernels used by the alternating optimizer.
 
 All kernels operate on float64 numpy arrays and are pure functions except
 for `adam_step`, which advances an `AdamState` in place (single-owner
-mutable; everything else is safe to share across threads).
+mutable), and `ksparse_simplex_columns`, which overwrites the entries of
+its cost rows that it leaves out; everything else is safe to share across
+threads. The k-sparse graphs are read in their (n, k) neighbour form; see
+the section on them below.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ SYM_TOL = 1e-10
 ACTIVE_TOL = 1e-12
 # Fixed-point (KKT) residual the simplex QP solution must reach.
 QP_KKT_TOL = 1e-8
-# Columns per pass of `ksparse_simplex_columns`, rows per pass of `sq_dists`:
-# their temporaries stay O(n * 256).
+# Graph columns solved per pass of the model's graph updates, and rows per
+# product in `sq_dists`: their temporaries stay O(n * 256).
 COLUMN_BLOCK = 256
 # Adam decay rates and denominator floor, the Kingma & Ba (2015) defaults.
 ADAM_BETA1 = 0.9
@@ -154,48 +157,52 @@ def ksparse_simplex_min(q: np.ndarray, k: int) -> tuple[np.ndarray, float]:
     return s, gap / 2.0
 
 
-def ksparse_simplex_columns(C: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
-    """`ksparse_simplex_min` on every column of the square costs C without
-    its diagonal entry, bit for bit; a degenerate column is solved again
-    after adding eta * position (its index in the column without the
-    diagonal; eta = 1e-12 * max(1, max |q|)), so lower indices win ties.
-    Returns neighbours (n, k), weights (n, k), half-gaps (n,) and the
-    perturbed flags (n,); raises NumericError on non-finite costs or on a
-    column still degenerate after the perturbation."""
-    C = np.asarray(C, dtype=float)
-    n = C.shape[0]
-    if C.shape != (n, n) or not 1 <= k < n - 1:
-        raise ValueError(f"need square C and 1 <= k < n-1, got {C.shape}, {k}")
-    nbr, w = np.empty((n, k), dtype=np.intp), np.empty((n, k))
-    half, perturbed = np.empty(n), np.zeros(n, dtype=bool)
-    for j0 in range(0, n, COLUMN_BLOCK):
-        cols = np.arange(j0, min(j0 + COLUMN_BLOCK, n))
-        Q = C[:, cols].T.copy()  # row r is column cols[r]
-        Q[np.arange(cols.size), cols] = 0.0
-        if not np.isfinite(Q).all():
-            raise NumericError("non-finite costs in a k-sparse subproblem")
-        eta = 1e-12 * np.maximum(1.0, np.abs(Q).max(axis=1))
-        Q[np.arange(cols.size), cols] = np.inf  # never its own neighbour
-        for retry in (False, True):
-            part = np.argpartition(Q, k, axis=1)[:, :k + 1]
-            vals = np.take_along_axis(Q, part, axis=1)
-            order = np.argsort(vals, axis=1)  # ties share weights: any order
-            qs = np.take_along_axis(vals, order, axis=1)
-            # contiguous rows, so the sums round as in `ksparse_simplex_min`
-            diffs = qs[:, k:] - qs[:, :k]
-            gap = diffs.sum(axis=1)
-            ok = (qs[:, k] > qs[:, k - 1]) & (gap > 0.0)
-            done = cols[ok]
-            nbr[done] = np.take_along_axis(part, order[:, :k], axis=1)[ok]
-            wt = diffs[ok] / gap[ok, None]
-            w[done] = wt / wt.sum(axis=1, keepdims=True)
-            half[done], perturbed[done] = gap[ok] / 2.0, retry
-            if ok.all():
-                break
-            if retry:
-                raise NumericError("neighborhood degenerate when perturbed")
-            cols, eta, Q = cols[~ok], eta[~ok], Q[~ok]
-            Q += eta[:, None] * (np.arange(n) - (np.arange(n) > cols[:, None]))
+def ksparse_simplex_columns(Q: np.ndarray, cols: np.ndarray,
+                            k: int) -> tuple[np.ndarray, ...]:
+    """`ksparse_simplex_min` on the costs of graph columns `cols`, bit for
+    bit: row r of Q (b x n) prices every sample as a neighbour of column
+    cols[r], and its entry Q[r, cols[r]] is left out (and overwritten). A
+    degenerate row is solved again after adding eta * position (its index
+    in the row without that entry; eta = 1e-12 * max(1, max |q|)), so lower
+    indices win ties. Returns neighbours (b, k), weights (b, k), half-gaps
+    (b,) and the perturbed flags (b,); raises NumericError on non-finite
+    costs or on a row still degenerate after the perturbation."""
+    b, n = Q.shape
+    cols = np.asarray(cols)
+    if cols.shape != (b,) or not 1 <= k < n - 1:
+        raise ValueError(f"need one column per cost row and 1 <= k < n-1, "
+                         f"got {Q.shape}, {cols.shape}, {k}")
+    nbr, w = np.empty((b, k), dtype=np.intp), np.empty((b, k))
+    half, perturbed = np.empty(b), np.zeros(b, dtype=bool)
+    rows = np.arange(b)
+    Q[rows, cols] = 0.0
+    # max and min propagate NaN, so both are finite exactly when Q is
+    hi, lo = Q.max(axis=1), Q.min(axis=1)
+    if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
+        raise NumericError("non-finite costs in a k-sparse subproblem")
+    eta = 1e-12 * np.maximum(1.0, np.maximum(hi, -lo))
+    Q[rows, cols] = np.inf  # never its own neighbour
+    for retry in (False, True):
+        at = np.arange(rows.size)[:, None]
+        part = np.argpartition(Q, k, axis=1)[:, :k + 1]
+        vals = Q[at, part]
+        order = np.argsort(vals, axis=1)  # ties share weights: any order
+        qs = vals[at, order]
+        # contiguous rows, so the sums round as in `ksparse_simplex_min`
+        diffs = qs[:, k:] - qs[:, :k]
+        gap = diffs.sum(axis=1)
+        ok = (qs[:, k] > qs[:, k - 1]) & (gap > 0.0)
+        done = rows[ok]
+        nbr[done] = part[at, order[:, :k]][ok]
+        wt = diffs[ok] / gap[ok, None]
+        w[done] = wt / wt.sum(axis=1, keepdims=True)
+        half[done], perturbed[done] = gap[ok] / 2.0, retry
+        if ok.all():
+            break
+        if retry:
+            raise NumericError("neighborhood degenerate when perturbed")
+        rows, cols, eta, Q = rows[~ok], cols[~ok], eta[~ok], Q[~ok]
+        Q += eta[:, None] * (np.arange(n) - (np.arange(n) > cols[:, None]))
     return nbr, w, half, perturbed
 
 
@@ -275,48 +282,107 @@ def _support_kkt(Q: np.ndarray, c: np.ndarray,
     return x / ssum
 
 
-def laplacian(A: np.ndarray) -> np.ndarray:
-    """Laplacian diag(colsums) - S of the symmetrized affinity
-    S = (A + A^T) / 2 of a nonnegative square A; symmetric PSD. The dense
-    form: `laplacian_quad` gives tr(X L X^T) without building it."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("A must be square")
-    if (A < 0).any():
-        raise ValueError("affinity matrix must be nonnegative")
-    A = (A + A.T) / 2.0
-    return np.diag(A.sum(axis=0)) - A
-
-
-def sym_degrees(A: np.ndarray) -> np.ndarray:
-    """Degrees of the symmetrized affinity (A + A^T) / 2: the mean of the
-    row and column sums of A."""
-    return (A.sum(axis=0) + A.sum(axis=1)) / 2.0
-
-
-def laplacian_quad(X: np.ndarray, A: np.ndarray,
-                   deg: np.ndarray | None = None) -> float:
-    """tr(X L X^T) for L = laplacian(A), from reductions only:
-    sum_i deg_i ||x_i||^2 - <A, X^T X> over the columns x_i of X, with
-    deg = sym_degrees(A) unless given. <A, X^T X> is taken as
-    sum((X A) * X), so nothing n x n is formed."""
-    if deg is None:
-        deg = sym_degrees(A)
-    return float(deg @ np.einsum("ij,ij->j", X, X) - np.sum((X @ A) * X))
-
-
-def sq_dists(X: np.ndarray) -> np.ndarray:
+def sq_dists(X: np.ndarray, cols: np.ndarray | None = None,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean distances between the columns of X, with the
-    rounding negatives of the Gram expansion clamped to 0. The result is
-    the only n x n array made: the norms are added a row block at a
-    time."""
+    rounding negatives of the Gram expansion clamped to 0: the rows `cols`
+    (distances from those columns to every column), written to `out` if
+    given, or, without `cols`, the whole n x n matrix, filled COLUMN_BLOCK
+    rows at a time. Each block of rows comes from one product
+    X[:, cols].T @ X, so the rows of a COLUMN_BLOCK-aligned block equal
+    those of the whole matrix bit for bit."""
     sq = np.einsum("ij,ij->j", X, X)
-    D = X.T @ X
+    if cols is None:
+        n = X.shape[1]
+        D = np.empty((n, n))
+        for r in range(0, n, COLUMN_BLOCK):
+            _sq_dist_rows(X, sq, np.arange(r, min(r + COLUMN_BLOCK, n)),
+                          D[r:r + COLUMN_BLOCK])
+        return D
+    return _sq_dist_rows(X, sq, cols, out)
+
+
+def _sq_dist_rows(X: np.ndarray, sq: np.ndarray, cols: np.ndarray,
+                  out: np.ndarray | None) -> np.ndarray:
+    D = np.matmul(X[:, cols].T, X, out=out)
     D *= -2.0
-    for r in range(0, D.shape[0], COLUMN_BLOCK):
-        D[r:r + COLUMN_BLOCK] += sq[r:r + COLUMN_BLOCK, None] + sq[None, :]
+    D += sq[cols, None] + sq[None, :]
     np.maximum(D, 0.0, out=D)
     return D
+
+
+# ------------------------------------------------------ k-sparse graphs
+#
+# A k-sparse graph A on n samples is held as two (n, k) arrays: column j
+# of A has weight w[j, t] at row nbr[j, t], and zeros elsewhere (a row
+# listed twice in one column holds the sum of its weights). The functions
+# of this section read a graph in that form in O(n k) work, except
+# `densify` and `laplacian`, which build an n x n array.
+
+
+def densify(nbr: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The dense (n, n) graph of the neighbour arrays (nbr, w)."""
+    n = nbr.shape[0]
+    at = (nbr * n + np.arange(n)[:, None]).ravel()   # flat index of (i, j)
+    return np.bincount(at, w.ravel(), minlength=n * n).reshape(n, n)
+
+
+def sym_degrees(nbr: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Degrees of the symmetrized graph (A + A^T) / 2: the mean of the
+    column sums (a row of w) and the row sums of A."""
+    return (w.sum(axis=1) + np.bincount(nbr.ravel(), w.ravel(),
+                                        minlength=nbr.shape[0])) / 2.0
+
+
+def laplacian(nbr: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Laplacian diag(deg) - (A + A^T) / 2 of the symmetrized graph of a
+    nonnegative A, built in one n x n array (exactly symmetric); symmetric
+    PSD. `laplacian_quad` gives tr(X L X^T) without building it."""
+    if (w < 0).any():
+        raise ValueError("affinity weights must be nonnegative")
+    n = nbr.shape[0]
+    cols = np.arange(n)[:, None]
+    # -A_ij / 2 lands at (i, j) and (j, i); bincount adds in input order
+    at = np.concatenate([(nbr * n + cols).ravel(), (cols * n + nbr).ravel()])
+    half = -0.5 * w.ravel()
+    L = np.bincount(at, np.concatenate([half, half]),
+                    minlength=n * n).reshape(n, n)
+    L.flat[::n + 1] += sym_degrees(nbr, w)
+    return L
+
+
+def laplacian_quad(X: np.ndarray, nbr: np.ndarray, w: np.ndarray,
+                   deg: np.ndarray | None = None) -> float:
+    """tr(X L X^T) for L = laplacian(nbr, w), from reductions only:
+    sum_i deg_i ||x_i||^2 - <A, X^T X> over the columns x_i of X, with
+    deg = sym_degrees(nbr, w) unless given and <A, X^T X> =
+    sum_j sum_t w[j, t] <x_nbr[j, t], x_j>."""
+    if deg is None:
+        deg = sym_degrees(nbr, w)
+    Xt = np.ascontiguousarray(X.T)  # so Xt[nbr] gathers whole rows
+    cross = np.vdot(np.einsum("jtd,jd->jt", Xt[nbr], Xt), w)
+    return float(deg @ np.einsum("ij,ij->j", X, X) - cross)
+
+
+def graph_inner(nbr_a: np.ndarray, w_a: np.ndarray, nbr_b: np.ndarray,
+                w_b: np.ndarray) -> float:
+    """The inner product <A, B> of two graphs: per column, the products of
+    the weights whose rows match, over the k x k pairs."""
+    same = nbr_a[:, :, None] == nbr_b[:, None, :]
+    return float(np.einsum("jt,ju,jtu->j", w_a, w_b, same).sum())
+
+
+def sym_matmul(nbr: np.ndarray, w: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """(A F + A^T F) / 2 for a thin F (n, c): A F scatters w[j, t] F_j onto
+    row nbr[j, t]; A^T F gathers sum_t w[j, t] F_nbr[j, t] into row j."""
+    n = nbr.shape[0]
+    AF = np.stack([np.bincount(nbr.ravel(), (w * F[:, [c]]).ravel(),
+                               minlength=n) for c in range(F.shape[1])],
+                  axis=1)
+    return (AF + np.einsum("jt,jtc->jc", w, F[nbr])) / 2.0
+
+
+# ------------------------------------------------------------------ Adam
 
 
 @dataclass

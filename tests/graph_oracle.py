@@ -1,0 +1,140 @@
+"""Dense references for the k-sparse graph code; used by the tests only.
+
+The optimizer holds each graph as (n, k) neighbour arrays and builds its
+costs a column block at a time. The helpers here convert dense graphs to
+that form, and keep the dense construction the blocked updates replaced:
+whole n x n cost matrices (`build_q`, `build_b`), one batched column
+refresh over them (`refresh_columns`), and the dense Laplacian, so the
+blocked code can be checked against them bit for bit.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+
+from climfs import numkit
+from climfs.model import GUARD_RTOL
+
+
+def sparse(G: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nbr, w) of a dense graph with at most k nonzeros per column, rows
+    ascending; a column with fewer is padded with zero weights at the
+    lowest other rows."""
+    n = G.shape[0]
+    nbr, w = np.empty((n, k), dtype=np.intp), np.empty((n, k))
+    for j in range(n):
+        rows = np.flatnonzero(G[:, j])
+        assert rows.size <= k, f"column {j} has {rows.size} > {k} nonzeros"
+        spare = [i for i in range(n) if i != j and i not in rows]
+        rows = np.sort(np.concatenate([rows, spare[:k - rows.size]])
+                           .astype(np.intp))
+        nbr[j], w[j] = rows, G[rows, j]
+    return nbr, w
+
+
+def graph_fields(S: list[np.ndarray], H: np.ndarray, k: int) -> dict:
+    """ModelState graph fields of dense view graphs S and consensus H."""
+    pairs = [sparse(G, k) for G in S]
+    H_nbr, H_w = sparse(H, k)
+    return {"S_nbr": [p[0] for p in pairs], "S_w": [p[1] for p in pairs],
+            "H_nbr": H_nbr, "H_w": H_w}
+
+
+def set_graph(state, which, G: np.ndarray) -> None:
+    """Replace graph `which` ("H" or a view index) of `state` by dense G,
+    keeping the state's k."""
+    k = state.H_nbr.shape[1]
+    nbr, w = sparse(G, k)
+    if which == "H":
+        state.H_nbr, state.H_w = nbr, w
+    else:
+        state.S_nbr[which], state.S_w[which] = nbr, w
+
+
+def laplacian(A: np.ndarray) -> np.ndarray:
+    """Dense Laplacian diag(colsums) - S of S = (A + A^T) / 2."""
+    A = (A + A.T) / 2.0
+    return np.diag(A.sum(axis=0)) - A
+
+
+def sym_degrees(A: np.ndarray) -> np.ndarray:
+    return (A.sum(axis=0) + A.sum(axis=1)) / 2.0
+
+
+# ------------------------------------------- dense costs and column refresh
+
+
+def dense_state(state) -> SimpleNamespace:
+    """Copy of the parts of a ModelState the graph updates read and write,
+    with dense graphs."""
+    return SimpleNamespace(
+        Xhat=state.Xhat, Fstar=state.Fstar, alpha=state.alpha,
+        n_views=state.n_views, n_samples=state.n_samples,
+        S=[G.copy() for G in state.S], H=state.H.copy(),
+        xi=[x.copy() for x in state.xi], gamma=state.gamma.copy())
+
+
+def build_q(dense, v: int) -> np.ndarray:
+    """Whole n x n S^v costs: q_ij = ||xhat_i - xhat_j||^2 / 2
+    - alpha_v H_ij + 2 alpha_v sum_{m != v} alpha_m S^m_ij."""
+    a = dense.alpha
+    Q = numkit.sq_dists(dense.Xhat[v])
+    Q *= 0.5
+    Q += -a[v] * dense.H
+    for m in range(dense.n_views):
+        if m != v:
+            Q += 2.0 * a[v] * a[m] * dense.S[m]
+    return Q
+
+
+def build_b(dense, cluster_structure: bool = True) -> np.ndarray:
+    """Whole n x n H costs: fused-graph attraction plus, with the cluster
+    structure term, half squared consensus-factor distances."""
+    if cluster_structure:
+        B = numkit.sq_dists(dense.Fstar.T)
+        B *= 0.5
+    else:
+        B = np.zeros((dense.n_samples, dense.n_samples))
+    for a, G in zip(dense.alpha, dense.S):
+        B += -a * G
+    return B
+
+
+def refresh_columns(G: np.ndarray, C: np.ndarray, k: int, coef: np.ndarray,
+                    offset: float = 0.0,
+                    guard: bool = False) -> tuple[int, int]:
+    """Swap the k-sparse simplex solution of every column of the costs C
+    into G and its half-gap minus `offset` into `coef`, in place; with
+    `guard`, only where q.s + (coef + offset) ||s||^2 does not increase
+    beyond the slack. Returns (skipped, perturbed) counts."""
+    n = C.shape[0]
+    cols = np.arange(n)
+    nbr, w, half, perturbed = numkit.ksparse_simplex_columns(
+        C.T.copy(), cols, k)
+    if guard:  # graph diagonals are zero, so C's diagonal adds nothing
+        old = np.einsum("ij,ij->j", C, G) \
+            + (coef + offset) * np.einsum("ij,ij->j", G, G)
+        new = np.einsum("jt,jt->j", C[nbr, cols[:, None]], w) \
+            + half * np.einsum("jt,jt->j", w, w)
+        cols = cols[~(new > old + GUARD_RTOL * np.maximum(1.0, np.abs(old)))]
+    G[:, cols] = 0.0
+    G[nbr[cols], cols[:, None]] = w[cols]
+    coef[cols] = half[cols] - offset
+    return n - cols.size, int(perturbed.sum())
+
+
+def update_S(dense, k: int) -> tuple[int, int]:
+    """The dense S^v refresh, views in order, on `dense` in place."""
+    skips = perturbed = 0
+    for v in range(dense.n_views):
+        skip, pert = refresh_columns(dense.S[v], build_q(dense, v), k,
+                                     dense.xi[v], dense.alpha[v] ** 2,
+                                     guard=True)
+        skips, perturbed = skips + skip, perturbed + pert
+    return skips, perturbed
+
+
+def update_H(dense, k: int, cluster_structure: bool = True) -> tuple[int, int]:
+    """The dense H refresh on `dense` in place."""
+    return refresh_columns(dense.H, build_b(dense, cluster_structure), k,
+                           dense.gamma, guard=True)

@@ -155,11 +155,11 @@ def test_graph_column_updates_match_support_enumeration():
         cfg = FitConfig(lam=1.0, beta=1.0, k=j % 3 + 1, c=2, max_iter=3,
                         tol=1e-9, seed=j)
         state, _ = fit(masked, masks, cfg)
-        columns = [_build_q(state, v) for v in range(2)]
-        columns.append(_build_b(state, FULL_MODEL))
-        for mat in columns:
-            cases.extend((np.delete(mat[:, col], col), cfg.k)
-                         for col in range(6))
+        cols = np.arange(6)   # row r of a block holds column r's costs
+        blocks = [_build_q(state, v, cols) for v in range(2)]
+        blocks.append(_build_b(state, FULL_MODEL, cols))
+        for mat in blocks:
+            cases.extend((np.delete(mat[col], col), cfg.k) for col in cols)
     while len(cases) < 500:
         size = int(rng.integers(3, 7))
         k = int(rng.integers(1, min(3, size - 1) + 1))
@@ -167,10 +167,10 @@ def test_graph_column_updates_match_support_enumeration():
         cases.append((rng.normal(scale=scale, size=size), k))
 
     for q, k in cases:
-        # q becomes column 0 (diagonal left out) of a cost matrix
-        C = np.zeros((q.size + 1, q.size + 1))
-        C[1:, 0] = q
-        nbr, w, halves, _ = ksparse_simplex_columns(C, k)
+        # q becomes the costs of column 0 (its own entry left out)
+        Q = np.zeros((1, q.size + 1))
+        Q[0, 1:] = q
+        nbr, w, halves, _ = ksparse_simplex_columns(Q, np.array([0]), k)
         s = np.zeros(q.size)
         s[nbr[0] - 1] = w[0]
         half = halves[0]

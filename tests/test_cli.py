@@ -482,7 +482,8 @@ def test_checkpoint_without_a_sweep_count_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.count("refit it") == 2
 
 
-@pytest.mark.parametrize("entry", ["W_1", "Fstar", "S_0_idx", "adam_m_0"])
+@pytest.mark.parametrize("entry", ["W_1", "Fstar", "S_0_nbr", "H_w",
+                                   "adam_m_0"])
 def test_checkpoint_without_an_array_exits_2(tmp_path, capsys, entry):
     cfg = base_config(tmp_path / "out")
     cfg["fit"].update(max_iter=1, tol=1e-13)
@@ -494,6 +495,47 @@ def test_checkpoint_without_an_array_exits_2(tmp_path, capsys, entry):
         kept = {name: a for name, a in arrays.items() if name != entry}
     assert len(kept) == len(arrays) - 1
     np.savez(npz, **kept)
+    capsys.readouterr()
+    assert main(["evaluate", "--config", p]) == 2
+    assert main(["diagnose", "--config", p]) == 2
+    assert capsys.readouterr().err.count("refit it") == 2
+
+
+def _flat_graph_layout(arrays: dict) -> dict:
+    """The graph entries of checkpoints before the (n, k) layout: the flat
+    indices and values of each dense graph's nonzero entries."""
+    out = {}
+    for name, a in arrays.items():
+        if name.endswith("_nbr"):
+            graph = name[:-len("_nbr")]
+            G = np.zeros((a.shape[0], a.shape[0]))
+            G[a, np.arange(a.shape[0])[:, None]] = arrays[f"{graph}_w"]
+            idx = np.flatnonzero(G.view(np.uint64))
+            out.update({f"{graph}_idx": idx, f"{graph}_vals": G.ravel()[idx]})
+        elif not name.endswith("_w"):
+            out[name] = a
+    return out
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda a: {**a, "S_1_w": a["S_1_w"][:, 1:]},
+    lambda a: {**a, "H_nbr": a["H_nbr"][:-1]},
+    lambda a: {**a, "S_0_nbr": a["S_0_nbr"].astype(float)},
+    lambda a: {**a, "H_nbr": np.full_like(a["H_nbr"], a["H_nbr"].shape[0])},
+    lambda a: {**a, "S_1_nbr": -a["S_1_nbr"]},
+    _flat_graph_layout,
+], ids=["weights_not_n_by_k", "neighbours_not_n_by_k", "float_neighbours",
+        "neighbour_n", "negative_neighbours", "flat_index_layout"])
+def test_malformed_graph_checkpoint_exits_2(tmp_path, capsys, tamper):
+    cfg = base_config(tmp_path / "out")
+    cfg["fit"].update(max_iter=1, tol=1e-13)
+    p = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["simulate", "--config", p]) == 0
+    assert main(["fit", "--config", p]) == 0
+    npz = tmp_path / "out" / "fit" / "climfs" / "state" / "state.npz"
+    with np.load(npz) as arrays:
+        arrays = dict(arrays)
+    np.savez(npz, **tamper(arrays))
     capsys.readouterr()
     assert main(["evaluate", "--config", p]) == 2
     assert main(["diagnose", "--config", p]) == 2

@@ -62,6 +62,12 @@ def assert_states_bitwise_equal(a: ModelState, b: ModelState) -> None:
         assert xa[key].tobytes() == xb[key].tobytes(), key
 
 
+def untimed(row: dict) -> dict:
+    """A trace row without its wall-clock columns (seconds, t_*)."""
+    return {k: v for k, v in row.items()
+            if k != "seconds" and not k.startswith("t_")}
+
+
 def spectral_partition_oracle(H, c, seed):
     """Full dense eigendecomposition of the normalized Laplacian."""
     A = (H + H.T) / 2.0
@@ -98,7 +104,7 @@ def test_init_fstar_one_hot_matches_partition_sizes():
     st = init_state(masked, masks, cfg)
     assert set(np.unique(st.Fstar)) <= {0.0, 1.0}
     assert np.array_equal(st.Fstar.sum(axis=1), np.ones(30))
-    labels = _spectral_partition(st.H, cfg.c, cfg.seed)
+    labels = _spectral_partition(st.H_nbr, st.H_w, cfg.c, cfg.seed)
     assert np.array_equal(st.Fstar.sum(axis=0),
                           np.bincount(labels, minlength=cfg.c))
 
@@ -108,18 +114,18 @@ def test_spectral_partition_matches_full_eigh_oracle(seed):
     ds = make_synthetic(n=40, views=2, clusters=3, informative=3, noise=3,
                         seed=seed)
     masked, masks = apply_missing(ds, MissingScenario("mixed", 0.3, seed))
-    H = init_state(masked, masks, FitConfig(k=5, c=3)).H
-    for c in (1, 3, H.shape[0]):
-        assert np.array_equal(_spectral_partition(H, c, seed),
-                              spectral_partition_oracle(H, c, seed)), c
+    st = init_state(masked, masks, FitConfig(k=5, c=3))
+    for c in (1, 3, st.n_samples):
+        assert np.array_equal(_spectral_partition(st.H_nbr, st.H_w, c, seed),
+                              spectral_partition_oracle(st.H, c, seed)), c
 
 
 def test_spectral_partition_rejects_nonfinite_graph():
     masked, masks = small_instance(seed=3)
-    H = init_state(masked, masks, FitConfig(k=4, c=2)).H
-    H[2, 0] = np.nan
+    st = init_state(masked, masks, FitConfig(k=4, c=2))
+    st.H_w[0, 2] = np.nan
     with pytest.raises(NumericError, match="non-finite consensus graph"):
-        _spectral_partition(H, 2, 0)
+        _spectral_partition(st.H_nbr, st.H_w, 2, 0)
 
 
 def test_init_graph_columns_and_factors():
@@ -236,6 +242,9 @@ def test_fit_is_deterministic():
     s1, t1 = fit(masked, masks, cfg)
     s2, t2 = fit(masked, masks, cfg)
     assert np.array_equal(t1.objectives(), t2.objectives())
+    # every trace column but the timings, bit for bit
+    assert repr([untimed(r) for r in t1.rows]) \
+        == repr([untimed(r) for r in t2.rows])
     assert np.array_equal(s1.Fstar, s2.Fstar)
     for a, b in zip(s1.Xhat, s2.Xhat):
         assert np.array_equal(a, b)
@@ -263,6 +272,27 @@ def test_trace_csv_and_breakdown(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == len(trace.rows) + 1
     assert lines[0].split(",")[0] == "iter"
+
+
+@pytest.mark.parametrize("comps", [Components(),
+                                   Components(graph_learning=False)],
+                         ids=["full", "no_graphs"])
+def test_trace_rows_time_every_block(comps):
+    masked, masks = small_instance(seed=10)
+    cfg = FitConfig(k=4, c=2, max_iter=4, tol=1e-12)
+    _, trace = fit(masked, masks, cfg, comps)
+    graphs = ("S", "H", "alpha")
+    for row in trace.rows:
+        times = {k: row[k] for k in row if k.startswith("t_")}
+        assert list(times) == [f"t_{b}" for b in (
+            "W", "Fv", "Fstar", "S", "H", "alpha", "Xhat", "check")]
+        for key, t in times.items():   # blocks that do not run read 0
+            assert (t > 0.0) == (comps.graph_learning
+                                 or key[2:] not in graphs), key
+        assert abs(sum(times.values()) - row["seconds"]) \
+            <= 0.05 * row["seconds"]
+        solved = comps.graph_learning * masked.n_samples
+        assert (row["s_columns"], row["h_columns"]) == (2 * solved, solved)
 
 
 # ------------------------------------------------------------ checkpoints
@@ -350,22 +380,24 @@ def test_checkpoint_with_drow_arrays_and_n_views_resumes_bitwise(tmp_path):
 
 
 def test_checkpoint_roundtrip_is_bitwise_for_any_graph(tmp_path):
-    # graphs are stored by their nonzero entries; nothing may rely on
-    # the k-nonzeros invariant or lose a NaN or the sign of a zero
+    # graphs are stored as their neighbour arrays; nothing may rely on a
+    # valid graph or lose a NaN or the sign of a zero
     masked, masks = small_instance(seed=11)
     cfg = FitConfig(k=4, c=2)
     st = init_state(masked, masks, cfg)
-    st.S[0][1, 0] = np.nan
-    st.S[1][:, 3] = 0.0
-    st.S[1][:cfg.k + 1, 3] = 1.0 / (cfg.k + 1)
-    st.H[:, 5] = -0.0
-    st.H[0, 5] = 1.0
-    # S[1] column 3 has k+1 nonzeros, H column 5 one
-    assert validate_state(st, masked, masks, cfg)["nnz_bad_columns"] >= 2
+    st.S_w[0][0, 1] = np.nan
+    st.S_w[1][3] = -0.0
+    st.H_nbr[5, 2] = st.H_nbr[5, 0]
+    st.H_w[5] = [-0.0, 0.5, 0.25, 0.25]
+    # S[1] column 3 has no nonzero weight, H column 5 a repeated neighbour
+    # and a zero weight
+    assert validate_state(st, masked, masks, cfg)["nnz_bad_columns"] == 2
     loaded, _, _ = load_state(save_state(st, cfg, Components(),
                                          tmp_path / "ck"))
     assert_states_bitwise_equal(st, loaded)
-    assert np.signbit(loaded.H[1:, 5]).all()
+    assert np.isnan(loaded.S_w[0][0, 1])
+    assert np.signbit(loaded.S_w[1][3]).all() and np.signbit(loaded.H_w[5, 0])
+    assert loaded.H_nbr[5, 2] == loaded.H_nbr[5, 0]
 
 
 def test_unreadable_or_missing_checkpoint_is_a_config_error(tmp_path):
@@ -394,22 +426,35 @@ def test_resume_from_nonfinite_checkpoint_raises_numeric_error(tmp_path):
         fit(masked, masks, cfg_l, comp_l, state=loaded)
 
 
-def test_fit_does_not_import_scipy_optimize():
-    # k-means is used by the spectral initialization; the assignment
-    # solver of clustering_accuracy must stay out of a fit
-    code = ("import sys\n"
-            "from climfs.dataset import MaskMatrix, make_synthetic\n"
-            "from climfs.model import FitConfig, fit\n"
-            "ds = make_synthetic(n=30, views=2, clusters=3, informative=3,"
-            " noise=3, seed=0)\n"
-            "fit(ds, MaskMatrix.all_observed(ds), FitConfig(k=4, c=3,"
-            " max_iter=1))\n"
-            "assert 'scipy.optimize' not in sys.modules\n")
+def run_fresh_python(code: str) -> None:
+    """Run `code` in a fresh interpreter that imports this tree's climfs."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
                    timeout=120)
+
+
+def test_fit_does_not_import_scipy_optimize():
+    # k-means is used by the spectral initialization; the assignment
+    # solver of clustering_accuracy must stay out of a fit
+    run_fresh_python(
+        "import sys\n"
+        "from climfs.dataset import MaskMatrix, make_synthetic\n"
+        "from climfs.model import FitConfig, fit\n"
+        "ds = make_synthetic(n=30, views=2, clusters=3, informative=3,"
+        " noise=3, seed=0)\n"
+        "fit(ds, MaskMatrix.all_observed(ds), FitConfig(k=4, c=3,"
+        " max_iter=1))\n"
+        "assert 'scipy.optimize' not in sys.modules\n")
+
+
+def test_model_import_leaves_scipy_sparse_out():
+    # the graphs are (n, k) numpy arrays; importing scipy.sparse would
+    # only add start-up time
+    run_fresh_python("import sys\n"
+                     "import climfs.model\n"
+                     "assert 'scipy.sparse' not in sys.modules\n")
 
 
 # Traced (tracemalloc) peak, in n x n float64 arrays, of init_state above
@@ -510,13 +555,31 @@ def test_validate_state_flags_tampering():
     cfg = FitConfig(k=4, c=2)
     st = init_state(masked, masks, cfg)
 
-    st.S[0][:, 0] *= 2.0
+    st.S_w[0][0] *= 2.0
     assert validate_state(st, masked, masks, cfg)["max_violation"] > 1e-6
 
-    st = init_state(masked, masks, cfg)
-    st.S[0][:, 0] = 0.0
-    st.S[0][1, 0] = 1.0
-    assert validate_state(st, masked, masks, cfg)["nnz_bad_columns"] == 1
+    # a column must hold k distinct in-range neighbours with nonzero
+    # weights, none the column itself
+    def zero_weight(st):
+        st.S_w[0][0] = [0.0, 0.5, 0.25, 0.25]
+
+    def duplicate(st):
+        st.S_nbr[1][4, 3] = st.S_nbr[1][4, 1]
+
+    def self_loop(st):
+        st.H_nbr[2, 1] = 2
+
+    def out_of_range(st):
+        st.H_nbr[6, 0] = -1
+        st.S_nbr[0][7, 3] = st.n_samples
+
+    for tamper, bad in ((zero_weight, 1), (duplicate, 1), (self_loop, 1),
+                        (out_of_range, 2)):
+        st = init_state(masked, masks, cfg)
+        tamper(st)
+        checks = validate_state(st, masked, masks, cfg)
+        assert checks["nnz_bad_columns"] == bad, tamper.__name__
+        assert checks["max_violation"] <= 1e-10, tamper.__name__
 
     st = init_state(masked, masks, cfg)
     r, c = np.argwhere(masks.masks[0] == 1.0)[0]
@@ -526,9 +589,9 @@ def test_validate_state_flags_tampering():
 
     # NaN is a violation, not a clean reading
     st = init_state(masked, masks, cfg)
-    st.S[0][1, 0] = st.alpha[0] = np.nan
+    st.S_w[0][0, 1] = st.alpha[0] = np.nan
     assert validate_state(st, masked, masks, cfg)["max_violation"] == np.inf
-    for tamper in ("H", "Fstar"):
+    for tamper in ("H_w", "Fstar"):
         st = init_state(masked, masks, cfg)
         getattr(st, tamper)[0, 1] = np.inf
         assert validate_state(st, masked, masks,
@@ -558,14 +621,16 @@ def test_fit_constraint_rows_equal_a_full_check_after_every_sub_update(kind):
     cfg = FitConfig(k=4, c=2, max_iter=5, tol=1e-15)
     comps = METHODS[kind]
     start = init_state(masked, masks, cfg, comps)
-    # distinct violations in S (k+1 nonzeros), H and alpha, so a part that
-    # is not re-measured after its block, or not carried, shows in a row
-    start.S[0][:, 0] = 0.0
-    start.S[0][1:cfg.k + 2, 0] = 1.0 / (cfg.k + 1)
+    # distinct violations in S (a zero weight, a self-loop), H (one
+    # neighbour repeated, weights summing to 1.5) and alpha, so a part
+    # that is not re-measured after its block, or not carried, shows in a
+    # row
+    start.S_w[0][0] = [0.0, 0.5, 0.25, 0.25]
+    start.S_nbr[1][2, 0] = 2
     far = np.argmax(np.where(np.arange(start.n_samples) == 1, -np.inf,
-                             _build_b(start, comps)[:, 1]))
-    start.H[:, 1] = 0.0
-    start.H[far, 1] = 1.5
+                             _build_b(start, comps, np.array([1]))[0]))
+    start.H_nbr[1] = far
+    start.H_w[1] = 1.5 / cfg.k
     start.alpha = start.alpha * 1.2
     _, trace = fit(masked, masks, cfg, comps, state=copy.deepcopy(start))
 
@@ -578,11 +643,13 @@ def test_fit_constraint_rows_equal_a_full_check_after_every_sub_update(kind):
             chk = validate_state(start, masked, masks, cfg)
             viol = max(viol, chk["max_violation"])
             bad = max(bad, chk["nnz_bad_columns"])
-        replay.append((viol, bad))
-    rows = [(r["max_violation"], r["nnz_bad_columns"]) for r in trace.rows]
+        start.sweeps += 1   # as in fit: it numbers the Adam steps
+        replay.append((viol, bad, objective(start, cfg, comps)[0]))
+    rows = [(r["max_violation"], r["nnz_bad_columns"], r["objective"])
+            for r in trace.rows]
     assert len(rows) == cfg.max_iter
     assert repr(rows) == repr(replay)   # bitwise, the sign of 0.0 included
-    assert rows[0] == (0.5, 2)
+    assert rows[0][:2] == (0.5, 3)
 
 
 def test_each_update_leaves_the_parts_it_does_not_write_unchanged():

@@ -20,6 +20,7 @@ from climfs.model import (EPS_DV, Components, FitConfig, ModelState,
                           _build_b, _build_q, _constrained_impute, init_state,
                           objective, update_alpha, update_Fstar, update_Fv,
                           update_S, update_H, update_W, update_Xhat)
+from graph_oracle import graph_fields, laplacian, set_graph
 
 # ----------------------------------------------------------------- helpers
 
@@ -66,8 +67,8 @@ def make_state(rng, n=8, dims=(4, 3), c=2, k=2):
         Fv=[rng.normal(size=(n, c)) * (rng.random((n, c)) < 0.5)
             for _ in range(V)],
         Fstar=np.abs(rng.normal(size=(n, c))),
-        S=[rand_graph(rng, n, k) for _ in range(V)],
-        H=rand_graph(rng, n, k),
+        **graph_fields([rand_graph(rng, n, k) for _ in range(V)],
+                       rand_graph(rng, n, k), k),
         alpha=a / a.sum(),
         adam=[numkit.AdamState.zeros((n, c)) for _ in range(V)],
         xi=[rng.random(n) * 0.1 for _ in range(V)],
@@ -282,7 +283,7 @@ def test_update_fstar_descends_subobjective():
     cfg = FitConfig(c=2, k=2)
     for _ in range(30):
         st = make_state(rng)
-        deg = numkit.sym_degrees(st.H)
+        deg = numkit.sym_degrees(st.H_nbr, st.H_w)
         before = _fstar_objective(st, st.Fstar, deg)
         update_Fstar(st, cfg)
         after = _fstar_objective(st, st.Fstar, deg)
@@ -305,19 +306,24 @@ def test_update_fstar_orthogonality_drift_bounded():
 
 
 def test_build_q_matches_literal_loops():
+    # row r of a block holds the costs of column cols[r]
     rng = np.random.default_rng(11)
     st = make_state(rng, n=7, dims=(4, 3, 5), c=2, k=2)
     for v in range(3):
-        assert np.allclose(_build_q(st, v), q_loops(st, v), atol=1e-12)
+        Q = q_loops(st, v)
+        for cols in (np.arange(7), np.array([5, 1, 2])):
+            assert np.allclose(_build_q(st, v, cols), Q[:, cols].T,
+                               atol=1e-12)
 
 
 def test_build_b_matches_literal_loops():
     rng = np.random.default_rng(12)
     st = make_state(rng, n=7, dims=(4, 3), c=2, k=2)
-    assert np.allclose(_build_b(st, Components()), b_loops(st), atol=1e-12)
-    assert np.allclose(
-        _build_b(st, Components(cluster_structure=False)),
-        b_loops(st, cluster_structure=False), atol=1e-12)
+    for comps in (Components(), Components(cluster_structure=False)):
+        B = b_loops(st, comps.cluster_structure)
+        for cols in (np.arange(7), np.array([6, 0])):
+            assert np.allclose(_build_b(st, comps, cols), B[:, cols].T,
+                               atol=1e-12)
 
 
 def test_update_s_matches_sequential_mirror():
@@ -334,7 +340,8 @@ def test_update_s_matches_sequential_mirror():
     assert update_S(st, cfg)["s_guard_skips"] == 0
     idx = np.arange(7)
     for v in range(3):
-        snapshot.S = [G.copy() for G in mirror_S]
+        for m in range(3):
+            set_graph(snapshot, m, mirror_S[m])
         Q = q_loops(snapshot, v)
         for j in range(7):
             keep = idx != j
@@ -385,8 +392,7 @@ def test_update_s_tie_break_prefers_lower_index():
         W=[np.ones((1, 1))],
         Fv=[np.zeros((3, 1))],
         Fstar=np.ones((3, 1)),
-        S=[shifted_graph(3, 1, 2)],
-        H=np.zeros((3, 3)),
+        **graph_fields([shifted_graph(3, 1, 2)], np.zeros((3, 3)), 1),
         alpha=np.array([1.0]),
         adam=[numkit.AdamState.zeros((3, 1))],
         xi=[np.full(3, SWAP_ALL)],
@@ -408,8 +414,8 @@ def test_update_s_equal_distances_selects_lowest_indices():
         W=[np.ones((n, 1))],
         Fv=[np.zeros((n, 1))],
         Fstar=np.ones((n, 1)),
-        S=[shifted_graph(n, k, 3)],     # starts on the highest indices
-        H=np.zeros((n, n)),
+        # starts on the highest indices
+        **graph_fields([shifted_graph(n, k, 3)], np.zeros((n, n)), k),
         alpha=np.array([1.0]),
         adam=[numkit.AdamState.zeros((n, 1))],
         xi=[np.full(n, SWAP_ALL)],
@@ -428,8 +434,7 @@ def test_update_s_duplicate_sample_one_hot():
         W=[np.ones((1, 1))],
         Fv=[np.zeros((4, 1))],
         Fstar=np.ones((4, 1)),
-        S=[shifted_graph(4, 1, 2)],
-        H=np.zeros((4, 4)),
+        **graph_fields([shifted_graph(4, 1, 2)], np.zeros((4, 4)), 1),
         alpha=np.array([1.0]),
         adam=[numkit.AdamState.zeros((4, 1))],
         xi=[np.full(4, SWAP_ALL)],
@@ -460,10 +465,11 @@ def test_update_h_concentrates_on_dominant_fused_entry():
     rng = np.random.default_rng(16)
     st = make_state(rng, n=6, dims=(4,), c=2, k=2)
     st.Fstar = np.ones((6, 2))          # no row gaps: b = -P exactly
-    st.S[0] = np.zeros((6, 6))
-    st.S[0][3, 0] = 1.0                 # huge fused attraction at (3, 0)
+    G = np.zeros((6, 6))
+    G[3, 0] = 1.0                       # huge fused attraction at (3, 0)
     for j in range(1, 6):
-        st.S[0][(j + 1) % 6 if (j + 1) % 6 != j else 0, j] = 1.0
+        G[(j + 1) % 6 if (j + 1) % 6 != j else 0, j] = 1.0
+    set_graph(st, 0, G)
     st.gamma = np.full(6, SWAP_ALL)
     assert update_H(st, FitConfig(c=2, k=2))["h_guard_skips"] == 0
     assert st.H[3, 0] == st.H[:, 0].max()
@@ -475,7 +481,7 @@ def test_update_h_concentrates_on_dominant_fused_entry():
 def test_update_alpha_identical_graphs_uniform():
     rng = np.random.default_rng(17)
     st = make_state(rng, n=7, dims=(4, 3), c=2, k=2)
-    st.S[1] = st.S[0].copy()
+    st.S_nbr[1], st.S_w[1] = st.S_nbr[0].copy(), st.S_w[0].copy()
     update_alpha(st, FitConfig(c=2, k=2))
     assert np.allclose(st.alpha, [0.5, 0.5], atol=1e-10)
 
@@ -534,7 +540,7 @@ def test_update_xhat_matches_kron_oracle():
         st, ds, masks = _xhat_instance(seed)
         cfg = FitConfig(c=2, k=2)
         M = st.W[0] @ (st.Fv[0] + st.Fstar).T
-        L = numkit.laplacian(st.S[0])
+        L = laplacian(st.S[0])
         d, n = M.shape
         A = np.kron(np.eye(d), (np.eye(n) + L).T)
         R = np.linalg.solve(A, M.reshape(-1)).reshape(d, n)
@@ -570,7 +576,7 @@ def test_constrained_impute_is_stationary():
     for seed in range(10):
         st, ds, masks = _xhat_instance(seed + 20)
         M = st.W[0] @ (st.Fv[0] + st.Fstar).T
-        L = numkit.laplacian(st.S[0])
+        L = laplacian(st.S[0])
         Z = _constrained_impute(M, np.eye(L.shape[0]) + L, masks.masks[0],
                                 ds.views[0])
         grad = 2.0 * (Z - M) + 2.0 * Z @ L
@@ -585,7 +591,10 @@ def test_update_xhat_bad_graph_raises_numeric_error(bad):
     # a non-finite S^v, or negative weights that make I + L indefinite,
     # must not reach LAPACK unchecked or fail with a LinAlgError
     st, ds, masks = _xhat_instance(5)
-    st.S[0][1, 0] = st.S[0][0, 1] = bad
+    G = st.S[0].copy()
+    G[:, :2] = 0.0
+    G[1, 0] = G[0, 1] = bad
+    set_graph(st, 0, G)
     with pytest.raises(NumericError):
         update_Xhat(st, ds, masks, FitConfig(c=2, k=2))
 
@@ -603,7 +612,7 @@ def test_xhat_guard_fallback_never_increases():
         st, ds, masks = _xhat_instance(seed + 100)
         cfg = FitConfig(c=2, k=2)
         M = st.W[0] @ (st.Fv[0] + st.Fstar).T
-        L = numkit.laplacian(st.S[0])
+        L = laplacian(st.S[0])
         R = np.linalg.solve(np.eye(6) + L, M.T).T
         clamped = R.copy()
         obs = masks.masks[0] == 1.0
@@ -629,15 +638,16 @@ def test_graph_terms_match_laplacian_forms():
     cfg = FitConfig(c=3, k=3)
     for n in (8, 40):
         st = make_state(rng, n=n, dims=(5, 4, 6), c=3, k=3)
-        st.S = [G * (1.0 + rng.random((n, n))) for G in st.S]  # asymmetric
-        st.H = st.H * (1.0 + rng.random((n, n)))
+        for v, G in enumerate(st.S):  # asymmetric
+            set_graph(st, v, G * (1.0 + rng.random((n, n))))
+        set_graph(st, "H", st.H * (1.0 + rng.random((n, n))))
         _, terms = objective(st, cfg)
         a, V = st.alpha, st.n_views
         expect = {
-            "smooth": sum(float(np.sum((X @ numkit.laplacian(S)) * X))
+            "smooth": sum(float(np.sum((X @ laplacian(S)) * X))
                           for X, S in zip(st.Xhat, st.S)),
             "fstar_smooth": float(np.sum(
-                st.Fstar * (numkit.laplacian(st.H) @ st.Fstar))),
+                st.Fstar * (laplacian(st.H) @ st.Fstar))),
             "cross_view": sum(a[v] * a[m] * float(np.sum(st.S[v] * st.S[m]))
                               for v in range(V) for m in range(V)),
             "fusion": -float(np.sum(st.H * sum(a[v] * st.S[v]

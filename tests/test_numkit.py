@@ -13,6 +13,8 @@ from climfs.numkit import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, COLUMN_BLOCK,
                            ksparse_simplex_columns, ksparse_simplex_min,
                            laplacian, simplex_qp, soft_threshold,
                            solve_scaled_sylvester, sq_dists)
+from graph_oracle import laplacian as dense_laplacian
+from graph_oracle import sparse
 
 # ---------------------------------------------------------------- oracles
 
@@ -66,6 +68,11 @@ def simplex_grid_oracle(Q, c, step=1e-3):
     vals = np.einsum("mi,mi->m", X @ Q, X) + X @ c
     best = int(np.argmin(vals))
     return X[best], vals[best]
+
+
+def columns(C, k):
+    """`ksparse_simplex_columns` on every column of the square costs C."""
+    return ksparse_simplex_columns(C.T.copy(), np.arange(C.shape[0]), k)
 
 
 def ksparse_column_loop(C, k):
@@ -245,7 +252,7 @@ def test_ksparse_columns_match_scalar_kernel_bitwise():
     cases.append((np.ones((7, 7)), 2, True))
     for C, k, tied in cases:
         G, halves, perturbed = ksparse_column_loop(C, k)
-        nbr, w, half, pert = ksparse_simplex_columns(C, k)
+        nbr, w, half, pert = columns(C, k)
         got = np.zeros_like(G)
         got[nbr, np.arange(C.shape[0])[:, None]] = w
         assert np.array_equal(got, G)
@@ -255,22 +262,28 @@ def test_ksparse_columns_match_scalar_kernel_bitwise():
     # the two-candidate tie of the update_S tie-break test: the perturbed
     # column 0 picks the lower index
     x = np.array([0.0, 1.0, -1.0])
-    nbr, w, _, pert = ksparse_simplex_columns(0.5 * (x[:, None] - x) ** 2, 1)
+    nbr, w, _, pert = columns(0.5 * (x[:, None] - x) ** 2, 1)
     assert pert[0] and nbr[0, 0] == 1 and w[0, 0] == 1.0
 
 
 def test_ksparse_columns_rejects_bad_input():
-    C = np.arange(16.0).reshape(4, 4)
+    Q = np.arange(16.0).reshape(4, 4)   # row r holds column r's costs
     with pytest.raises(ValueError):
-        ksparse_simplex_columns(C, 3)  # k must be < n - 1
+        columns(Q, 3)  # k must be < n - 1
     with pytest.raises(ValueError):
-        ksparse_simplex_columns(C[:, :3], 1)
-    C[2, 1] = np.nan
+        ksparse_simplex_columns(Q[:3].copy(), np.arange(4), 1)
+    Q[1, 2] = np.nan
     with pytest.raises(NumericError):
-        ksparse_simplex_columns(C, 1)
-    C[2, 1] = 0.0
-    C[1, 1] = np.nan  # the diagonal is left out
-    ksparse_simplex_columns(C, 1)
+        ksparse_simplex_columns(Q.copy(), np.arange(4), 1)
+    Q[1, 2] = 0.0
+    Q[1, 1] = np.nan  # a column's own entry is left out
+    ksparse_simplex_columns(Q.copy(), np.arange(4), 1)
+    # any subset of columns, in any order: rows match the whole batch
+    C = np.random.default_rng(5).normal(size=(9, 9))
+    cols = np.array([7, 2, 4])
+    some = ksparse_simplex_columns(C.T[cols], cols, 3)
+    for got, want in zip(some, columns(C, 3)):
+        assert np.array_equal(got, want[cols])
 
 
 # ------------------------------------------------------------ simplex QP
@@ -342,16 +355,25 @@ def test_simplex_qp_rejects_indefinite():
 
 
 def test_laplacian_small_graph():
-    A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    np.testing.assert_allclose(laplacian(A), [[0.5, -0.5], [-0.5, 0.5]])
+    # column 1 weighs row 0 by 1; column 0 lists row 1 with weight 0
+    nbr, w = np.array([[1], [0]]), np.array([[0.0], [1.0]])
+    np.testing.assert_allclose(laplacian(nbr, w), [[0.5, -0.5], [-0.5, 0.5]])
 
 
 def test_laplacian_symmetrized_is_psd():
     rng = np.random.default_rng(31)
     for _ in range(100):
-        n = int(rng.integers(2, 10))
-        A = rng.uniform(0, 1, size=(n, n))
-        L = laplacian(A)
+        n = int(rng.integers(3, 10))
+        k = int(rng.integers(1, n - 1))
+        nbr = np.stack([rng.choice(np.delete(np.arange(n), j), size=k,
+                                   replace=False) for j in range(n)])
+        w = rng.uniform(0, 1, size=(n, k))
+        L = laplacian(nbr, w)
+        A = np.zeros((n, n))
+        A[nbr, np.arange(n)[:, None]] = w
+        assert np.array_equal(L, L.T)
+        np.testing.assert_allclose(L, dense_laplacian(A), rtol=0,
+                                   atol=1e-15)
         eigs = np.linalg.eigvalsh(L)
         assert eigs.min() >= -1e-10
         np.testing.assert_allclose(L @ np.ones(n), 0.0, atol=1e-10)
@@ -359,7 +381,7 @@ def test_laplacian_symmetrized_is_psd():
 
 def test_laplacian_rejects_negative_entries():
     with pytest.raises(ValueError):
-        laplacian(np.array([[0.0, -0.1], [0.0, 0.0]]))
+        laplacian(*sparse(np.array([[0.0, -0.1], [0.1, 0.0]]), 1))
 
 
 # ------------------------------------------------------------- sq_dists
@@ -376,6 +398,12 @@ def test_sq_dists_matches_pairwise_loop():
     # identical columns cancel to rounding noise, clamped at 0
     X = np.repeat(rng.normal(size=(4, 1)) * 1e3, 3, axis=1)
     assert sq_dists(X).min() == 0.0
+    # a block of rows equals the same rows of the whole matrix, bit for bit
+    X = rng.normal(size=(7, COLUMN_BLOCK + 40))
+    D = sq_dists(X)
+    for r in (0, COLUMN_BLOCK):
+        cols = np.arange(r, min(r + COLUMN_BLOCK, X.shape[1]))
+        assert np.array_equal(sq_dists(X, cols), D[cols])
 
 
 # ------------------------------------------------------------------ adam
