@@ -42,8 +42,8 @@ from climfs.dataset import (MaskMatrix, MissingScenario, MultiViewDataset,
                             make_synthetic, save_dataset, save_masks)
 from climfs.errors import ConfigError, NumericError
 from climfs.evaluation import diagnostics_report, evaluate_selection
-from climfs.model import (FitConfig, ModelState, fit, load_state,
-                          rank_features, save_state)
+from climfs.model import (FitConfig, ModelState, load_state, rank_features,
+                          save_state)
 
 _SYNTH_KEYS = set(inspect.signature(make_synthetic).parameters)
 _SCENARIO_KEYS = {f.name for f in dataclasses.fields(MissingScenario)}
@@ -239,11 +239,8 @@ def _run_fit(cfg: dict, method: str, strict: bool) -> int:
     ds, masks = _load_simulated(cfg)
     fc = resolve_fit_config(cfg)
     t0 = time.perf_counter()
-    if method == "climfs":
-        state, trace = fit(ds, masks, fc, METHODS[method])
-    else:
-        _, state, trace = run_variant(method, ds, masks, fc,
-                                      cfg["feature_ratios"][0])
+    _, state, trace = run_variant(method, ds, masks, fc,
+                                  cfg["feature_ratios"][0])
     elapsed = time.perf_counter() - t0
     mroot = Path(cfg["out_dir"]) / "fit" / method
     save_state(state, fc, METHODS[method], mroot / "state")

@@ -24,11 +24,14 @@ recorded per iteration in the trace. Checkpoints restore every array bit
 for bit.
 
 Each graph is held as (n, k) neighbour arrays: for column j, the rows
-nbr[j] (ascending) and their weights w[j] (see `numkit`). The graph
-updates build their costs 256 columns at a time: one block of rows of
-the distance matrix, with the other graphs' weights added at their
-neighbours, and the descent guard reads the old columns' costs from that
-same block. Every other graph term is an O(n k) reduction. Only the
+nbr[j] (ascending) and their weights w[j] (see `numkit`). Every graph
+solve, at initialization and in each sweep, prices its columns with one
+cost form, given as a spec (Xs, terms): the mean over the data matrices
+Xs of the half squared distances between their columns, plus a times
+the weights of a graph at its neighbours for each term (a, graph).
+`_costs` builds these rows 256 columns at a time into one reused block,
+and the descent guard reads the old columns' costs from that same block.
+Every other graph term is an O(n k) reduction. Only the
 imputation system (factored by Cholesky in the one n x n array that
 holds it) and the spectral initialization (which asks only for the c
 eigenpairs it uses) build a dense graph matrix. `ModelState.S` and
@@ -222,12 +225,36 @@ def _row_sums(P: np.ndarray) -> np.ndarray:
     return total
 
 
-def _refresh(costs, n: int, k: int, old: tuple | None = None,
+def _costs(Xs: list[np.ndarray], terms: list[tuple], cols: np.ndarray,
+           out: np.ndarray) -> np.ndarray:
+    """Cost rows of the graph columns `cols`, written to `out` (row r
+    prices every sample as a neighbour of column cols[r]): the mean over
+    the data matrices Xs of the half squared distances between their
+    columns (zeros when Xs is empty), plus a * A[:, cols].T at the
+    neighbours of those columns for each term (a, nbr, w) of a graph A."""
+    if len(Xs) == 1:
+        numkit.sq_dists(Xs[0], cols, out)
+        out *= 0.5
+    else:
+        out.fill(0.0)
+        for X in Xs:
+            D = numkit.sq_dists(X, cols)
+            D *= 0.5
+            out += D
+            del D  # one distance block alive at a time
+        if Xs:
+            out /= len(Xs)
+    for a, nbr, w in terms:
+        at = nbr[cols] + np.arange(cols.size)[:, None] * out.shape[1]
+        np.add.at(out.reshape(-1), at.ravel(), (a * w[cols]).ravel())
+    return out
+
+
+def _refresh(spec: tuple, n: int, k: int, old: tuple | None = None,
              offset: float = 0.0) -> tuple:
     """Solve every column of a k-sparse simplex graph, COLUMN_BLOCK columns
-    at a time: `costs(cols, out)` returns the cost rows of the columns
-    `cols` (row r prices every sample as a neighbour of column cols[r]),
-    written to `out`, one block buffer reused for every block, and
+    at a time: `_costs(*spec, cols, out)` writes the cost rows of the
+    columns `cols` to one block buffer reused for every block, and
     `numkit.ksparse_simplex_columns` gives each column its closed-form
     weights and half-gap, stored as the coefficient half-gap - offset.
     With `old` = (nbr, w, coef), a column keeps its old neighbours,
@@ -241,7 +268,7 @@ def _refresh(costs, n: int, k: int, old: tuple | None = None,
     buf = np.empty((min(numkit.COLUMN_BLOCK, n), n))
     for j0 in range(0, n, numkit.COLUMN_BLOCK):
         cols = np.arange(j0, min(j0 + numkit.COLUMN_BLOCK, n))
-        Q = costs(cols, buf[:cols.size])
+        Q = _costs(*spec, cols, buf[:cols.size])
         at = np.arange(cols.size)[:, None]
         if old is not None:  # before the kernel overwrites Q[r, cols[r]]
             o_nbr, o_w, o_coef = (a[cols] for a in old)
@@ -261,14 +288,6 @@ def _refresh(costs, n: int, k: int, old: tuple | None = None,
         coef[cols] = b_coef
         perturbed += int(pert.sum())
     return nbr, w, coef, skipped, perturbed
-
-
-def _add_graph(Q: np.ndarray, cols: np.ndarray, a: float, nbr: np.ndarray,
-               w: np.ndarray) -> None:
-    """Add a * A[:, cols].T to the C-contiguous cost rows Q of the columns
-    `cols`, at the neighbours of those columns only."""
-    at = nbr[cols] + np.arange(cols.size)[:, None] * Q.shape[1]
-    np.add.at(Q.reshape(-1), at.ravel(), (a * w[cols]).ravel())
 
 
 def _positive_part(A: np.ndarray) -> np.ndarray:
@@ -309,23 +328,6 @@ def _spectral_partition(nbr: np.ndarray, w: np.ndarray, c: int,
     return kmeans(emb, c, seed=seed)
 
 
-def _half_sq_dists(X: np.ndarray, cols: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    D = numkit.sq_dists(X, cols, out)
-    D *= 0.5
-    return D
-
-
-def _mean_half_sq_dists(Xs: list[np.ndarray], cols: np.ndarray,
-                        out: np.ndarray) -> np.ndarray:
-    """The mean over the views Xs of `_half_sq_dists`, in `out`."""
-    out.fill(0.0)
-    for X in Xs:
-        out += _half_sq_dists(X, cols)
-    out /= len(Xs)
-    return out
-
-
 def init_state(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
                components: Components = FULL_MODEL) -> ModelState:
     """Deterministic initialization.
@@ -350,10 +352,8 @@ def init_state(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
     alpha = np.full(V, 1.0 / V)
     W = [np.ones((d, cfg.c)) for d in ds.dims]
 
-    S = [_refresh(lambda cols, out: _half_sq_dists(x, cols, out), n, k)[:2]
-         for x in Xhat]
-    H_nbr, H_w = _refresh(lambda cols, out: _mean_half_sq_dists(Xhat, cols,
-                                                                out), n, k)[:2]
+    S = [_refresh(([x], []), n, k)[:2] for x in Xhat]
+    H_nbr, H_w = _refresh((Xhat, []), n, k)[:2]
 
     labels = _spectral_partition(H_nbr, H_w, cfg.c, cfg.seed)
     Fstar = np.zeros((n, cfg.c))
@@ -369,55 +369,38 @@ def init_state(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
                        gamma=np.zeros(n))
     if components.graph_learning:
         for v in range(V):
-            state.xi[v] = _refresh(
-                lambda cols, out: _build_q(state, v, cols, out), n, k,
-                offset=alpha[v] ** 2)[2]
-        state.gamma = _refresh(
-            lambda cols, out: _build_b(state, components, cols, out), n,
-            k)[2]
+            state.xi[v] = _refresh(_q_spec(state, v), n, k,
+                                   offset=alpha[v] ** 2)[2]
+        state.gamma = _refresh(_b_spec(state, components), n, k)[2]
     return state
 
 
-# ------------------------------------------------------- cost-row builders
+# ------------------------------------------------------------ cost specs
 
 
-def _build_q(state: ModelState, v: int, cols: np.ndarray,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """Costs of the S^v subproblem for the columns `cols`, in `out` if
-    given: entry (r, i) prices sample i as a neighbor of sample
-    j = cols[r].
+def _q_spec(state: ModelState, v: int) -> tuple:
+    """`_costs` spec of the S^v subproblem: entry (j, i) prices sample i as
+    a neighbor of sample j,
 
     q_ij = ||xhat_i - xhat_j||^2 / 2 - alpha_v H_ij
            + 2 alpha_v sum_{m != v} alpha_m S^m_ij
 
     The cross-view factor 2 is the exact gradient of the double-sum
     coupling sum_{v,m} alpha_v alpha_m <S^v, S^m>, in which each unordered
-    pair appears twice. The graph terms are added at the neighbours of
-    each column only.
+    pair appears twice.
     """
     a = state.alpha
-    Q = _half_sq_dists(state.Xhat[v], cols, out)
-    _add_graph(Q, cols, -a[v], state.H_nbr, state.H_w)
-    for m in range(state.n_views):
-        if m != v:
-            _add_graph(Q, cols, 2.0 * a[v] * a[m], state.S_nbr[m],
-                       state.S_w[m])
-    return Q
+    return [state.Xhat[v]], [(-a[v], state.H_nbr, state.H_w)] + [
+        (2.0 * a[v] * a[m], state.S_nbr[m], state.S_w[m])
+        for m in range(state.n_views) if m != v]
 
 
-def _build_b(state: ModelState, components: Components, cols: np.ndarray,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """Costs of the H subproblem for the columns `cols`, rows and `out` as
-    in `_build_q`: fused-graph attraction plus, when the cluster-structure
-    term is active, consensus-factor distances."""
-    if components.cluster_structure:
-        B = _half_sq_dists(state.Fstar.T, cols, out)
-    else:
-        B = np.empty((cols.size, state.n_samples)) if out is None else out
-        B.fill(0.0)
-    for a, nbr, w in zip(state.alpha, state.S_nbr, state.S_w):
-        _add_graph(B, cols, -a, nbr, w)
-    return B
+def _b_spec(state: ModelState, components: Components) -> tuple:
+    """`_costs` spec of the H subproblem: fused-graph attraction plus, when
+    the cluster-structure term is active, consensus-factor distances."""
+    Xs = [state.Fstar.T] if components.cluster_structure else []
+    return Xs, [(-a, nbr, w) for a, nbr, w
+                in zip(state.alpha, state.S_nbr, state.S_w)]
 
 
 # ------------------------------------------------------------ sub-updates
@@ -562,7 +545,7 @@ def update_S(state: ModelState, cfg: FitConfig) -> dict:
     n, V = state.n_samples, state.n_views
     for v in range(V):
         (state.S_nbr[v], state.S_w[v], state.xi[v], skip, pert) = _refresh(
-            lambda cols, out: _build_q(state, v, cols, out), n, cfg.k,
+            _q_spec(state, v), n, cfg.k,
             (state.S_nbr[v], state.S_w[v], state.xi[v]), state.alpha[v] ** 2)
         skips, perturbed = skips + skip, perturbed + pert
     return {"s_columns": n * V, "s_guard_skips": skips,
@@ -576,7 +559,7 @@ def update_H(state: ModelState, cfg: FitConfig,
     consensus-factor distances when the cluster-structure term is on)."""
     n = state.n_samples
     (state.H_nbr, state.H_w, state.gamma, skips, perturbed) = _refresh(
-        lambda cols, out: _build_b(state, components, cols, out), n, cfg.k,
+        _b_spec(state, components), n, cfg.k,
         (state.H_nbr, state.H_w, state.gamma))
     return {"h_columns": n, "h_guard_skips": skips, "h_perturbed": perturbed}
 
@@ -976,9 +959,11 @@ def save_state(state: ModelState, cfg: FitConfig, components: Components,
 
 def load_state(path: str | Path) -> tuple[ModelState, FitConfig, Components]:
     """Reload a checkpoint written by `save_state`. A missing one, or one
-    with an entry missing or malformed (cfg and components keys included;
-    a graph array not shaped (n, k), neighbours that are not integers in
-    [0, n)), is a ConfigError, as is one in the flat-index graph layout of
+    with an entry missing or malformed (cfg keys and values that
+    `FitConfig.validate` rejects or a c above n, components that are not
+    booleans, sweeps that is not a non-negative integer, a graph array not
+    shaped (n, k), neighbours that are not integers in [0, n)), is a
+    ConfigError, as is one in the flat-index graph layout of
     earlier versions; header keys not read here, like the `adam_t` of
     earlier versions, are ignored. The view count is the length of
     alpha."""
@@ -990,10 +975,16 @@ def load_state(path: str | Path) -> tuple[ModelState, FitConfig, Components]:
         with np.load(path / "state.npz") as npz:
             arr = dict(npz)
         cfg = FitConfig(**header["cfg"])
+        cfg.validate()
         components = Components(**header["components"])
-        if not (isinstance(header["sweeps"], int) and header["sweeps"] >= 0):
+        if not all(isinstance(on, bool) for on in asdict(components).values()):
+            raise ValueError("components must be true or false")
+        sweeps = header["sweeps"]
+        if type(sweeps) is not int or sweeps < 0:  # a bool is no count
             raise ValueError("sweeps must be a non-negative integer")
         n = arr["Fstar"].shape[0]
+        if cfg.c > n:
+            raise ValueError(f"c={cfg.c} exceeds n={n}")
 
         def graph(name: str) -> tuple[np.ndarray, np.ndarray]:
             nbr, w = arr[f"{name}_nbr"], arr[f"{name}_w"]
@@ -1013,10 +1004,10 @@ def load_state(path: str | Path) -> tuple[ModelState, FitConfig, Components]:
             **{f: [arr[f"{f}_{v}"] for v in views] for f in _VIEW_ARRAYS},
             S_nbr=[g[0] for g in S], S_w=[g[1] for g in S],
             **dict(zip(("H_nbr", "H_w"), graph("H"))),
-            sweeps=header["sweeps"],
+            sweeps=sweeps,
             adam=[numkit.AdamState(m=arr[f"adam_m_{v}"],
                                    v=arr[f"adam_v_{v}"]) for v in views])
-    except (OSError, ValueError, TypeError, KeyError, IndexError,
+    except (ConfigError, OSError, ValueError, TypeError, KeyError, IndexError,
             zipfile.BadZipFile) as exc:  # an entry missing or malformed
         raise ConfigError(f"cannot read checkpoint {path} ({exc}); if an "
                           f"earlier version wrote it, refit it") from exc

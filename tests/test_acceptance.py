@@ -20,10 +20,10 @@ from climfs.dataset import (MissingScenario, MultiViewDataset, apply_missing,
                             make_synthetic)
 from climfs.evaluation import (clustering_accuracy, diagnostics_report,
                                evaluate_selection, nmi)
-from climfs.model import (FULL_MODEL, FitConfig, _build_b, _build_q, fit,
-                          init_state, rank_features, update_Fstar, update_Fv,
-                          update_H, update_S, update_W, update_Xhat,
-                          update_alpha, validate_state)
+from climfs.model import (FULL_MODEL, FitConfig, _b_spec, _costs, _q_spec,
+                          fit, init_state, rank_features, update_Fstar,
+                          update_Fv, update_H, update_S, update_W,
+                          update_Xhat, update_alpha, validate_state)
 from climfs.numkit import ksparse_simplex_columns, solve_scaled_sylvester
 
 # ---------------------------------------------------------------- oracles
@@ -156,9 +156,9 @@ def test_graph_column_updates_match_support_enumeration():
                         tol=1e-9, seed=j)
         state, _ = fit(masked, masks, cfg)
         cols = np.arange(6)   # row r of a block holds column r's costs
-        blocks = [_build_q(state, v, cols) for v in range(2)]
-        blocks.append(_build_b(state, FULL_MODEL, cols))
-        for mat in blocks:
+        for spec in (_q_spec(state, 0), _q_spec(state, 1),
+                     _b_spec(state, FULL_MODEL)):
+            mat = _costs(*spec, cols, np.empty((6, 6)))
             cases.extend((np.delete(mat[col], col), cfg.k) for col in cols)
     while len(cases) < 500:
         size = int(rng.integers(3, 7))

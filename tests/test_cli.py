@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import climfs.baselines as baselines
 import climfs.cli as cli
 import climfs.model as model
 from climfs.cli import load_config, main, resolve_fit_config
@@ -542,6 +543,29 @@ def test_malformed_graph_checkpoint_exits_2(tmp_path, capsys, tamper):
     assert capsys.readouterr().err.count("refit it") == 2
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("cfg", "c", 0), ("cfg", "c", 41), ("cfg", "seed", -1),
+    ("cfg", "c", True), ("cfg", "lam", "x"),
+    ("components", "graph_learning", "yes"), (None, "sweeps", True),
+], ids=["c_zero", "c_above_n", "negative_seed", "bool_c", "string_lam",
+        "string_component", "bool_sweeps"])
+def test_malformed_checkpoint_header_exits_2(tmp_path, capsys, section, key,
+                                             value):
+    cfg = base_config(tmp_path / "out")
+    cfg["fit"].update(max_iter=1, tol=1e-13)
+    p = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["simulate", "--config", p]) == 0
+    assert main(["fit", "--config", p]) == 0
+    path = tmp_path / "out" / "fit" / "climfs" / "state" / "header.json"
+    header = json.loads(path.read_text())
+    (header[section] if section else header)[key] = value
+    path.write_text(json.dumps(header))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", p]) == 2
+    assert main(["diagnose", "--config", p]) == 2
+    assert capsys.readouterr().err.count("refit it") == 2
+
+
 def test_fit_of_an_earlier_dataset_exits_2(tmp_path, capsys):
     # simulate again at another n after fitting: the fit no longer
     # matches the dataset it is evaluated and diagnosed against
@@ -647,7 +671,7 @@ def test_optimizer_failure_exits_3(tmp_path, monkeypatch, exc):
     def boom(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli, "fit", boom)
+    monkeypatch.setattr(baselines, "fit", boom)  # the fit run_variant calls
     assert main(["fit", "--config", p]) == 3
 
 

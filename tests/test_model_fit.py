@@ -20,10 +20,11 @@ from climfs.dataset import (MaskMatrix, MissingScenario, MultiViewDataset,
 from climfs.errors import ConfigError, NumericError
 from climfs.evaluation import kmeans
 from climfs.model import (EPS_DV, Components, FitConfig, ModelState,
-                          _build_b, _spectral_partition, fit, init_state,
-                          load_state, objective, rank_features, save_state,
-                          update_alpha, update_Fstar, update_Fv, update_H,
-                          update_S, update_W, update_Xhat, validate_state)
+                          _b_spec, _costs, _spectral_partition, fit,
+                          init_state, load_state, objective, rank_features,
+                          save_state, update_alpha, update_Fstar, update_Fv,
+                          update_H, update_S, update_W, update_Xhat,
+                          validate_state)
 
 # The state parts `validate_state` reads; each is written by one block.
 CHECKED_PARTS = ("Fstar", "S", "H", "alpha", "Xhat")
@@ -628,7 +629,8 @@ def test_fit_constraint_rows_equal_a_full_check_after_every_sub_update(kind):
     start.S_w[0][0] = [0.0, 0.5, 0.25, 0.25]
     start.S_nbr[1][2, 0] = 2
     far = np.argmax(np.where(np.arange(start.n_samples) == 1, -np.inf,
-                             _build_b(start, comps, np.array([1]))[0]))
+                             _costs(*_b_spec(start, comps), np.array([1]),
+                                    np.empty((1, start.n_samples)))[0]))
     start.H_nbr[1] = far
     start.H_w[1] = 1.5 / cfg.k
     start.alpha = start.alpha * 1.2

@@ -17,9 +17,10 @@ from climfs.dataset import (MaskMatrix, MissingScenario, MultiViewDataset,
 from climfs.errors import NumericError
 from climfs.evaluation import _consensus_value
 from climfs.model import (EPS_DV, Components, FitConfig, ModelState,
-                          _build_b, _build_q, _constrained_impute, init_state,
-                          objective, update_alpha, update_Fstar, update_Fv,
-                          update_S, update_H, update_W, update_Xhat)
+                          _b_spec, _constrained_impute, _costs, _q_spec,
+                          init_state, objective, update_alpha, update_Fstar,
+                          update_Fv, update_S, update_H, update_W,
+                          update_Xhat)
 from graph_oracle import graph_fields, laplacian, set_graph
 
 # ----------------------------------------------------------------- helpers
@@ -305,25 +306,43 @@ def test_update_fstar_orthogonality_drift_bounded():
 # ------------------------------------------------------------ update_S / H
 
 
-def test_build_q_matches_literal_loops():
+def test_q_spec_costs_match_literal_loops():
     # row r of a block holds the costs of column cols[r]
     rng = np.random.default_rng(11)
     st = make_state(rng, n=7, dims=(4, 3, 5), c=2, k=2)
     for v in range(3):
         Q = q_loops(st, v)
         for cols in (np.arange(7), np.array([5, 1, 2])):
-            assert np.allclose(_build_q(st, v, cols), Q[:, cols].T,
-                               atol=1e-12)
+            out = np.full((cols.size, 7), np.nan)
+            assert np.allclose(_costs(*_q_spec(st, v), cols, out),
+                               Q[:, cols].T, atol=1e-12)
 
 
-def test_build_b_matches_literal_loops():
+def test_b_spec_costs_match_literal_loops():
     rng = np.random.default_rng(12)
     st = make_state(rng, n=7, dims=(4, 3), c=2, k=2)
     for comps in (Components(), Components(cluster_structure=False)):
         B = b_loops(st, comps.cluster_structure)
         for cols in (np.arange(7), np.array([6, 0])):
-            assert np.allclose(_build_b(st, comps, cols), B[:, cols].T,
-                               atol=1e-12)
+            out = np.full((cols.size, 7), np.nan)
+            assert np.allclose(_costs(*_b_spec(st, comps), cols, out),
+                               B[:, cols].T, atol=1e-12)
+
+
+def test_init_specs_give_half_squared_distances_bitwise():
+    # the initial S^v price one view, the initial H the mean over views;
+    # both COLUMN_BLOCK-aligned blocks, the second one partial
+    rng = np.random.default_rng(30)
+    n = numkit.COLUMN_BLOCK + 40
+    Xs = [rng.normal(size=(d, n)) for d in (5, 3, 4)]
+    halves = [0.5 * numkit.sq_dists(X) for X in Xs]
+    mean = sum(halves) / len(Xs)
+    for j0 in (0, numkit.COLUMN_BLOCK):
+        cols = np.arange(j0, min(j0 + numkit.COLUMN_BLOCK, n))
+        out = np.full((cols.size, n), np.nan)
+        for X, half in zip(Xs, halves):
+            assert np.array_equal(_costs([X], [], cols, out), half[cols])
+        assert np.array_equal(_costs(Xs, [], cols, out), mean[cols])
 
 
 def test_update_s_matches_sequential_mirror():
