@@ -31,13 +31,14 @@ Xs of the half squared distances between their columns, plus a times
 the weights of a graph at its neighbours for each term (a, graph).
 `_costs` builds these rows 256 columns at a time into one reused block,
 and the descent guard reads the old columns' costs from that same block.
-Every other graph term is an O(n k) reduction. Only the
-imputation system (factored by Cholesky in the one n x n array that
-holds it) and the spectral initialization (which asks only for the c
-eigenpairs it uses) build a dense graph matrix. `ModelState.S` and
-`ModelState.H` give dense read-only copies for readers outside the
-optimizer. Factorization failures and non-finite graphs raise
-NumericError.
+Every other graph term is an O(n k) reduction, and the spectral
+initialization finds its c eigenpairs by Lanczos on a sparse form with at
+most 2k nonzeros per row. Only the imputation system (factored by
+Cholesky in the one n x n array that holds it), and the spectral
+initialization when c >= n - 1, build a dense graph matrix.
+`ModelState.S` and `ModelState.H` give dense read-only copies for readers
+outside the optimizer. Factorization and eigensolver failures and
+non-finite graphs raise NumericError.
 """
 
 from __future__ import annotations
@@ -303,26 +304,52 @@ def _negative_part(A: np.ndarray) -> np.ndarray:
 
 def _spectral_partition(nbr: np.ndarray, w: np.ndarray, c: int,
                         seed: int) -> np.ndarray:
-    """Cluster samples from the consensus graph: the eigenvectors of the c
-    smallest eigenvalues of the symmetric-normalized Laplacian of its
-    symmetrized form (whose diagonal is zero), rows normalized, then
-    seeded k-means on the rows. The Laplacian is built in one n x n array
-    and only those c eigenpairs are computed. A non-finite graph or an
-    eigensolver failure is a NumericError."""
+    """Cluster samples from the consensus graph (Ng, Jordan & Weiss 2002):
+    the eigenvectors of the c smallest eigenvalues of the
+    symmetric-normalized Laplacian I - N of its symmetrized form (whose
+    diagonal is zero), rows normalized, then seeded k-means on the rows.
+    Those are the c largest eigenpairs of N = D^-1/2 ((A + A^T) / 2)
+    D^-1/2, which has at most 2k nonzeros per row: implicitly restarted
+    Lanczos (ARPACK's `eigsh`) finds them from O(n k) sparse products,
+    started from a fixed pseudo-random vector so runs are byte-for-byte
+    repeatable. ARPACK cannot ask for c >= n - 1 pairs; those fall to a
+    dense eigensolve of the Laplacian in one n x n array. A non-finite
+    graph or an eigensolver failure is a NumericError."""
     if not np.isfinite(w).all():
         raise NumericError("non-finite consensus graph at initialization")
+    n = nbr.shape[0]
     dinv = 1.0 / np.sqrt(np.maximum(numkit.sym_degrees(nbr, w), 1e-30))
-    L = numkit.laplacian(nbr, w)
-    L *= dinv[:, None]
-    L *= dinv[None, :]
-    L.flat[::L.shape[0] + 1] = 1.0
-    try:
-        # L is symmetric up to rounding, so its transpose is the
-        # Fortran-ordered array LAPACK overwrites without a copy
-        emb = scipy.linalg.eigh(L.T, subset_by_index=[0, c - 1],
-                                overwrite_a=True, check_finite=False)[1]
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"spectral initialization failed: {exc}") from exc
+    if c >= n - 1:
+        L = numkit.laplacian(nbr, w)
+        L *= dinv[:, None]
+        L *= dinv[None, :]
+        L.flat[::n + 1] = 1.0
+        try:
+            # L is symmetric up to rounding, so its transpose is the
+            # Fortran-ordered array LAPACK overwrites without a copy
+            emb = scipy.linalg.eigh(L.T, subset_by_index=[0, c - 1],
+                                    overwrite_a=True, check_finite=False)[1]
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(
+                f"spectral initialization failed: {exc}") from exc
+    else:
+        # imported here: `import climfs.model` leaves scipy.sparse out
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.linalg import ArpackError, eigsh
+        rows, cols = nbr.ravel(), np.repeat(np.arange(n), nbr.shape[1])
+        # entry (i, j) adds A_ij / 2 and A_ji / 2, each scaled by the one
+        # product dinv_i dinv_j, so N is exactly symmetric
+        half = 0.5 * w.ravel() * (dinv[rows] * dinv[cols])
+        N = csr_matrix((np.concatenate([half, half]),
+                        (np.concatenate([rows, cols]),
+                         np.concatenate([cols, rows]))), shape=(n, n))
+        try:
+            emb = eigsh(N, k=c, which="LA",
+                        v0=np.random.default_rng(0).standard_normal(n))[1]
+        except ArpackError as exc:
+            raise NumericError(
+                f"spectral initialization failed: {exc}") from exc
+        emb = emb[:, ::-1]  # N's largest first: the Laplacian's order
     norms = np.linalg.norm(emb, axis=1, keepdims=True)
     emb = emb / np.where(norms == 0.0, 1.0, norms)
     return kmeans(emb, c, seed=seed)
@@ -582,10 +609,12 @@ def update_alpha(state: ModelState, cfg: FitConfig) -> dict:
     """View weights from the simplex QP min a^T Q a + c^T a with
     Q_vm = <S^v, S^m> and c_v = -<H, S^v>, solved exactly by
     `numkit.simplex_qp` (support enumeration over the V views), so the
-    step is a block minimizer and cannot raise the objective."""
+    step is a block minimizer and cannot raise the objective. Returns
+    (Q, h) under "inner": no later block of a sweep writes a graph, so
+    `fit` hands them to the end-of-sweep `objective`."""
     Q, h = _graph_inner_products(state)
     state.alpha = numkit.simplex_qp(Q, -h)
-    return {}
+    return {"inner": (Q, h)}
 
 
 def _identity_plus_laplacian(nbr: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -679,7 +708,8 @@ def _constrained_impute(M: np.ndarray, K: np.ndarray, mask: np.ndarray,
 
 
 def objective(state: ModelState, cfg: FitConfig,
-              components: Components = FULL_MODEL) -> tuple[float, dict]:
+              components: Components = FULL_MODEL,
+              inner: tuple | None = None) -> tuple[float, dict]:
     """Traced objective value and its additive term breakdown.
 
     Terms (zero when their component is off):
@@ -700,7 +730,8 @@ def objective(state: ModelState, cfg: FitConfig,
     keep it non-increasing across the alternating sweep. The graph terms
     are O(n k) reductions on the neighbour arrays: smooth and fstar_smooth
     are numkit.laplacian_quad forms, and the inner products of the graphs
-    are taken once per unordered pair.
+    are taken once per unordered pair, unless `inner` gives them as the
+    (Q, h) of `_graph_inner_products` on the current graphs.
     """
     terms = {}
     recon = 0.0
@@ -718,7 +749,7 @@ def objective(state: ModelState, cfg: FitConfig,
     terms["fv_l1"] = cfg.beta * fv_l1
 
     if components.graph_learning:
-        Q, h = _graph_inner_products(state)
+        Q, h = _graph_inner_products(state) if inner is None else inner
         terms["smooth"] = sum(numkit.laplacian_quad(X, nbr, w) for X, nbr, w
                               in zip(state.Xhat, state.S_nbr, state.S_w))
         terms["cross_view"] = float(state.alpha @ Q @ state.alpha)
@@ -797,10 +828,12 @@ def validate_state(state: ModelState, ds: MultiViewDataset,
 
 def _checked_objective(state: ModelState, ds: MultiViewDataset,
                        masks: MaskMatrix, cfg: FitConfig,
-                       components: Components, when: str) -> tuple:
-    """Objective, terms and `validate_state`'s per-part readings; a
-    non-finite objective or a changed observed entry is a NumericError."""
-    obj, terms = objective(state, cfg, components)
+                       components: Components, when: str,
+                       inner: tuple | None = None) -> tuple:
+    """Objective (given the graph inner products `inner`, if known),
+    terms and `validate_state`'s per-part readings; a non-finite objective
+    or a changed observed entry is a NumericError."""
+    obj, terms = objective(state, cfg, components, inner)
     if not np.isfinite(obj):
         raise NumericError(f"non-finite objective {when}")
     checks = validate_state(state, ds, masks, cfg)
@@ -812,6 +845,35 @@ def _checked_objective(state: ModelState, ds: MultiViewDataset,
 # -------------------------------------------------------------------- fit
 
 
+def _check_resumable(state: ModelState, ds: MultiViewDataset,
+                     cfg: FitConfig) -> None:
+    """A ConfigError naming the first field of `state` whose view count or
+    shape does not fit the dataset `ds` and the settings `cfg`."""
+    n, V, c, k = ds.n_samples, ds.n_views, cfg.c, cfg.k
+    per_view = {"Xhat": [(d, n) for d in ds.dims],
+                "W": [(d, c) for d in ds.dims], "Fv": [(n, c)] * V,
+                "S_nbr": [(n, k)] * V, "S_w": [(n, k)] * V, "xi": [(n,)] * V,
+                "adam": [(n, c)] * V}
+    for name in per_view:
+        if len(getattr(state, name)) != V:
+            raise ConfigError(f"state {name} holds {len(getattr(state, name))}"
+                              f" views, the dataset {V}")
+    if state.n_samples != n:
+        raise ConfigError(f"state Fstar holds {state.n_samples} samples, the "
+                          f"dataset {n}")
+    found = [(name, getattr(state, name), shape) for name, shape in (
+        ("Fstar", (n, c)), ("H_nbr", (n, k)), ("H_w", (n, k)),
+        ("alpha", (V,)), ("gamma", (n,)))]
+    for name, shapes in per_view.items():
+        found += [(f"{name}[{v}]", a.m if name == "adam" else a, shape)
+                  for v, (a, shape) in enumerate(zip(getattr(state, name),
+                                                     shapes))]
+    for name, a, shape in found:
+        if np.shape(a) != shape:
+            raise ConfigError(f"state {name} is shaped {np.shape(a)}, but "
+                              f"n={n}, c={c}, k={k} need {shape}")
+
+
 def fit(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
         components: Components = FULL_MODEL,
         state: ModelState | None = None) -> tuple[ModelState, FitTrace]:
@@ -820,22 +882,25 @@ def fit(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
 
     Pass `state` to resume from a checkpoint; the continuation is
     identical to an uninterrupted run because every update is
-    deterministic given the state. The trace holds one row per completed
-    iteration: objective, term breakdown, constraint measurements, guard
-    counters, the seconds of each block (t_W ... t_Xhat, and t_check for
-    the objective and constraint check) and the wall time they add up to.
-    Rows are numbered by `state.sweeps`, the sweeps the state has
-    completed, so a resumed trace continues the numbering of the run it
-    resumes. Constraints are measured on the start
-    state and after every sweep; a row's readings equal the largest of a
-    full check after every sub-update. The first row's rel_change is
-    against the start state. A non-finite objective or a changed observed
-    entry raises NumericError.
+    deterministic given the state. A state whose view count or array
+    shapes do not fit `ds` and `cfg` (n, c, k) is a ConfigError. The
+    trace holds one row per completed iteration: objective, term
+    breakdown, constraint measurements, guard counters, the seconds of
+    each block (t_W ... t_Xhat, and t_check for the objective and
+    constraint check) and the wall time they add up to. Rows are numbered
+    by `state.sweeps`, the sweeps the state has completed, so a resumed
+    trace continues the numbering of the run it resumes. Constraints are
+    measured on the start state and after every sweep; a row's readings
+    equal the largest of a full check after every sub-update. The first
+    row's rel_change is against the start state. A non-finite objective
+    or a changed observed entry raises NumericError.
     """
     cfg.validate()
     masks.check_against(ds)
     if state is None:
         state = init_state(ds, masks, cfg, components)
+    else:
+        _check_resumable(state, ds, cfg)
 
     trace = FitTrace()
     obj, _, before = _checked_objective(state, ds, masks, cfg, components,
@@ -867,8 +932,9 @@ def fit(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
             t_now = time.perf_counter()
             counters[f"t_{name}"], t_last = t_now - t_last, t_now
 
+        inner = counters.pop("inner", None)  # update_alpha's (Q, h)
         obj_new, terms, after = _checked_objective(
-            state, ds, masks, cfg, components, f"after iteration {it}")
+            state, ds, masks, cfg, components, f"after iteration {it}", inner)
         t_now = time.perf_counter()
         counters["t_check"] = t_now - t_last
         # each checked part has one writer (parts in writer order): a full

@@ -675,6 +675,21 @@ def test_optimizer_failure_exits_3(tmp_path, monkeypatch, exc):
     assert main(["fit", "--config", p]) == 3
 
 
+def test_eigensolver_failure_at_initialization_exits_3(tmp_path,
+                                                       monkeypatch):
+    import scipy.sparse.linalg
+    p = write_config(tmp_path / "cfg.json", base_config(tmp_path / "out"))
+    assert main(["simulate", "--config", p]) == 0
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence",
+                                                      np.empty(0),
+                                                      np.empty((0, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    assert main(["fit", "--config", p]) == 3
+
+
 def test_nonfinite_iterate_raises_and_exits_3(tmp_path, monkeypatch):
     # a NaN in a masked entry of the graph-free variant's imputed data
     # makes the objective of the start state non-finite

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from climfs import numkit
 from climfs.baselines import METHODS
 from climfs.dataset import (MaskMatrix, MissingScenario, MultiViewDataset,
                             apply_missing, make_synthetic)
@@ -127,6 +128,71 @@ def test_spectral_partition_rejects_nonfinite_graph():
     st.H_w[0, 2] = np.nan
     with pytest.raises(NumericError, match="non-finite consensus graph"):
         _spectral_partition(st.H_nbr, st.H_w, 2, 0)
+
+
+@pytest.mark.parametrize("n", [40, numkit.COLUMN_BLOCK + 44])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_spectral_partition_matches_the_oracle_on_both_solvers(n, seed):
+    # c < n - 1 runs the Lanczos solve on the sparse form, c >= n - 1 the
+    # dense eigensolve
+    ds = make_synthetic(n=n, views=2, clusters=3, informative=3, noise=3,
+                        seed=seed)
+    masked, masks = apply_missing(ds, MissingScenario("mixed", 0.3, seed))
+    st = init_state(masked, masks, FitConfig(k=5, c=3))
+    for c in (1, 3, n // 2, n - 2, n - 1, n):
+        assert np.array_equal(_spectral_partition(st.H_nbr, st.H_w, c, seed),
+                              spectral_partition_oracle(st.H, c, seed)), c
+
+
+@pytest.mark.parametrize("n", [6, 12, 30, 200])
+def test_spectral_partition_repeats_bytewise_on_a_ring(n):
+    # every degree is equal, so the ones vector is an exact eigenvector
+    # and the second eigenvalue is double: the partition is repeatable
+    # only if the Lanczos start vector is fixed, whatever ARPACK's own
+    # random state did in between
+    from scipy.sparse.linalg import eigsh
+    nbr = np.sort(np.stack([np.arange(n) - 1, np.arange(n) + 1], axis=1) % n,
+                  axis=1)
+    w = np.full((n, 2), 0.5)
+    first = _spectral_partition(nbr, w, 3, 0)
+    rng = np.random.default_rng(1)
+    B = rng.normal(size=(20, 20))
+    eigsh(B + B.T, k=2)
+    assert _spectral_partition(nbr, w, 3, 0).tobytes() == first.tobytes()
+
+
+def test_spectral_partition_maps_an_eigensolver_failure_to_numeric_error(
+        monkeypatch):
+    import scipy.sparse.linalg
+    masked, masks = small_instance(seed=3)
+    st = init_state(masked, masks, FitConfig(k=4, c=2))
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence",
+                                                      np.empty(0),
+                                                      np.empty((0, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    with pytest.raises(NumericError, match="spectral initialization failed"):
+        _spectral_partition(st.H_nbr, st.H_w, 2, 0)
+
+
+def test_spectral_partition_builds_no_dense_array():
+    # the dense Laplacian and its eigensolve peaked at 1.15 n x n arrays
+    n = 300
+    ds = make_synthetic(n=n, views=2, clusters=3, informative=4, noise=6,
+                        seed=0)
+    masked, masks = apply_missing(ds, MissingScenario("mixed", 0.5, 1))
+    st = init_state(masked, masks, FitConfig(k=6, c=3))
+    _spectral_partition(st.H_nbr, st.H_w, 3, 0)  # imports outside the probe
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        _spectral_partition(st.H_nbr, st.H_w, 3, 0)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * n * n * 8, round(peak / (n * n * 8), 2)
 
 
 def test_init_graph_columns_and_factors():
@@ -434,6 +500,32 @@ def run_fresh_python(code: str) -> None:
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
                    timeout=120)
+
+
+@pytest.mark.parametrize("n, change, field", [
+    (30, {"k": 5}, "H_nbr"), (30, {"k": 3}, "H_nbr"), (30, {"c": 2}, "Fstar"),
+    (31, {}, "samples")], ids=["k_up", "k_down", "c_down", "n_up"])
+def test_resuming_a_state_that_does_not_fit_is_a_config_error(n, change,
+                                                              field):
+    cfg = FitConfig(k=4, c=3, max_iter=2, tol=1e-15)
+    st, _ = fit(*small_instance(seed=19), cfg)
+    masked, masks = small_instance(seed=19, n=n)
+    with pytest.raises(ConfigError, match=field):
+        fit(masked, masks, dataclasses.replace(cfg, **change), state=st)
+
+
+def test_fit_takes_the_graph_inner_products_once_per_sweep(monkeypatch):
+    # V = 2: three pairs of view graphs and two of (H, S^v) per pass, on
+    # the start state and once per sweep (update_alpha's pass also
+    # prices the end-of-sweep objective; no block after it writes a graph)
+    masked, masks = small_instance(seed=20)
+    calls = []
+    real = numkit.graph_inner
+    monkeypatch.setattr(numkit, "graph_inner",
+                        lambda *args: calls.append(1) or real(*args))
+    _, trace = fit(masked, masks, FitConfig(k=4, c=2, max_iter=3, tol=1e-15))
+    assert trace.iterations == 3
+    assert len(calls) == 5 + 5 * 3
 
 
 def test_fit_does_not_import_scipy_optimize():
