@@ -42,8 +42,8 @@ from climfs.dataset import (MaskMatrix, MissingScenario, MultiViewDataset,
                             make_synthetic, save_dataset, save_masks)
 from climfs.errors import ConfigError, NumericError
 from climfs.evaluation import diagnostics_report, evaluate_selection
-from climfs.model import (FitConfig, ModelState, load_state, rank_features,
-                          save_state)
+from climfs.model import (FitConfig, ModelState, check_state, load_state,
+                          rank_features, save_state)
 
 _SYNTH_KEYS = set(inspect.signature(make_synthetic).parameters)
 _SCENARIO_KEYS = {f.name for f in dataclasses.fields(MissingScenario)}
@@ -266,9 +266,12 @@ def cmd_fit(cfg: dict, strict: bool) -> int:
 def _load_fit(cfg: dict, method: str, ds) -> tuple[ModelState, FitConfig]:
     """`method`'s fitted state and settings, checked against `ds`."""
     state, fc, _ = load_state(Path(cfg["out_dir"]) / "fit" / method / "state")
-    if [x.shape for x in state.Xhat] != [x.shape for x in ds.views]:
-        raise ConfigError(f"the '{method}' fit does not match the dataset "
-                          f"under {_dataset_dir(cfg)}; refit it")
+    try:
+        check_state(state, ds.n_samples, ds.dims, fc)
+    except ConfigError as exc:
+        raise ConfigError(
+            f"the '{method}' fit does not match the dataset under "
+            f"{_dataset_dir(cfg)} ({exc}); refit it") from exc
     return state, fc
 
 

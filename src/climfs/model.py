@@ -85,7 +85,8 @@ class FitConfig:
     (neighbors per column, 1 <= k <= n-2); c the number of clusters;
     max_iter caps the sweeps, tol bounds the relative objective change
     that stops them, and seed (>= 0) seeds the initialization and the
-    CLI's k-means scoring. `validate` checks types and values.
+    CLI's k-means scoring. `validate` checks types and values and, given
+    the sample count n, that k <= n-2 and c <= n.
     """
 
     lam: float = 1.0
@@ -96,7 +97,7 @@ class FitConfig:
     tol: float = 1e-5
     seed: int = 0
 
-    def validate(self) -> None:
+    def validate(self, n: int | None = None) -> None:
         for f in fields(self):  # bools are ints to Python, not here
             x, whole = getattr(self, f.name), f.type in (int, "int")
             if isinstance(x, bool) or not isinstance(
@@ -113,6 +114,10 @@ class FitConfig:
             raise ConfigError("seed must be >= 0")
         if not self.tol > 0:
             raise ConfigError("tol must be positive (inf allowed)")
+        if n is not None and self.k > n - 2:
+            raise ConfigError(f"k={self.k} too large for n={n} (k <= n-2)")
+        if n is not None and self.c > n:
+            raise ConfigError(f"c={self.c} too large for n={n} (c <= n)")
 
 
 @dataclass(frozen=True)
@@ -135,24 +140,24 @@ FULL_MODEL = Components()
 
 @dataclass
 class ModelState:
-    """All optimization variables; arrays follow the (features, samples)
-    column-sample convention of `climfs.dataset`. Each graph is a pair of
-    (n, k) arrays: row j of `*_nbr` lists the rows of graph column j (the
-    neighbours of sample j) in ascending order, and row j of `*_w` their
-    weights."""
+    """All optimization variables, with the shapes `_layout` gives; arrays
+    follow the (features, samples) column-sample convention of
+    `climfs.dataset`. Each graph is a pair of (n, k) arrays: row j of
+    `*_nbr` lists the rows of graph column j (the neighbours of sample j)
+    in ascending order, and row j of `*_w` their weights."""
 
-    Xhat: list[np.ndarray]          # (d_v, n) imputed data
-    W: list[np.ndarray]             # (d_v, c) projections
-    Fv: list[np.ndarray]            # (n, c) view-specific factors
-    Fstar: np.ndarray               # (n, c) consensus factor, >= 0
-    S_nbr: list[np.ndarray]         # (n, k) view graph neighbours
-    S_w: list[np.ndarray]           # (n, k) view graph weights, simplex
-    H_nbr: np.ndarray               # (n, k) consensus graph neighbours
-    H_w: np.ndarray                 # (n, k) consensus graph weights
-    alpha: np.ndarray               # (V,) view weights on the simplex
+    Xhat: list[np.ndarray]          # imputed data
+    W: list[np.ndarray]             # projections
+    Fv: list[np.ndarray]            # view-specific factors
+    Fstar: np.ndarray               # consensus factor, >= 0
+    S_nbr: list[np.ndarray]         # view graph neighbours
+    S_w: list[np.ndarray]           # view graph weights, simplex
+    H_nbr: np.ndarray               # consensus graph neighbours
+    H_w: np.ndarray                 # consensus graph weights
+    alpha: np.ndarray               # view weights on the simplex
     adam: list[numkit.AdamState]    # per-view Adam moments for Fv
-    xi: list[np.ndarray]            # (n,) per-column S quadratic offsets
-    gamma: np.ndarray               # (n,) per-column H quadratic weights
+    xi: list[np.ndarray]            # per-column S quadratic offsets
+    gamma: np.ndarray               # per-column H quadratic weights
     sweeps: int = 0                 # completed sweeps; numbers trace rows
 
     @property
@@ -367,13 +372,9 @@ def init_state(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
     F^v starts at zero. The graphs are built from nothing, so their
     columns are set without the descent guard.
     """
-    cfg.validate()
+    cfg.validate(ds.n_samples)
     masks.check_against(ds)
     n, V, k = ds.n_samples, ds.n_views, cfg.k
-    if k > n - 2:
-        raise ConfigError(f"k={k} too large for n={n} (need k <= n-2)")
-    if cfg.c > n:
-        raise ConfigError("more clusters than samples")
 
     Xhat = [mean_impute(v, m) for v, m in zip(ds.views, masks.masks)]
     alpha = np.full(V, 1.0 / V)
@@ -650,7 +651,7 @@ def _xhat_subobjective(X: np.ndarray, M: np.ndarray, nbr: np.ndarray,
 
 
 def update_Xhat(state: ModelState, ds: MultiViewDataset, masks: MaskMatrix,
-                cfg: FitConfig, components: Components = FULL_MODEL) -> dict:
+                components: Components = FULL_MODEL) -> dict:
     """Re-impute the masked entries of every view.
 
     The unconstrained minimizer of ||X - M||^2 + tr(X L X^T) is
@@ -845,35 +846,6 @@ def _checked_objective(state: ModelState, ds: MultiViewDataset,
 # -------------------------------------------------------------------- fit
 
 
-def _check_resumable(state: ModelState, ds: MultiViewDataset,
-                     cfg: FitConfig) -> None:
-    """A ConfigError naming the first field of `state` whose view count or
-    shape does not fit the dataset `ds` and the settings `cfg`."""
-    n, V, c, k = ds.n_samples, ds.n_views, cfg.c, cfg.k
-    per_view = {"Xhat": [(d, n) for d in ds.dims],
-                "W": [(d, c) for d in ds.dims], "Fv": [(n, c)] * V,
-                "S_nbr": [(n, k)] * V, "S_w": [(n, k)] * V, "xi": [(n,)] * V,
-                "adam": [(n, c)] * V}
-    for name in per_view:
-        if len(getattr(state, name)) != V:
-            raise ConfigError(f"state {name} holds {len(getattr(state, name))}"
-                              f" views, the dataset {V}")
-    if state.n_samples != n:
-        raise ConfigError(f"state Fstar holds {state.n_samples} samples, the "
-                          f"dataset {n}")
-    found = [(name, getattr(state, name), shape) for name, shape in (
-        ("Fstar", (n, c)), ("H_nbr", (n, k)), ("H_w", (n, k)),
-        ("alpha", (V,)), ("gamma", (n,)))]
-    for name, shapes in per_view.items():
-        found += [(f"{name}[{v}]", a.m if name == "adam" else a, shape)
-                  for v, (a, shape) in enumerate(zip(getattr(state, name),
-                                                     shapes))]
-    for name, a, shape in found:
-        if np.shape(a) != shape:
-            raise ConfigError(f"state {name} is shaped {np.shape(a)}, but "
-                              f"n={n}, c={c}, k={k} need {shape}")
-
-
 def fit(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
         components: Components = FULL_MODEL,
         state: ModelState | None = None) -> tuple[ModelState, FitTrace]:
@@ -882,8 +854,8 @@ def fit(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
 
     Pass `state` to resume from a checkpoint; the continuation is
     identical to an uninterrupted run because every update is
-    deterministic given the state. A state whose view count or array
-    shapes do not fit `ds` and `cfg` (n, c, k) is a ConfigError. The
+    deterministic given the state. A state that `check_state` rejects
+    against `ds` and `cfg` is a ConfigError. The
     trace holds one row per completed iteration: objective, term
     breakdown, constraint measurements, guard counters, the seconds of
     each block (t_W ... t_Xhat, and t_check for the objective and
@@ -900,7 +872,7 @@ def fit(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
     if state is None:
         state = init_state(ds, masks, cfg, components)
     else:
-        _check_resumable(state, ds, cfg)
+        check_state(state, ds.n_samples, ds.dims, cfg)
 
     trace = FitTrace()
     obj, _, before = _checked_objective(state, ds, masks, cfg, components,
@@ -914,7 +886,7 @@ def fit(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
                    ("H", lambda: update_H(state, cfg, components)),
                    ("alpha", lambda: update_alpha(state, cfg))]
     if components.adaptive_imputation:
-        blocks.append(("Xhat", lambda: update_Xhat(state, ds, masks, cfg,
+        blocks.append(("Xhat", lambda: update_Xhat(state, ds, masks,
                                                    components)))
     counters_zero = {
         **{k: 0 for k in ("fv_backtracks", "fv_stalls", "fstar_backtracks",
@@ -994,28 +966,60 @@ def rank_features(state: ModelState, ratio: float) -> SelectionResult:
 # ---------------------------------------------------------- serialization
 
 
-# ModelState arrays a checkpoint stores as they are: one per view, shared.
-_VIEW_ARRAYS = ("Xhat", "W", "Fv", "xi")
-_SHARED_ARRAYS = ("Fstar", "alpha", "gamma")
+def _layout(state: ModelState, n: int, dims: list[int],
+            cfg: FitConfig) -> dict[str, tuple[np.ndarray, tuple]]:
+    """The state's layout: each checkpoint name, in `save_state`'s order,
+    with the array of `state` it holds and the shape that array needs for
+    n samples, views of dims[v] features and the c and k of `cfg`."""
+    c, k, V = cfg.c, cfg.k, len(dims)
+    layout = {"Fstar": (state.Fstar, (n, c)), "alpha": (state.alpha, (V,)),
+              "gamma": (state.gamma, (n,)), "H_nbr": (state.H_nbr, (n, k)),
+              "H_w": (state.H_w, (n, k))}
+    for v, d in enumerate(dims):
+        layout.update({f"Xhat_{v}": (state.Xhat[v], (d, n)),
+                       f"W_{v}": (state.W[v], (d, c)),
+                       f"Fv_{v}": (state.Fv[v], (n, c)),
+                       f"xi_{v}": (state.xi[v], (n,)),
+                       f"adam_m_{v}": (state.adam[v].m, (n, c)),
+                       f"adam_v_{v}": (state.adam[v].v, (n, c)),
+                       f"S_{v}_nbr": (state.S_nbr[v], (n, k)),
+                       f"S_{v}_w": (state.S_w[v], (n, k))})
+    return layout
+
+
+def check_state(state: ModelState, n: int, dims: list[int],
+                cfg: FitConfig) -> None:
+    """A ConfigError naming the first field of `state` that does not fit n
+    samples, views of dims[v] features and `cfg`: a per-view list without
+    one entry per view, a c or k too large for n (`cfg.validate`), an array
+    of `_layout` off its shape, or neighbours not integers in [0, n)."""
+    for f in fields(state):
+        views = getattr(state, f.name)
+        if isinstance(views, list) and len(views) != len(dims):
+            raise ConfigError(f"state {f.name} holds {len(views)} views, the "
+                              f"dataset {len(dims)}")
+    cfg.validate(n)
+    for name, (a, shape) in _layout(state, n, dims, cfg).items():
+        if np.shape(a) != shape:
+            raise ConfigError(f"state {name} is shaped {np.shape(a)}, not "
+                              f"{shape} (n={n} samples, c={cfg.c}, k={cfg.k})")
+        if name.endswith("_nbr") and not (np.issubdtype(a.dtype, np.integer)
+                                          and ((0 <= a) & (a < n)).all()):
+            raise ConfigError(f"state {name} holds neighbours that are not "
+                              f"integers in [0, {n})")
 
 
 def save_state(state: ModelState, cfg: FitConfig, components: Components,
                out_dir: str | Path) -> Path:
-    """Write the full state (optimizer variables plus Adam moments) to
-    `out_dir`: settings in header.json, arrays in one uncompressed
-    state.npz, each graph as its (n, k) neighbour and weight arrays
-    (S_<v>_nbr, S_<v>_w, H_nbr, H_w). Every array reloads bit for bit, so
-    resumed runs continue identically."""
+    """Write the full state to `out_dir`: settings in header.json and the
+    arrays of `_layout` (Adam moments and each graph's (n, k) neighbour and
+    weight arrays included) in one uncompressed state.npz. Every array
+    reloads bit for bit, so resumed runs continue identically."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    arrays = {f: getattr(state, f) for f in _SHARED_ARRAYS}
-    arrays.update({"H_nbr": state.H_nbr, "H_w": state.H_w})
-    for v in range(state.n_views):
-        arrays.update({f"{f}_{v}": getattr(state, f)[v] for f in _VIEW_ARRAYS})
-        arrays.update({f"adam_m_{v}": state.adam[v].m,
-                       f"adam_v_{v}": state.adam[v].v,
-                       f"S_{v}_nbr": state.S_nbr[v], f"S_{v}_w": state.S_w[v]})
-    np.savez(out / "state.npz", **arrays)
+    layout = _layout(state, state.n_samples, [len(x) for x in state.Xhat],
+                     cfg)
+    np.savez(out / "state.npz", **{name: a for name, (a, _) in layout.items()})
     header = {"sweeps": state.sweeps, "cfg": asdict(cfg),
               "components": asdict(components)}
     (out / "header.json").write_text(json.dumps(header, indent=2,
@@ -1024,15 +1028,14 @@ def save_state(state: ModelState, cfg: FitConfig, components: Components,
 
 
 def load_state(path: str | Path) -> tuple[ModelState, FitConfig, Components]:
-    """Reload a checkpoint written by `save_state`. A missing one, or one
-    with an entry missing or malformed (cfg keys and values that
-    `FitConfig.validate` rejects or a c above n, components that are not
-    booleans, sweeps that is not a non-negative integer, a graph array not
-    shaped (n, k), neighbours that are not integers in [0, n)), is a
-    ConfigError, as is one in the flat-index graph layout of
-    earlier versions; header keys not read here, like the `adam_t` of
-    earlier versions, are ignored. The view count is the length of
-    alpha."""
+    """Reload a checkpoint written by `save_state`; the view count is the
+    length of alpha. A missing checkpoint is a ConfigError, as is one with
+    an entry missing or malformed: a cfg that `FitConfig` rejects,
+    components that are not booleans, sweeps that is not a non-negative
+    integer, the flat-index graphs of earlier versions, or a state that
+    fails `check_state` against its own n (Fstar's rows), view sizes
+    (Xhat's rows), c and k. Header keys not read here, like the `adam_t`
+    of earlier versions, are ignored."""
     path = Path(path)
     if not (path / "header.json").is_file():
         raise ConfigError(f"no fitted state under {path}; run 'fit' first")
@@ -1041,38 +1044,24 @@ def load_state(path: str | Path) -> tuple[ModelState, FitConfig, Components]:
         with np.load(path / "state.npz") as npz:
             arr = dict(npz)
         cfg = FitConfig(**header["cfg"])
-        cfg.validate()
         components = Components(**header["components"])
         if not all(isinstance(on, bool) for on in asdict(components).values()):
             raise ValueError("components must be true or false")
         sweeps = header["sweeps"]
         if type(sweeps) is not int or sweeps < 0:  # a bool is no count
             raise ValueError("sweeps must be a non-negative integer")
-        n = arr["Fstar"].shape[0]
-        if cfg.c > n:
-            raise ValueError(f"c={cfg.c} exceeds n={n}")
 
-        def graph(name: str) -> tuple[np.ndarray, np.ndarray]:
-            nbr, w = arr[f"{name}_nbr"], arr[f"{name}_w"]
-            if nbr.shape != (n, cfg.k) or w.shape != (n, cfg.k):
-                raise ValueError(f"{name} graph arrays must be shaped "
-                                 f"({n}, {cfg.k})")
-            if not np.issubdtype(nbr.dtype, np.integer):
-                raise ValueError(f"{name} neighbours must be integers")
-            if ((nbr < 0) | (nbr >= n)).any():
-                raise ValueError(f"{name} neighbour outside [0, {n})")
-            return nbr.astype(np.intp, copy=False), w
+        def views(name: str) -> list[np.ndarray]:
+            return [arr[name.format(v)] for v in range(len(arr["alpha"]))]
 
-        views = range(arr["alpha"].shape[0])
-        S = [graph(f"S_{v}") for v in views]
         state = ModelState(
-            **{f: arr[f] for f in _SHARED_ARRAYS},
-            **{f: [arr[f"{f}_{v}"] for v in views] for f in _VIEW_ARRAYS},
-            S_nbr=[g[0] for g in S], S_w=[g[1] for g in S],
-            **dict(zip(("H_nbr", "H_w"), graph("H"))),
-            sweeps=sweeps,
-            adam=[numkit.AdamState(m=arr[f"adam_m_{v}"],
-                                   v=arr[f"adam_v_{v}"]) for v in views])
+            Xhat=views("Xhat_{}"), W=views("W_{}"), Fv=views("Fv_{}"),
+            Fstar=arr["Fstar"], S_nbr=views("S_{}_nbr"), S_w=views("S_{}_w"),
+            H_nbr=arr["H_nbr"], H_w=arr["H_w"], alpha=arr["alpha"],
+            adam=[numkit.AdamState(m=m, v=v) for m, v in
+                  zip(views("adam_m_{}"), views("adam_v_{}"))],
+            xi=views("xi_{}"), gamma=arr["gamma"], sweeps=sweeps)
+        check_state(state, state.n_samples, [len(x) for x in state.Xhat], cfg)
     except (ConfigError, OSError, ValueError, TypeError, KeyError, IndexError,
             zipfile.BadZipFile) as exc:  # an entry missing or malformed
         raise ConfigError(f"cannot read checkpoint {path} ({exc}); if an "

@@ -393,10 +393,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.m.shape != self.v.shape:
-            raise ValueError("moment buffers must share a shape")
-
     @classmethod
     def zeros(cls, shape) -> "AdamState":
         return cls(m=np.zeros(shape), v=np.zeros(shape))

@@ -238,7 +238,7 @@ def test_constraints_hold_after_every_sub_update(convergence_family,
             assert checks["max_violation"] <= 1e-10
             assert checks["nnz_bad_columns"] == 0
             assert checks["observed_bitwise_equal"]
-        update_Xhat(state, masked, masks, cfg)
+        update_Xhat(state, masked, masks)
         checks = validate_state(state, masked, masks, cfg)
         assert checks["max_violation"] <= 1e-10
         assert checks["nnz_bad_columns"] == 0

@@ -255,6 +255,21 @@ def test_result_jsons_identical_across_runs_modulo_timing(two_runs):
         assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True), rel
 
 
+def test_checkpoint_bytes_and_key_order_identical_across_runs(two_runs):
+    out_a, out_b = two_runs
+    rel = Path("fit") / "climfs" / "state"
+    for name in ("state.npz", "header.json"):
+        assert (out_a / rel / name).read_bytes() == \
+            (out_b / rel / name).read_bytes(), name
+    with np.load(out_a / rel / "state.npz") as npz:
+        assert npz.files == [
+            "Fstar", "alpha", "gamma", "H_nbr", "H_w",
+            "Xhat_0", "W_0", "Fv_0", "xi_0", "adam_m_0", "adam_v_0",
+            "S_0_nbr", "S_0_w",
+            "Xhat_1", "W_1", "Fv_1", "xi_1", "adam_m_1", "adam_v_1",
+            "S_1_nbr", "S_1_w"]
+
+
 def test_trace_objectives_identical_across_runs(two_runs):
     out_a, out_b = two_runs
 
@@ -525,8 +540,15 @@ def _flat_graph_layout(arrays: dict) -> dict:
     lambda a: {**a, "H_nbr": np.full_like(a["H_nbr"], a["H_nbr"].shape[0])},
     lambda a: {**a, "S_1_nbr": -a["S_1_nbr"]},
     _flat_graph_layout,
+    lambda a: {**a, "W_0": np.hstack([a["W_0"], a["W_0"][:, :1]])},
+    lambda a: {**a, "Fv_0": np.hstack([a["Fv_0"], a["Fv_0"][:, :1]])},
+    lambda a: {**a, "Fstar": np.hstack([a["Fstar"], a["Fstar"][:, :1]])},
+    lambda a: {**a, "xi_0": a["xi_0"][:-1]},
+    lambda a: {**a, "gamma": a["gamma"][:-1]},
 ], ids=["weights_not_n_by_k", "neighbours_not_n_by_k", "float_neighbours",
-        "neighbour_n", "negative_neighbours", "flat_index_layout"])
+        "neighbour_n", "negative_neighbours", "flat_index_layout",
+        "W_not_d_by_c", "Fv_not_n_by_c", "Fstar_not_n_by_c", "short_xi",
+        "short_gamma"])
 def test_malformed_graph_checkpoint_exits_2(tmp_path, capsys, tamper):
     cfg = base_config(tmp_path / "out")
     cfg["fit"].update(max_iter=1, tol=1e-13)

@@ -502,13 +502,18 @@ def run_fresh_python(code: str) -> None:
                    timeout=120)
 
 
-@pytest.mark.parametrize("n, change, field", [
-    (30, {"k": 5}, "H_nbr"), (30, {"k": 3}, "H_nbr"), (30, {"c": 2}, "Fstar"),
-    (31, {}, "samples")], ids=["k_up", "k_down", "c_down", "n_up"])
-def test_resuming_a_state_that_does_not_fit_is_a_config_error(n, change,
+@pytest.mark.parametrize("n, change, nbr, field", [
+    (30, {"k": 5}, None, "H_nbr"), (30, {"k": 3}, None, "H_nbr"),
+    (30, {"c": 2}, None, "Fstar"), (31, {}, None, "samples"),
+    (30, {}, -1, "H_nbr"), (30, {}, 30, "H_nbr")],
+    ids=["k_up", "k_down", "c_down", "n_up", "negative_neighbour",
+         "neighbour_n"])
+def test_resuming_a_state_that_does_not_fit_is_a_config_error(n, change, nbr,
                                                               field):
     cfg = FitConfig(k=4, c=3, max_iter=2, tol=1e-15)
     st, _ = fit(*small_instance(seed=19), cfg)
+    if nbr is not None:
+        st.H_nbr[6, 0] = nbr
     masked, masks = small_instance(seed=19, n=n)
     with pytest.raises(ConfigError, match=field):
         fit(masked, masks, dataclasses.replace(cfg, **change), state=st)
@@ -582,7 +587,7 @@ def test_working_set_stays_within_its_bounds():
                 "update_S": lambda: update_S(st, cfg),
                 "update_H": lambda: update_H(st, cfg),
                 "update_alpha": lambda: update_alpha(st, cfg),
-                "update_Xhat": lambda: update_Xhat(st, masked, masks, cfg),
+                "update_Xhat": lambda: update_Xhat(st, masked, masks),
                 "objective": lambda: objective(st, cfg)}.items():
             live = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
@@ -702,7 +707,7 @@ def _sub_updates(state, masked, masks, cfg, comps):
                   (lambda: update_H(state, cfg, comps), ("H",)),
                   (lambda: update_alpha(state, cfg), ("alpha",))]
     if comps.adaptive_imputation:
-        steps.append((lambda: update_Xhat(state, masked, masks, cfg, comps),
+        steps.append((lambda: update_Xhat(state, masked, masks, comps),
                       ("Xhat",)))
     return steps
 

@@ -557,7 +557,6 @@ def test_update_xhat_matches_kron_oracle():
     # fallback is covered by test_xhat_guard_fallback_never_increases)
     for seed in range(10):
         st, ds, masks = _xhat_instance(seed)
-        cfg = FitConfig(c=2, k=2)
         M = st.W[0] @ (st.Fv[0] + st.Fstar).T
         L = laplacian(st.S[0])
         d, n = M.shape
@@ -566,17 +565,16 @@ def test_update_xhat_matches_kron_oracle():
         expect = R.copy()
         obs = masks.masks[0] == 1.0
         expect[obs] = ds.views[0][obs]
-        assert update_Xhat(st, ds, masks, cfg)["xhat_fallbacks"] == 0
+        assert update_Xhat(st, ds, masks)["xhat_fallbacks"] == 0
         assert np.allclose(st.Xhat[0], expect, atol=1e-9)
         assert np.array_equal(st.Xhat[0][obs], ds.views[0][obs])
 
 
 def test_update_xhat_without_graphs_uses_reconstruction():
     st, ds, masks = _xhat_instance(3)
-    cfg = FitConfig(c=2, k=2)
     comp = Components(graph_learning=False)
     M = st.W[0] @ (st.Fv[0] + st.Fstar).T
-    update_Xhat(st, ds, masks, cfg, comp)
+    update_Xhat(st, ds, masks, comp)
     free = masks.masks[0] == 0.0
     assert np.array_equal(st.Xhat[0][free], M[free])
     assert np.array_equal(st.Xhat[0][~free], ds.views[0][~free])
@@ -585,7 +583,7 @@ def test_update_xhat_without_graphs_uses_reconstruction():
 def test_update_xhat_all_observed_returns_data():
     st, ds, _ = _xhat_instance(4)
     masks = MaskMatrix(masks=[np.ones_like(ds.views[0])])
-    update_Xhat(st, ds, masks, FitConfig(c=2, k=2))
+    update_Xhat(st, ds, masks)
     assert np.array_equal(st.Xhat[0], ds.views[0])
 
 
@@ -615,7 +613,7 @@ def test_update_xhat_bad_graph_raises_numeric_error(bad):
     G[1, 0] = G[0, 1] = bad
     set_graph(st, 0, G)
     with pytest.raises(NumericError):
-        update_Xhat(st, ds, masks, FitConfig(c=2, k=2))
+        update_Xhat(st, ds, masks)
 
 
 def test_xhat_guard_fallback_never_increases():
@@ -629,7 +627,6 @@ def test_xhat_guard_fallback_never_increases():
     found = 0
     for seed in range(60):
         st, ds, masks = _xhat_instance(seed + 100)
-        cfg = FitConfig(c=2, k=2)
         M = st.W[0] @ (st.Fv[0] + st.Fstar).T
         L = laplacian(st.S[0])
         R = np.linalg.solve(np.eye(6) + L, M.T).T
@@ -638,7 +635,7 @@ def test_xhat_guard_fallback_never_increases():
         clamped[obs] = ds.views[0][obs]
         before = subval(st.Xhat[0], M, L)
         increases = subval(clamped, M, L) > before
-        counters = update_Xhat(st, ds, masks, cfg)
+        counters = update_Xhat(st, ds, masks)
         after = subval(st.Xhat[0], M, L)
         assert after <= before + 1e-9 * max(1.0, abs(before))
         if increases:
@@ -698,7 +695,7 @@ def test_every_guarded_update_keeps_traced_objective_monotone(seed):
              lambda: update_S(state, cfg),
              lambda: update_H(state, cfg, comp),
              lambda: update_alpha(state, cfg),
-             lambda: update_Xhat(state, masked, masks, cfg, comp)]
+             lambda: update_Xhat(state, masked, masks, comp)]
     for step in steps:
         before = total()
         step()
