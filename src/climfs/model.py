@@ -17,11 +17,11 @@ the masked entries of X^v.
 Every step is guarded so the traced objective is non-increasing: the
 F^v / F* steps halve their step, the S / H column updates keep the
 previous column when swapping in the freshly tuned coefficient would not
-pay for itself, and the imputation step falls back to the exact per-row
-constrained solve if the fast path would increase its subproblem. Guard
-trigger counts and the constraints, measured after every sweep, are
-recorded per iteration in the trace. Checkpoints restore every array bit
-for bit.
+pay for itself, and the imputation step falls back to the exact
+constrained solve of every feature row if the fast path would increase
+its subproblem. Guard trigger counts and the constraints, measured after
+every sweep, are recorded per iteration in the trace. Checkpoints restore
+every array bit for bit.
 
 Each graph is held as (n, k) neighbour arrays: for column j, the rows
 nbr[j] (ascending) and their weights w[j] (see `numkit`). Every graph
@@ -31,13 +31,13 @@ Xs of the half squared distances between their columns, plus a times
 the weights of a graph at its neighbours for each term (a, graph).
 `_costs` builds these rows 256 columns at a time into one reused block,
 and the descent guard reads the old columns' costs from that same block.
-Every other graph term is an O(n k) reduction, and the spectral
-initialization finds its c eigenpairs by Lanczos on a sparse form with at
-most 2k nonzeros per row. Only the imputation system (factored by
-Cholesky in the one n x n array that holds it), and the spectral
-initialization when c >= n - 1, build a dense graph matrix.
-`ModelState.S` and `ModelState.H` give dense read-only copies for readers
-outside the optimizer. Factorization and eigensolver failures and
+Every other graph term is an O(n k) reduction. The spectral
+initialization finds its c eigenpairs by Lanczos, and the imputation step
+solves I + L by preconditioned conjugate gradients, each on a sparse form
+with at most n (2k + 1) nonzeros, so no n x n array is made in a sweep.
+Only the spectral initialization when c >= n - 1 builds a dense graph
+matrix. `ModelState.S` and `ModelState.H` give dense read-only copies for
+readers outside the optimizer. Eigensolver and solver failures and
 non-finite graphs raise NumericError.
 """
 
@@ -618,32 +618,6 @@ def update_alpha(state: ModelState, cfg: FitConfig) -> dict:
     return {"inner": (Q, h)}
 
 
-def _identity_plus_laplacian(nbr: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """I + L for the Laplacian L of the symmetrized graph, built in one
-    n x n array (exactly symmetric); a non-finite or negative weight is a
-    NumericError."""
-    if not (np.isfinite(w).all() and (w >= 0.0).all()):
-        raise NumericError("non-finite or negative view graph weight in the "
-                           "imputation system")
-    K = numkit.laplacian(nbr, w)
-    K.flat[::K.shape[0] + 1] += 1.0
-    return K
-
-
-def _spd_solve(K: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve K Y = B for symmetric positive definite K by Cholesky, which
-    overwrites K; a factorization failure is a NumericError."""
-    try:
-        # K is symmetric, so its transpose is the Fortran-ordered array
-        # LAPACK factors in place without a copy
-        factor = scipy.linalg.cho_factor(K.T, lower=True, overwrite_a=True,
-                                         check_finite=False)
-        return scipy.linalg.cho_solve(factor, B, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"imputation system not positive definite: "
-                           f"{exc}") from exc
-
-
 def _xhat_subobjective(X: np.ndarray, M: np.ndarray, nbr: np.ndarray,
                        w: np.ndarray) -> float:
     R = X - M
@@ -658,16 +632,18 @@ def update_Xhat(state: ModelState, ds: MultiViewDataset, masks: MaskMatrix,
     R = M (I + L)^{-1} with M = W (F^v + F*)^T and L the symmetrized-graph
     Laplacian of S^v (the symmetrized form is an identity with the
     pairwise smoothness term). M has rank c, so R = W Y^T with
-    Y = (I + L)^{-1} (F^v + F*): one Cholesky factorization of I + L,
-    solved against the c factor columns. Observed entries are copied back
-    verbatim. If that fast path would increase the subproblem value, the
-    masked entries are recomputed by the exact constrained per-row solve
-    instead. Without graph learning the subproblem is ||X - M||^2, whose
-    constrained minimizer sets the masked entries to M: no guard needed.
-    A non-finite or negative weight of S^v or a failed factorization is a
-    NumericError.
+    Y^T = (F^v + F*)^T (I + L)^{-1}: I + L is built in sparse form from the
+    (n, k) graph and solved for the c factor columns at once by
+    Jacobi-preconditioned conjugate gradients (`numkit.pcg`). Observed
+    entries are copied back verbatim. If that fast path would increase the
+    subproblem value, the masked entries are recomputed by the exact
+    constrained solve instead. Without graph learning the subproblem is
+    ||X - M||^2, whose constrained minimizer sets the masked entries to M:
+    no guard needed. Returns the fallbacks taken and the conjugate
+    gradient steps summed over the solves. A non-finite or negative weight
+    of S^v, or a solve that does not converge, is a NumericError.
     """
-    fallbacks = 0
+    fallbacks = steps = 0
     for v in range(state.n_views):
         G = state.Fv[v] + state.Fstar
         M = state.W[v] @ G.T
@@ -676,33 +652,32 @@ def update_Xhat(state: ModelState, ds: MultiViewDataset, masks: MaskMatrix,
             state.Xhat[v] = np.where(obs, ds.views[v], M)
             continue
         S = state.S_nbr[v], state.S_w[v]
-        R = state.W[v] @ _spd_solve(_identity_plus_laplacian(*S), G).T
-        cand = np.where(obs, ds.views[v], R)
+        K = numkit.identity_plus_laplacian(*S)
+        Yt, used = numkit.pcg(K, G.T)
+        cand = np.where(obs, ds.views[v], state.W[v] @ Yt)
         f_old = _xhat_subobjective(state.Xhat[v], M, *S)
         f_new = _xhat_subobjective(cand, M, *S)
         if f_new > f_old + GUARD_RTOL * max(1.0, abs(f_old)):
-            cand = _constrained_impute(M, _identity_plus_laplacian(*S),
-                                       masks.masks[v], ds.views[v])
+            cand, more = _constrained_impute(M, K, obs, ds.views[v],
+                                             state.Xhat[v])
+            used += more
             fallbacks += 1
+        steps += used
         state.Xhat[v] = cand
-    return {"xhat_fallbacks": fallbacks}
+    return {"xhat_fallbacks": fallbacks, "cg_iters": steps}
 
 
-def _constrained_impute(M: np.ndarray, K: np.ndarray, mask: np.ndarray,
-                        Xorig: np.ndarray) -> np.ndarray:
-    """Exact minimizer of the imputation subproblem with observed entries
-    pinned: independent per-row Cholesky solves of K = I + L on the free
-    coordinates."""
-    obs = mask == 1.0
-    out = Xorig.copy()
-    for r in range(M.shape[0]):
-        free = ~obs[r]
-        if not free.any():
-            continue
-        # the pinned entries' pull on the free ones, via K's symmetry
-        rhs = M[r, free] - (np.where(free, 0.0, out[r]) @ K)[free]
-        out[r, free] = _spd_solve(K[np.ix_(free, free)], rhs)
-    return out
+def _constrained_impute(M: np.ndarray, K, obs: np.ndarray, Xorig: np.ndarray,
+                        start: np.ndarray) -> tuple[np.ndarray, int]:
+    """Minimizer of the imputation subproblem with the observed entries
+    `obs` pinned to Xorig, for K = I + L: each feature row r solves K on
+    its free entries against (M - pinned K)_r there, the pinned entries'
+    pull on the free ones. All d rows are one `numkit.pcg` solve, started
+    from `start`; returns the imputed view and the steps taken."""
+    free = (~obs).astype(float)
+    B = free * (M - (K @ np.where(obs, Xorig, 0.0).T).T)
+    Z, steps = numkit.pcg(K, B, free * start, free)
+    return np.where(obs, Xorig, Z), steps
 
 
 # -------------------------------------------------------------- objective
@@ -892,7 +867,7 @@ def fit(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
         **{k: 0 for k in ("fv_backtracks", "fv_stalls", "fstar_backtracks",
                           "fstar_stalls", "s_columns", "s_guard_skips",
                           "s_perturbed", "h_columns", "h_guard_skips",
-                          "h_perturbed", "xhat_fallbacks")},
+                          "h_perturbed", "xhat_fallbacks", "cg_iters")},
         **{f"t_{b}": 0.0 for b in ("W", "Fv", "Fstar", "S", "H", "alpha",
                                    "Xhat", "check")}}
 

@@ -5,12 +5,15 @@ costs a column block at a time. The helpers here convert dense graphs to
 that form, and keep the dense construction the blocked updates replaced:
 whole n x n cost matrices (`build_q`, `build_b`), one batched column
 refresh over them (`refresh_columns`), and the dense Laplacian, so the
-blocked code can be checked against them bit for bit.
+blocked code can be checked against them bit for bit. The imputation
+fallback's dense per-row Cholesky solve (`constrained_impute`) is the
+reference for its batched conjugate gradient form.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.linalg
 
 from climfs import numkit
 from climfs.model import GUARD_RTOL
@@ -59,6 +62,24 @@ def laplacian(A: np.ndarray) -> np.ndarray:
 
 def sym_degrees(A: np.ndarray) -> np.ndarray:
     return (A.sum(axis=0) + A.sum(axis=1)) / 2.0
+
+
+def constrained_impute(M: np.ndarray, K: np.ndarray, mask: np.ndarray,
+                       Xorig: np.ndarray) -> np.ndarray:
+    """Minimizer of ||X - M||^2 + tr(X L X^T) with the entries where mask
+    is 1 pinned to Xorig, for the dense K = I + L: one Cholesky solve of K
+    on each feature row's free entries."""
+    obs = mask == 1.0
+    out = Xorig.copy()
+    for r in range(M.shape[0]):
+        free = ~obs[r]
+        if not free.any():
+            continue
+        # the pinned entries' pull on the free ones, via K's symmetry
+        rhs = M[r, free] - (np.where(free, 0.0, out[r]) @ K)[free]
+        out[r, free] = scipy.linalg.cho_solve(
+            scipy.linalg.cho_factor(K[np.ix_(free, free)]), rhs)
+    return out
 
 
 # ------------------------------------------- dense costs and column refresh

@@ -10,6 +10,7 @@ import pytest
 import climfs.baselines as baselines
 import climfs.cli as cli
 import climfs.model as model
+import climfs.numkit as numkit
 from climfs.cli import load_config, main, resolve_fit_config
 from climfs.dataset import load_manifest, load_masks
 from climfs.errors import ConfigError, NumericError
@@ -710,6 +711,14 @@ def test_eigensolver_failure_at_initialization_exits_3(tmp_path,
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
     assert main(["fit", "--config", p]) == 3
+
+
+def test_unconverged_imputation_solve_exits_3(tmp_path, monkeypatch, capsys):
+    p = write_config(tmp_path / "cfg.json", base_config(tmp_path / "out"))
+    assert main(["simulate", "--config", p]) == 0
+    monkeypatch.setattr(numkit, "CG_MAXITER", 1)
+    assert main(["fit", "--config", p]) == 3
+    assert "numeric failure" in capsys.readouterr().err
 
 
 def test_nonfinite_iterate_raises_and_exits_3(tmp_path, monkeypatch):

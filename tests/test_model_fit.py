@@ -21,7 +21,8 @@ from climfs.dataset import (MaskMatrix, MissingScenario, MultiViewDataset,
 from climfs.errors import ConfigError, NumericError
 from climfs.evaluation import kmeans
 from climfs.model import (EPS_DV, Components, FitConfig, ModelState,
-                          _b_spec, _costs, _spectral_partition, fit,
+                          _b_spec, _constrained_impute, _costs,
+                          _spectral_partition, fit,
                           init_state, load_state, objective, rank_features,
                           save_state, update_alpha, update_Fstar, update_Fv,
                           update_H, update_S, update_W, update_Xhat,
@@ -561,10 +562,11 @@ def test_model_import_leaves_scipy_sparse_out():
 # an n x n array, so update_S and update_H carry about two arrays of
 # kernel temporaries besides their one cost matrix. Before the graph terms
 # became reductions the same probe read init_state 6.0, update_Fstar 1.2,
-# update_H 4.0, update_alpha 1.0, update_Xhat 3.1 and objective 3.1.
+# update_H 4.0, update_alpha 1.0, update_Xhat 3.1 and objective 3.1; while
+# the imputation system was a dense I + L, update_Xhat read 1.22.
 WORKING_SET_BOUNDS = {"init_state": 3.5, "update_W": 0.5, "update_Fv": 0.5,
                       "update_Fstar": 0.5, "update_S": 3.5, "update_H": 3.5,
-                      "update_alpha": 0.5, "update_Xhat": 1.5,
+                      "update_alpha": 0.5, "update_Xhat": 0.75,
                       "objective": 0.5}
 
 
@@ -598,6 +600,42 @@ def test_working_set_stays_within_its_bounds():
     over = {k: round(v / (n * n * 8), 2) for k, v in peaks.items()
             if v > WORKING_SET_BOUNDS[k] * n * n * 8}
     assert not over, over
+
+
+def test_update_xhat_builds_no_n_by_n_array():
+    # the dense I + L of the imputation system alone was one n x n array;
+    # probed on the fast path, then on the fallback, which the constrained
+    # minimizer as the current iterate forces
+    n = 2000
+    ds = make_synthetic(n=n, views=2, clusters=3, informative=4, noise=6,
+                        seed=0)
+    masked, masks = apply_missing(ds, MissingScenario("mixed", 0.5, 0))
+    st = init_state(masked, masks, FitConfig(k=6, c=3))
+    update_Xhat(st, masked, masks)   # imports outside the probe
+    peaks = []
+    for fallbacks in (0, st.n_views):
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            assert update_Xhat(st, masked, masks)["xhat_fallbacks"] \
+                == fallbacks
+            peaks.append(tracemalloc.get_traced_memory()[1] - live)
+        finally:
+            tracemalloc.stop()
+        for v in range(st.n_views):
+            M = st.W[v] @ (st.Fv[v] + st.Fstar).T
+            K = numkit.identity_plus_laplacian(st.S_nbr[v], st.S_w[v])
+            st.Xhat[v] = _constrained_impute(M, K, masks.masks[v] == 1.0,
+                                             masked.views[v], st.Xhat[v])[0]
+    assert max(peaks) < 0.1 * n * n * 8, [round(p / (n * n * 8), 3)
+                                          for p in peaks]
+
+
+def test_unconverged_imputation_solve_raises_numeric_error(monkeypatch):
+    masked, masks = small_instance(seed=4)
+    monkeypatch.setattr(numkit, "CG_MAXITER", 1)
+    with pytest.raises(NumericError, match="conjugate gradients"):
+        fit(masked, masks, FitConfig(k=4, c=2, max_iter=2))
 
 
 # ---------------------------------------------------------- rank_features

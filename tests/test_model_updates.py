@@ -11,17 +11,17 @@ import itertools
 import numpy as np
 import pytest
 
-from climfs import numkit
+from climfs import model, numkit
 from climfs.dataset import (MaskMatrix, MissingScenario, MultiViewDataset,
                             apply_missing, make_synthetic)
 from climfs.errors import NumericError
 from climfs.evaluation import _consensus_value
 from climfs.model import (EPS_DV, Components, FitConfig, ModelState,
                           _b_spec, _constrained_impute, _costs, _q_spec,
-                          init_state, objective, update_alpha, update_Fstar,
-                          update_Fv, update_S, update_H, update_W,
-                          update_Xhat)
-from graph_oracle import graph_fields, laplacian, set_graph
+                          fit, init_state, objective, update_alpha,
+                          update_Fstar, update_Fv, update_S, update_H,
+                          update_W, update_Xhat)
+from graph_oracle import constrained_impute, graph_fields, laplacian, set_graph
 
 # ----------------------------------------------------------------- helpers
 
@@ -587,6 +587,21 @@ def test_update_xhat_all_observed_returns_data():
     assert np.array_equal(st.Xhat[0], ds.views[0])
 
 
+def _impute(st, ds, mask):
+    """The fallback solve of view 0 of an `_xhat_instance` under `mask`,
+    and the dense per-row Cholesky oracle's answer."""
+    M = st.W[0] @ (st.Fv[0] + st.Fstar).T
+    K = numkit.identity_plus_laplacian(st.S_nbr[0], st.S_w[0])
+    Z, steps = _constrained_impute(M, K, mask == 1.0, ds.views[0], st.Xhat[0])
+    expect = constrained_impute(M, np.eye(M.shape[1]) + laplacian(st.S[0]),
+                                mask, ds.views[0])
+    return Z, steps, expect
+
+
+def assert_rel_close(got, expect, rtol):
+    assert np.abs(got - expect).max() <= rtol * np.abs(expect).max()
+
+
 def test_constrained_impute_is_stationary():
     # optimality certificate: zero gradient on free coordinates, pins on
     # the observed ones; this is the exact subproblem minimizer
@@ -594,12 +609,60 @@ def test_constrained_impute_is_stationary():
         st, ds, masks = _xhat_instance(seed + 20)
         M = st.W[0] @ (st.Fv[0] + st.Fstar).T
         L = laplacian(st.S[0])
-        Z = _constrained_impute(M, np.eye(L.shape[0]) + L, masks.masks[0],
-                                ds.views[0])
+        Z, _, _ = _impute(st, ds, masks.masks[0])
         grad = 2.0 * (Z - M) + 2.0 * Z @ L
         free = masks.masks[0] == 0.0
         assert np.abs(grad[free]).max() <= 1e-8
         assert np.array_equal(Z[~free], ds.views[0][~free])
+
+
+def test_constrained_impute_matches_row_oracle():
+    for seed in range(20):
+        st, ds, masks = _xhat_instance(seed + 20, d=5, n=12)
+        mask = masks.masks[0].copy()
+        mask[0] = 1.0                 # a feature row with no free entry
+        mask[1] = 1.0
+        mask[1, 3 + seed % 9] = 0.0   # and one with a single free entry
+        Z, _, expect = _impute(st, ds, mask)
+        assert_rel_close(Z, expect, 1e-10)
+
+
+@pytest.mark.parametrize("free_entries", [0, 1])
+def test_constrained_impute_rows_with_at_most_one_free_entry(free_entries):
+    # no free entry: every right-hand side is zero and the solve is done
+    # at step 0; one free entry: a 1 x 1 system the Jacobi step solves
+    st, ds, masks = _xhat_instance(7)
+    mask = np.ones_like(masks.masks[0])
+    mask[1, 4:4 + free_entries] = 0.0
+    with np.errstate(all="raise"):
+        Z, steps, expect = _impute(st, ds, mask)
+    assert steps == free_entries
+    assert_rel_close(Z, expect, 1e-10)
+
+
+def test_constrained_impute_matches_row_oracle_on_a_planted_fallback(
+        monkeypatch):
+    # the first fallback of the full model on the planted n=150 instance
+    # of seed 0 (two views of 10 informative and 40 noise features, mixed
+    # missingness at delta 0.5), recorded as the fit takes it
+    ds = make_synthetic(n=150, views=2, clusters=3, informative=10, noise=40,
+                        separation=3.0, noise_scale=0.6, seed=0)
+    masked, masks = apply_missing(ds, MissingScenario("mixed", 0.5, 0))
+    real, taken = model._constrained_impute, []
+
+    class Taken(Exception):
+        pass
+
+    def record(*args):
+        taken.append((args, real(*args)))
+        raise Taken
+
+    monkeypatch.setattr(model, "_constrained_impute", record)
+    with pytest.raises(Taken):
+        fit(masked, masks, FitConfig(k=6, c=3, max_iter=60))
+    (M, K, obs, Xorig, start), (Z, steps) = taken[0]
+    assert 0 < steps < numkit.CG_MAXITER
+    assert_rel_close(Z, constrained_impute(M, K.toarray(), obs, Xorig), 1e-10)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e3],

@@ -7,12 +7,13 @@ import itertools
 import numpy as np
 import pytest
 
+from climfs import numkit
 from climfs.errors import NumericError
-from climfs.numkit import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, COLUMN_BLOCK,
-                           AdamState, adam_step,
-                           ksparse_simplex_columns, ksparse_simplex_min,
-                           laplacian, simplex_qp, soft_threshold,
-                           solve_scaled_sylvester, sq_dists)
+from climfs.numkit import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, CG_RTOL,
+                           COLUMN_BLOCK, AdamState, adam_step,
+                           identity_plus_laplacian, ksparse_simplex_columns,
+                           ksparse_simplex_min, laplacian, pcg, simplex_qp,
+                           soft_threshold, solve_scaled_sylvester, sq_dists)
 from graph_oracle import laplacian as dense_laplacian
 from graph_oracle import sparse
 
@@ -354,6 +355,12 @@ def test_simplex_qp_rejects_indefinite():
 # ------------------------------------------------------------- laplacian
 
 
+def random_graph(rng, n, k):
+    nbr = np.stack([rng.choice(np.delete(np.arange(n), j), size=k,
+                               replace=False) for j in range(n)])
+    return nbr, rng.uniform(0, 1, size=(n, k))
+
+
 def test_laplacian_small_graph():
     # column 1 weighs row 0 by 1; column 0 lists row 1 with weight 0
     nbr, w = np.array([[1], [0]]), np.array([[0.0], [1.0]])
@@ -365,9 +372,7 @@ def test_laplacian_symmetrized_is_psd():
     for _ in range(100):
         n = int(rng.integers(3, 10))
         k = int(rng.integers(1, n - 1))
-        nbr = np.stack([rng.choice(np.delete(np.arange(n), j), size=k,
-                                   replace=False) for j in range(n)])
-        w = rng.uniform(0, 1, size=(n, k))
+        nbr, w = random_graph(rng, n, k)
         L = laplacian(nbr, w)
         A = np.zeros((n, n))
         A[nbr, np.arange(n)[:, None]] = w
@@ -382,6 +387,82 @@ def test_laplacian_symmetrized_is_psd():
 def test_laplacian_rejects_negative_entries():
     with pytest.raises(ValueError):
         laplacian(*sparse(np.array([[0.0, -0.1], [0.1, 0.0]]), 1))
+
+
+def test_identity_plus_laplacian_matches_dense():
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        n = int(rng.integers(3, 12))
+        nbr, w = random_graph(rng, n, int(rng.integers(1, n - 1)))
+        K = identity_plus_laplacian(nbr, w)
+        assert K.format == "csr" and K.nnz <= n * (2 * nbr.shape[1] + 1)
+        np.testing.assert_allclose(K.toarray(), np.eye(n) + laplacian(nbr, w),
+                                   rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+def test_identity_plus_laplacian_rejects_bad_weights(bad):
+    nbr, w = random_graph(np.random.default_rng(42), 6, 2)
+    w[3, 1] = bad
+    with pytest.raises(NumericError):
+        identity_plus_laplacian(nbr, w)
+
+
+# ------------------------------------------------------------------- pcg
+
+
+def test_pcg_matches_dense_solve():
+    rng = np.random.default_rng(43)
+    for n, k in ((5, 2), (40, 3), (300, 6)):
+        K = identity_plus_laplacian(*random_graph(rng, n, k))
+        B = rng.normal(size=(4, n)) * np.array([[1.0], [1e-6], [1e6], [0.0]])
+        X, steps = pcg(K, B)
+        assert 0 < steps < numkit.CG_MAXITER
+        assert np.array_equal(X[3], np.zeros(n))
+        # a residual of CG_RTOL ||b_i|| and rounding in the product
+        resid = np.linalg.norm(X @ K - B, axis=1)
+        assert (resid <= 10 * CG_RTOL * np.linalg.norm(B, axis=1)).all()
+        expect = np.linalg.solve(K.toarray(), B.T).T
+        for i in range(3):
+            assert np.abs(X[i] - expect[i]).max() \
+                <= 1e-11 * np.abs(expect[i]).max()
+
+
+def test_pcg_restricted_to_free_entries():
+    rng = np.random.default_rng(44)
+    m, n = 5, 30
+    K = identity_plus_laplacian(*random_graph(rng, n, 3))
+    free = (rng.random((m, n)) < 0.5).astype(float)
+    free[0] = 0.0       # nothing free
+    free[1] = 0.0
+    free[1, 7] = 1.0    # one free entry
+    B, start = free * rng.normal(size=(m, n)), free * rng.normal(size=(m, n))
+    X, _ = pcg(K, B, start, free)
+    dense = K.toarray()
+    for i in range(m):
+        F = free[i] == 1.0
+        assert np.array_equal(X[i, ~F], np.zeros((~F).sum()))
+        if F.any():
+            expect = np.linalg.solve(dense[np.ix_(F, F)], B[i, F])
+            assert np.abs(X[i, F] - expect).max() \
+                <= 1e-11 * np.abs(expect).max()
+
+
+def test_pcg_zero_right_hand_side_is_done_at_step_0():
+    rng = np.random.default_rng(45)
+    K = identity_plus_laplacian(*random_graph(rng, 10, 2))
+    with np.errstate(all="raise"):   # no 0/0 on the zero rows
+        X, steps = pcg(K, np.zeros((2, 10)), rng.normal(size=(2, 10)))
+    assert steps == 0 and np.array_equal(X, np.zeros((2, 10)))
+
+
+def test_pcg_raises_at_the_step_cap(monkeypatch):
+    rng = np.random.default_rng(46)
+    K = identity_plus_laplacian(*random_graph(rng, 40, 3))
+    B = rng.normal(size=(2, 40))
+    monkeypatch.setattr(numkit, "CG_MAXITER", 1)
+    with pytest.raises(NumericError, match="conjugate gradients"):
+        pcg(K, B)
 
 
 # ------------------------------------------------------------- sq_dists
