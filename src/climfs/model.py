@@ -19,9 +19,11 @@ F^v / F* steps halve their step, the S / H column updates keep the
 previous column when swapping in the freshly tuned coefficient would not
 pay for itself, and the imputation step falls back to the exact
 constrained solve of every feature row if the fast path would increase
-its subproblem. Guard trigger counts and the constraints, measured after
-every sweep, are recorded per iteration in the trace. Checkpoints restore
-every array bit for bit.
+its subproblem. The F^v, F* and imputation guards take the change of
+their subproblem in closed form from the terms their block already forms.
+Guard trigger counts and the constraints, measured after every sweep, are
+recorded per iteration in the trace. Checkpoints restore every array bit
+for bit.
 
 Each graph is held as (n, k) neighbour arrays: for column j, the rows
 nbr[j] (ascending) and their weights w[j] (see `numkit`). Every graph
@@ -62,7 +64,7 @@ from climfs.evaluation import kmeans
 
 # Multiplicative-update denominators never drop below this.
 MU_FLOOR = 1e-12
-# Relative slack when comparing objective values in descent guards.
+# Relative slack of the S / H column guard, which compares two cost values.
 GUARD_RTOL = 1e-12
 # Adam stepsize for the F^v inner loop. Larger values make F^v chase the
 # other blocks and lengthen the overall settling; smaller ones leave a
@@ -104,8 +106,8 @@ class FitConfig:
                     x, numbers.Integral if whole else numbers.Real):
                 raise ConfigError(f"{f.name} must be an integer" if whole
                                   else f"{f.name} must be a real number")
-        if not (self.lam > 0 and self.beta > 0):
-            raise ConfigError("lam and beta must be positive")
+        if not (0 < self.lam < np.inf and 0 < self.beta < np.inf):
+            raise ConfigError("lam and beta must be positive and finite")
         if self.k < 1 or self.c < 1:
             raise ConfigError("k and c must be positive integers")
         if self.max_iter < 1:
@@ -448,21 +450,16 @@ def update_W(state: ModelState, cfg: FitConfig) -> dict:
     return {}
 
 
-def _first_descent(f_cur: float, candidate, value):
+def _first_descent(candidate, change):
     """Step halving of F^v and F*: the first candidate(theta), theta = 1,
-    1/2, ..., 2^-20, whose value is not above f_cur, with that value and
-    the thetas rejected before it; (None, f_cur, 21) if there is none."""
+    1/2, ..., 2^-20, whose subproblem change, change(candidate), is not
+    positive, with the thetas rejected before it; (None, 21) if there is
+    none."""
     for halvings in range(21):
         cand = candidate(0.5 ** halvings)
-        if (f_cand := value(cand)) <= f_cur:
-            return cand, f_cand, halvings
-    return None, f_cur, 21
-
-
-def _fv_objective(Xhat: np.ndarray, W: np.ndarray, Fv: np.ndarray,
-                  Fstar: np.ndarray, beta: float) -> float:
-    R = Xhat - W @ (Fv + Fstar).T
-    return float(np.sum(R * R) + beta * np.abs(Fv).sum())
+        if change(cand) <= 0.0:
+            return cand, halvings
+    return None, 21
 
 
 def update_Fv(state: ModelState, cfg: FitConfig) -> dict:
@@ -471,49 +468,34 @@ def update_Fv(state: ModelState, cfg: FitConfig) -> dict:
     The smooth gradient is 2((F^v + F*) U - Xhat^T W) with U = W^T W; the
     Adam step gives per-coordinate effective stepsizes t_ij, and the exact
     prox of beta * l1 at those stepsizes is a soft threshold at t_ij*beta.
-    Each inner step halves the step until the subproblem value is
-    non-increasing; Adam moments advance once per inner step regardless
-    of the accepted damping, and the step number follows from the sweeps.
+    Each inner step halves the step until the subproblem change of the
+    candidate F' = F^v + D, <D, g + D U> + beta (|F'|_1 - |F^v|_1) with g
+    the smooth gradient, is not positive; Adam moments advance once per
+    inner step regardless of the accepted damping, and the step number
+    follows from the sweeps.
     """
-    backtracks = 0
-    stalls = 0
+    backtracks = stalls = 0
     for v in range(state.n_views):
         W = state.W[v]
         U = W.T @ W
         J = state.Xhat[v].T @ W
-        f_cur = _fv_objective(state.Xhat[v], W, state.Fv[v], state.Fstar,
-                              cfg.beta)
         for s in range(FV_INNER_STEPS):
-            g = 2.0 * ((state.Fv[v] + state.Fstar) @ U - J)
+            F = state.Fv[v]
+            g = 2.0 * ((F + state.Fstar) @ U - J)
             step, tvec = numkit.adam_step(
                 state.adam[v], g, FV_ADAM_LR,
                 FV_INNER_STEPS * state.sweeps + s + 1)
-            cand, f_cur, rejected = _first_descent(
-                f_cur,
-                lambda th: numkit.soft_threshold(state.Fv[v] - th * step,
+            absF = np.abs(F)
+            cand, rejected = _first_descent(
+                lambda th: numkit.soft_threshold(F - th * step,
                                                  th * tvec * cfg.beta),
-                lambda F: _fv_objective(state.Xhat[v], W, F, state.Fstar,
-                                        cfg.beta))
+                lambda C: float(np.vdot(C - F, g + (C - F) @ U)
+                                + cfg.beta * (np.abs(C) - absF).sum()))
             backtracks += rejected
             stalls += cand is None
             if cand is not None:
                 state.Fv[v] = cand
     return {"fv_backtracks": backtracks, "fv_stalls": stalls}
-
-
-def _fstar_objective(state: ModelState, Fstar: np.ndarray,
-                     deg: np.ndarray | None) -> float:
-    """F* subproblem value; `deg` is numkit.sym_degrees(H), or None when
-    the cluster-structure term is off."""
-    total = 0.0
-    for v in range(state.n_views):
-        R = state.Xhat[v] - state.W[v] @ (state.Fv[v] + Fstar).T
-        total += float(np.sum(R * R))
-    if deg is not None:
-        total += numkit.laplacian_quad(Fstar.T, state.H_nbr, state.H_w, deg)
-    Gram = Fstar.T @ Fstar - np.eye(Fstar.shape[1])
-    total += ORTH_RHO * float(np.sum(Gram * Gram))
-    return total
 
 
 def update_Fstar(state: ModelState, cfg: FitConfig,
@@ -529,30 +511,47 @@ def update_Fstar(state: ModelState, cfg: FitConfig,
     D_H the degrees of (H + H^T) / 2 and rho = ORTH_RHO; the graph terms
     drop when the cluster-structure component is off. Where a full step
     would raise the subproblem value, the ratio is damped to ratio ** theta
-    (a descent direction in theta), halving theta until non-increase.
+    (a descent direction in theta), halving theta until the change of a
+    candidate F* + D, <D, g + D sum_v U> + tr(D^T L_H D)
+    + rho <E, E + 2 (F*^T F* - I)>, is not positive: g is the gradient
+    without the orthogonality term and E the change of the Gram F*^T F*.
     """
-    num = 2.0 * ORTH_RHO * state.Fstar
-    den = 2.0 * ORTH_RHO * (state.Fstar @ (state.Fstar.T @ state.Fstar))
+    F = state.Fstar
+    P = F.T @ F
+    num = 2.0 * ORTH_RHO * F
+    den = 2.0 * ORTH_RHO * (F @ P)
+    g = np.zeros_like(F)
+    U_sum = np.zeros_like(P)
     for v in range(state.n_views):
         W = state.W[v]
         U = W.T @ W
         J = state.Xhat[v].T @ W
         M = state.Fv[v] @ U
         num += _positive_part(J) + _negative_part(M) \
-            + state.Fstar @ _negative_part(U)
+            + F @ _negative_part(U)
         den += _negative_part(J) + _positive_part(M) \
-            + state.Fstar @ _positive_part(U)
-    deg = None
+            + F @ _positive_part(U)
+        g += M + F @ U - J
+        U_sum += U
+    g *= 2.0
     if components.cluster_structure:
         deg = numkit.sym_degrees(state.H_nbr, state.H_w)
-        num += numkit.sym_matmul(state.H_nbr, state.H_w, state.Fstar)
-        den += deg[:, None] * state.Fstar
+        AF = numkit.sym_matmul(state.H_nbr, state.H_w, F)
+        num += AF
+        den += deg[:, None] * F
+        g += 2.0 * (deg[:, None] * F - AF)
+
+    def change(C):
+        D = C - F
+        E = F.T @ D + D.T @ C  # C^T C - F^T F without the cancellation
+        total = np.vdot(D, g + D @ U_sum) \
+            + ORTH_RHO * np.vdot(E, E + 2.0 * (P - np.eye(len(P))))
+        if components.cluster_structure:
+            total += numkit.laplacian_quad(D.T, state.H_nbr, state.H_w, deg)
+        return float(total)
 
     ratio = num / np.maximum(den, MU_FLOOR)
-    cand, _, rejected = _first_descent(
-        _fstar_objective(state, state.Fstar, deg),
-        lambda th: state.Fstar * ratio ** th,
-        lambda F: _fstar_objective(state, F, deg))
+    cand, rejected = _first_descent(lambda th: F * ratio ** th, change)
     if cand is not None:
         state.Fstar = cand
     return {"fstar_backtracks": rejected, "fstar_stalls": int(cand is None)}
@@ -618,12 +617,6 @@ def update_alpha(state: ModelState, cfg: FitConfig) -> dict:
     return {"inner": (Q, h)}
 
 
-def _xhat_subobjective(X: np.ndarray, M: np.ndarray, nbr: np.ndarray,
-                       w: np.ndarray) -> float:
-    R = X - M
-    return float(np.sum(R * R)) + numkit.laplacian_quad(X, nbr, w)
-
-
 def update_Xhat(state: ModelState, ds: MultiViewDataset, masks: MaskMatrix,
                 components: Components = FULL_MODEL) -> dict:
     """Re-impute the masked entries of every view.
@@ -635,13 +628,14 @@ def update_Xhat(state: ModelState, ds: MultiViewDataset, masks: MaskMatrix,
     Y^T = (F^v + F*)^T (I + L)^{-1}: I + L is built in sparse form from the
     (n, k) graph and solved for the c factor columns at once by
     Jacobi-preconditioned conjugate gradients (`numkit.pcg`). Observed
-    entries are copied back verbatim. If that fast path would increase the
-    subproblem value, the masked entries are recomputed by the exact
-    constrained solve instead. Without graph learning the subproblem is
-    ||X - M||^2, whose constrained minimizer sets the masked entries to M:
-    no guard needed. Returns the fallbacks taken and the conjugate
-    gradient steps summed over the solves. A non-finite or negative weight
-    of S^v, or a solve that does not converge, is a NumericError.
+    entries are copied back verbatim. If that fast path X' would increase
+    the subproblem, that is if <X' - X, (X' + X) (I + L) - 2M> > 0, the
+    masked entries are recomputed by the exact constrained solve instead.
+    Without graph learning the subproblem is ||X - M||^2, whose
+    constrained minimizer sets the masked entries to M: no guard needed.
+    Returns the fallbacks taken and the conjugate gradient steps summed
+    over the solves. A non-finite or negative weight of S^v, or a solve
+    that does not converge, is a NumericError.
     """
     fallbacks = steps = 0
     for v in range(state.n_views):
@@ -651,15 +645,12 @@ def update_Xhat(state: ModelState, ds: MultiViewDataset, masks: MaskMatrix,
         if not components.graph_learning:
             state.Xhat[v] = np.where(obs, ds.views[v], M)
             continue
-        S = state.S_nbr[v], state.S_w[v]
-        K = numkit.identity_plus_laplacian(*S)
+        X = state.Xhat[v]
+        K = numkit.identity_plus_laplacian(state.S_nbr[v], state.S_w[v])
         Yt, used = numkit.pcg(K, G.T)
         cand = np.where(obs, ds.views[v], state.W[v] @ Yt)
-        f_old = _xhat_subobjective(state.Xhat[v], M, *S)
-        f_new = _xhat_subobjective(cand, M, *S)
-        if f_new > f_old + GUARD_RTOL * max(1.0, abs(f_old)):
-            cand, more = _constrained_impute(M, K, obs, ds.views[v],
-                                             state.Xhat[v])
+        if np.vdot(cand - X, (K @ (cand + X).T).T - 2.0 * M) > 0.0:
+            cand, more = _constrained_impute(M, K, obs, ds.views[v], X)
             used += more
             fallbacks += 1
         steps += used

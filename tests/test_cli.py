@@ -381,6 +381,12 @@ def invalid_config_cases():
     def boolean_beta(cfg):
         cfg["fit"]["beta"] = True
 
+    def inf_lambda(cfg):  # written as JSON Infinity
+        cfg["fit"]["lambda"] = float("inf")
+
+    def inf_beta(cfg):
+        cfg["fit"]["beta"] = float("inf")
+
     def text_rho_fit(cfg):
         cfg["fit"]["rho"] = "1e4"
 
@@ -421,10 +427,10 @@ def invalid_config_cases():
             scalar_zetas, zero_zeta,
             empty_zetas, text_rho, boolean_runs, boolean_ratio, boolean_c,
             float_k, boolean_max_iter, float_seed, boolean_lambda,
-            boolean_beta, text_rho_fit, list_tol, list_delta, null_delta,
-            text_delta, float_scenario_seed, boolean_scenario_seed,
-            negative_fit_seed, negative_scenario_seed, list_method,
-            nested_methods]
+            boolean_beta, inf_lambda, inf_beta, text_rho_fit, list_tol,
+            list_delta, null_delta, text_delta, float_scenario_seed,
+            boolean_scenario_seed, negative_fit_seed, negative_scenario_seed,
+            list_method, nested_methods]
 
 
 @pytest.mark.parametrize("mutate", invalid_config_cases(),

@@ -178,6 +178,20 @@ def _fv_value(st, v, beta):
     return float(np.sum(R * R) + beta * np.abs(st.Fv[v]).sum())
 
 
+def _fstar_value(st, Fstar, deg):
+    """F* subproblem value in full; `deg` is numkit.sym_degrees(H), or
+    None when the cluster-structure term is off."""
+    total = 0.0
+    for v in range(st.n_views):
+        R = st.Xhat[v] - st.W[v] @ (st.Fv[v] + Fstar).T
+        total += float(np.sum(R * R))
+    if deg is not None:
+        total += numkit.laplacian_quad(Fstar.T, st.H_nbr, st.H_w, deg)
+    Gram = Fstar.T @ Fstar - np.eye(Fstar.shape[1])
+    total += model.ORTH_RHO * float(np.sum(Gram * Gram))
+    return total
+
+
 def test_update_fv_matches_grid_oracle():
     # one sample, two features, two factors: exhaustive grid over F
     rng = np.random.default_rng(3)
@@ -279,16 +293,66 @@ def test_update_fstar_preserves_zeros_and_sign():
 
 
 def test_update_fstar_descends_subobjective():
-    from climfs.model import _fstar_objective
     rng = np.random.default_rng(9)
     cfg = FitConfig(c=2, k=2)
     for _ in range(30):
         st = make_state(rng)
         deg = numkit.sym_degrees(st.H_nbr, st.H_w)
-        before = _fstar_objective(st, st.Fstar, deg)
+        before = _fstar_value(st, st.Fstar, deg)
         update_Fstar(st, cfg)
-        after = _fstar_objective(st, st.Fstar, deg)
+        after = _fstar_value(st, st.Fstar, deg)
         assert after <= before + 1e-9 * max(1.0, abs(before))
+
+
+def test_guard_changes_match_full_value_differences(monkeypatch):
+    # the F^v and F* guards take each candidate's change of their
+    # subproblem in closed form; record every change they take and compare
+    # it with the difference of the full values at the candidate and at
+    # the iterate the step started from
+    seen = []
+    first_descent = model._first_descent
+
+    def recording(candidate, change):
+        call, now = len(seen), ([F.copy() for F in st.Fv], st.Fstar.copy())
+        seen.append([])
+
+        def recorded(C):
+            seen[call].append((now, C.copy(), change(C)))
+            return seen[call][-1][2]
+        return first_descent(candidate, recorded)
+
+    monkeypatch.setattr(model, "_first_descent", recording)
+    rng = np.random.default_rng(31)
+    signs = set()
+    for comps in (Components(), Components(cluster_structure=False)):
+        cfg = FitConfig(beta=0.3, c=3, k=3)
+        for _ in range(8):
+            st = make_state(rng, n=12, dims=(5, 4, 6), c=3, k=3)
+            for sweep in range(3):
+                st.sweeps = sweep
+                seen.clear()
+                update_Fv(st, cfg)
+                for call, tries in enumerate(seen):
+                    v = call // model.FV_INNER_STEPS
+                    for (Fv, Fstar), C, change in tries:
+                        base = ModelState(**{**vars(st), "Fv": Fv,
+                                             "Fstar": Fstar})
+                        f = _fv_value(base, v, cfg.beta)
+                        base.Fv = Fv[:v] + [C] + Fv[v + 1:]
+                        diff = _fv_value(base, v, cfg.beta) - f
+                        assert abs(change - diff) <= 1e-9 * max(1.0, abs(f))
+                        signs.add(("Fv", change > 0.0))
+                seen.clear()
+                update_Fstar(st, cfg, comps)
+                deg = numkit.sym_degrees(st.H_nbr, st.H_w) \
+                    if comps.cluster_structure else None
+                for (_, Fstar), C, change in seen[0]:
+                    f = _fstar_value(st, Fstar, deg)
+                    diff = _fstar_value(st, C, deg) - f
+                    assert abs(change - diff) <= 1e-9 * max(1.0, abs(f))
+                    signs.add(("Fstar", change > 0.0))
+    # both guards met candidates they accepted and candidates they rejected
+    assert signs == {(b, up) for b in ("Fv", "Fstar") for up in (False, True)}
 
 
 def test_update_fstar_orthogonality_drift_bounded():
@@ -682,12 +746,13 @@ def test_update_xhat_bad_graph_raises_numeric_error(bad):
 def test_xhat_guard_fallback_never_increases():
     # hunt for instances where the clamp heuristic would increase the
     # subproblem; the guarded update must then do at least as well as the
-    # previous iterate
+    # previous iterate, and it must keep the clamp wherever that decreases
+    # the subproblem
     def subval(X, M, L):
         R = X - M
         return float(np.sum(R * R) + np.sum((X @ L) * X))
 
-    found = 0
+    found = kept = 0
     for seed in range(60):
         st, ds, masks = _xhat_instance(seed + 100)
         M = st.W[0] @ (st.Fv[0] + st.Fstar).T
@@ -697,14 +762,18 @@ def test_xhat_guard_fallback_never_increases():
         obs = masks.masks[0] == 1.0
         clamped[obs] = ds.views[0][obs]
         before = subval(st.Xhat[0], M, L)
-        increases = subval(clamped, M, L) > before
+        clamp = subval(clamped, M, L)
         counters = update_Xhat(st, ds, masks)
         after = subval(st.Xhat[0], M, L)
         assert after <= before + 1e-9 * max(1.0, abs(before))
-        if increases:
+        if clamp > before:
             found += 1
             assert counters["xhat_fallbacks"] == 1
+        elif clamp < before:
+            kept += 1
+            assert counters["xhat_fallbacks"] == 0
     assert found > 0, "no instance exercised the fallback path"
+    assert kept > 0, "no instance kept the fast path"
 
 
 # ------------------------------------------------ graph terms as reductions
