@@ -334,7 +334,17 @@ def make_synthetic(n: int, views: int, clusters: int, informative: int,
     (unit-norm random centers scaled by `separation`, plus unit Gaussian
     jitter) on top of `noise` pure-noise features drawn N(0, noise_scale).
     Cluster sizes are as balanced as n allows; sample order is shuffled.
+    The counts and `seed` must be integers, `separation` and `noise_scale`
+    real numbers (numpy scalars count, booleans do not), or ValueError.
     """
+    counts = {"n": n, "views": views, "clusters": clusters,
+              "informative": informative, "noise": noise, "seed": seed}
+    scales = {"separation": separation, "noise_scale": noise_scale}
+    for kind, args in ((numbers.Integral, counts), (numbers.Real, scales)):
+        for name, value in args.items():
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {kind.__name__.lower()}, "
+                                 f"got {value!r}")
     if min(n, views, clusters, informative) < 1 or noise < 0:
         raise ValueError("n, views, clusters, informative must be >= 1, noise >= 0")
     if clusters > n:

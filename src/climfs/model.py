@@ -36,11 +36,12 @@ and the descent guard reads the old columns' costs from that same block.
 Every other graph term is an O(n k) reduction. The spectral
 initialization finds its c eigenpairs by Lanczos, and the imputation step
 solves I + L by preconditioned conjugate gradients, each on a sparse form
-with at most n (2k + 1) nonzeros, so no n x n array is made in a sweep.
-Only the spectral initialization when c >= n - 1 builds a dense graph
-matrix. `ModelState.S` and `ModelState.H` give dense read-only copies for
-readers outside the optimizer. Eigensolver and solver failures and
-non-finite graphs raise NumericError.
+with at most n (2k + 1) nonzeros built by `numkit.sym_csr`, so no n x n
+array is made in a sweep. Only the spectral initialization when
+c >= n - 1 makes its sparse form dense, for a full eigensolve.
+`ModelState.S` and `ModelState.H` give dense read-only copies for readers
+outside the optimizer. Eigensolver and solver failures and non-finite
+graphs raise NumericError.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from climfs import numkit
 from climfs.dataset import (MaskMatrix, MultiViewDataset, _round_count,
@@ -316,47 +316,30 @@ def _spectral_partition(nbr: np.ndarray, w: np.ndarray, c: int,
     symmetric-normalized Laplacian I - N of its symmetrized form (whose
     diagonal is zero), rows normalized, then seeded k-means on the rows.
     Those are the c largest eigenpairs of N = D^-1/2 ((A + A^T) / 2)
-    D^-1/2, which has at most 2k nonzeros per row: implicitly restarted
-    Lanczos (ARPACK's `eigsh`) finds them from O(n k) sparse products,
-    started from a fixed pseudo-random vector so runs are byte-for-byte
-    repeatable. ARPACK cannot ask for c >= n - 1 pairs; those fall to a
-    dense eigensolve of the Laplacian in one n x n array. A non-finite
-    graph or an eigensolver failure is a NumericError."""
+    D^-1/2, one `numkit.sym_csr` matrix with at most 2k nonzeros per row:
+    implicitly restarted Lanczos (ARPACK's `eigsh`) finds them from O(n k)
+    sparse products, started from a fixed pseudo-random vector so runs are
+    byte-for-byte repeatable. ARPACK cannot ask for c >= n - 1 pairs; those
+    take the last c of every eigenpair of the same N, made dense. A
+    non-finite graph or an eigensolver failure is a NumericError."""
     if not np.isfinite(w).all():
         raise NumericError("non-finite consensus graph at initialization")
     n = nbr.shape[0]
     dinv = 1.0 / np.sqrt(np.maximum(numkit.sym_degrees(nbr, w), 1e-30))
-    if c >= n - 1:
-        L = numkit.laplacian(nbr, w)
-        L *= dinv[:, None]
-        L *= dinv[None, :]
-        L.flat[::n + 1] = 1.0
-        try:
-            # L is symmetric up to rounding, so its transpose is the
-            # Fortran-ordered array LAPACK overwrites without a copy
-            emb = scipy.linalg.eigh(L.T, subset_by_index=[0, c - 1],
-                                    overwrite_a=True, check_finite=False)[1]
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(
-                f"spectral initialization failed: {exc}") from exc
-    else:
-        # imported here: `import climfs.model` leaves scipy.sparse out
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.linalg import ArpackError, eigsh
-        rows, cols = nbr.ravel(), np.repeat(np.arange(n), nbr.shape[1])
-        # entry (i, j) adds A_ij / 2 and A_ji / 2, each scaled by the one
-        # product dinv_i dinv_j, so N is exactly symmetric
-        half = 0.5 * w.ravel() * (dinv[rows] * dinv[cols])
-        N = csr_matrix((np.concatenate([half, half]),
-                        (np.concatenate([rows, cols]),
-                         np.concatenate([cols, rows]))), shape=(n, n))
-        try:
+    # entry (i, j) adds A_ij / 2 and A_ji / 2, each scaled by the one
+    # product dinv_i dinv_j, so N is exactly symmetric
+    N = numkit.sym_csr(nbr, 0.5 * w * (dinv[nbr] * dinv[:, None]))
+    # imported here: `import climfs` leaves scipy out
+    from scipy.sparse.linalg import ArpackError, eigsh
+    try:
+        if c < n - 1:
             emb = eigsh(N, k=c, which="LA",
                         v0=np.random.default_rng(0).standard_normal(n))[1]
-        except ArpackError as exc:
-            raise NumericError(
-                f"spectral initialization failed: {exc}") from exc
-        emb = emb[:, ::-1]  # N's largest first: the Laplacian's order
+        else:
+            emb = np.linalg.eigh(N.toarray())[1]
+    except (ArpackError, np.linalg.LinAlgError) as exc:
+        raise NumericError(f"spectral initialization failed: {exc}") from exc
+    emb = emb[:, ::-1][:, :c]  # N's largest first: the Laplacian's order
     norms = np.linalg.norm(emb, axis=1, keepdims=True)
     emb = emb / np.where(norms == 0.0, 1.0, norms)
     return kmeans(emb, c, seed=seed)

@@ -321,8 +321,9 @@ def _sq_dist_rows(X: np.ndarray, sq: np.ndarray, cols: np.ndarray,
 # A k-sparse graph A on n samples is held as two (n, k) arrays: column j
 # of A has weight w[j, t] at row nbr[j, t], and zeros elsewhere (a row
 # listed twice in one column holds the sum of its weights). The functions
-# of this section read a graph in that form in O(n k) work, except
-# `densify` and `laplacian`, which build an n x n array.
+# of this section read a graph in that form in O(n k) work, and every
+# matrix of its symmetrized form comes from `sym_csr`; only `densify` and
+# `laplacian` build an n x n array.
 
 
 def densify(nbr: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -341,19 +342,11 @@ def sym_degrees(nbr: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def laplacian(nbr: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Laplacian diag(deg) - (A + A^T) / 2 of the symmetrized graph of a
-    nonnegative A, built in one n x n array (exactly symmetric); symmetric
-    PSD. `laplacian_quad` gives tr(X L X^T) without building it."""
+    nonnegative A, as one n x n array (exactly symmetric); symmetric PSD.
+    `laplacian_quad` gives tr(X L X^T) without building it."""
     if (w < 0).any():
         raise ValueError("affinity weights must be nonnegative")
-    n = nbr.shape[0]
-    cols = np.arange(n)[:, None]
-    # -A_ij / 2 lands at (i, j) and (j, i); bincount adds in input order
-    at = np.concatenate([(nbr * n + cols).ravel(), (cols * n + nbr).ravel()])
-    half = -0.5 * w.ravel()
-    L = np.bincount(at, np.concatenate([half, half]),
-                    minlength=n * n).reshape(n, n)
-    L.flat[::n + 1] += sym_degrees(nbr, w)
-    return L
+    return sym_csr(nbr, -0.5 * w, sym_degrees(nbr, w)).toarray()
 
 
 def laplacian_quad(X: np.ndarray, nbr: np.ndarray, w: np.ndarray,
@@ -387,24 +380,34 @@ def sym_matmul(nbr: np.ndarray, w: np.ndarray, F: np.ndarray) -> np.ndarray:
     return (AF + np.einsum("jt,jtc->jc", w, F[nbr])) / 2.0
 
 
-def identity_plus_laplacian(nbr: np.ndarray, w: np.ndarray):
-    """I + L for L = laplacian(nbr, w), as a scipy CSR matrix with at most
-    n (2k + 1) entries, built in O(n k): -w[j, t] / 2 at (nbr[j, t], j) and
-    at (j, nbr[j, t]), and 1 + sym_degrees(nbr, w) on the diagonal.
-    It is symmetric positive definite, with eigenvalues in
-    [1, 1 + 2 max degree], when every weight is nonnegative; a non-finite
-    or negative weight is a NumericError."""
-    if not (np.isfinite(w).all() and (w >= 0.0).all()):
-        raise NumericError("non-finite or negative graph weight in I + L")
-    # imported here: `import climfs.model` leaves scipy.sparse out
+def sym_csr(nbr: np.ndarray, half: np.ndarray,
+            diag: np.ndarray | None = None):
+    """The (n, n) scipy CSR matrix with half[j, t] at (nbr[j, t], j) and at
+    (j, nbr[j, t]), entries at one place summed, plus `diag` on the
+    diagonal when given: built in O(n k), at most n (2k + 1) nonzeros.
+    When each column's neighbours are distinct and never the column itself,
+    an entry sums at most two terms, so the matrix is exactly symmetric."""
+    # imported here: `import climfs` leaves scipy out
     from scipy.sparse import csr_matrix
     n = nbr.shape[0]
     ids = np.arange(n)
     rows, cols = nbr.ravel(), np.repeat(ids, nbr.shape[1])
-    half = -0.5 * w.ravel()
-    return csr_matrix((np.concatenate([half, half, 1.0 + sym_degrees(nbr, w)]),
-                       (np.concatenate([rows, cols, ids]),
-                        np.concatenate([cols, rows, ids]))), shape=(n, n))
+    data, i, j = [half.ravel()] * 2, [rows, cols], [cols, rows]
+    if diag is not None:
+        data, i, j = data + [diag], i + [ids], j + [ids]
+    return csr_matrix((np.concatenate(data), (np.concatenate(i),
+                                              np.concatenate(j))),
+                      shape=(n, n))
+
+
+def identity_plus_laplacian(nbr: np.ndarray, w: np.ndarray):
+    """I + L for L = laplacian(nbr, w), as a `sym_csr` matrix. It is
+    symmetric positive definite, with eigenvalues in [1, 1 + 2 max
+    degree], when every weight is nonnegative; a non-finite or negative
+    weight is a NumericError."""
+    if not (np.isfinite(w).all() and (w >= 0.0).all()):
+        raise NumericError("non-finite or negative graph weight in I + L")
+    return sym_csr(nbr, -0.5 * w, 1.0 + sym_degrees(nbr, w))
 
 
 def pcg(K, B: np.ndarray, X: np.ndarray | None = None,

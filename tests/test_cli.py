@@ -420,6 +420,19 @@ def invalid_config_cases():
     def nested_methods(cfg):
         cfg["methods"] = [["climfs"]]
 
+    def float_n(cfg):
+        cfg["data"]["synthetic"]["n"] = 30.0
+
+    def boolean_views(cfg):  # the mixed scenario would reject one view
+        cfg["data"]["synthetic"]["views"] = True
+        del cfg["scenario"]
+
+    def boolean_synthetic_seed(cfg):
+        cfg["data"]["synthetic"]["seed"] = True
+
+    def boolean_separation(cfg):
+        cfg["data"]["synthetic"]["separation"] = True
+
     return [drop_out_dir, both_sources, neither_source, top_typo, fit_typo,
             scenario_typo, bad_method, bad_ratio, empty_ratios, bad_runs,
             bad_kind, bad_delta, bad_fit_value, removed_fit_key,
@@ -430,7 +443,8 @@ def invalid_config_cases():
             boolean_beta, inf_lambda, inf_beta, text_rho_fit, list_tol,
             list_delta, null_delta, text_delta, float_scenario_seed,
             boolean_scenario_seed, negative_fit_seed, negative_scenario_seed,
-            list_method, nested_methods]
+            list_method, nested_methods, float_n, boolean_views,
+            boolean_synthetic_seed, boolean_separation]
 
 
 @pytest.mark.parametrize("mutate", invalid_config_cases(),

@@ -268,6 +268,11 @@ def test_make_synthetic_shapes_and_balance():
 def test_make_synthetic_deterministic():
     a = make_synthetic(n=20, views=2, clusters=2, informative=3, noise=2, seed=8)
     b = make_synthetic(n=20, views=2, clusters=2, informative=3, noise=2, seed=8)
-    for va, vb in zip(a.views, b.views):
-        assert np.array_equal(va, vb)
+    # numpy scalars count as integers and reals
+    c = make_synthetic(n=np.int64(20), views=np.int32(2), clusters=2,
+                       informative=3, noise=2, seed=np.uint8(8),
+                       separation=np.float64(3.0), noise_scale=np.float32(1))
+    for va, vb, vc in zip(a.views, b.views, c.views):
+        assert np.array_equal(va, vb) and np.array_equal(va, vc)
     assert np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a.labels, c.labels)

@@ -243,6 +243,12 @@ def _c_is_n():
     return masked, masks, FitConfig(k=4, c=30)
 
 
+def _c_is_n_minus_1():
+    # the least c the initialization solves by a dense eigensolve
+    masked, masks = small_instance(seed=21)
+    return masked, masks, FitConfig(k=4, c=29)
+
+
 def _view_on_k_plus_1_samples():
     # every other sample misses view 0 whole: its mean-imputed columns tie
     ds = make_synthetic(n=30, views=2, clusters=3, informative=3, noise=4,
@@ -256,7 +262,8 @@ def _view_on_k_plus_1_samples():
 
 
 @pytest.mark.parametrize("make", [_constant_feature_rows, _k_is_n_minus_2,
-                                  _c_is_n, _view_on_k_plus_1_samples],
+                                  _c_is_n, _c_is_n_minus_1,
+                                  _view_on_k_plus_1_samples],
                          ids=lambda f: f.__name__.strip("_"))
 def test_degenerate_inputs_fit_cleanly(make):
     # Each of these could also legitimately end in a named ConfigError or
@@ -549,11 +556,14 @@ def test_fit_does_not_import_scipy_optimize():
 
 
 def test_model_import_leaves_scipy_sparse_out():
-    # the graphs are (n, k) numpy arrays; importing scipy.sparse would
-    # only add start-up time
+    # climfs.cli imports climfs.model; no scipy module is loaded: each is
+    # imported where a fit or a score first needs it, so the commands that
+    # never fit (simulate, diagnose, --help) skip its start-up time
     run_fresh_python("import sys\n"
-                     "import climfs.model\n"
-                     "assert 'scipy.sparse' not in sys.modules\n")
+                     "import climfs.cli\n"
+                     "loaded = [m for m in sys.modules\n"
+                     "          if m == 'scipy' or m.startswith('scipy.')]\n"
+                     "assert not loaded, loaded\n")
 
 
 # Traced (tracemalloc) peak, in n x n float64 arrays, of init_state above
