@@ -90,6 +90,8 @@ def load_config(path: str | Path) -> dict:
     _reject_unknown(data, {"manifest", "synthetic"}, "data")
     if ("manifest" in data) == ("synthetic" in data):
         raise ConfigError("data needs exactly one of 'manifest'/'synthetic'")
+    if not isinstance(data.get("manifest", ""), str):
+        raise ConfigError("data.manifest must be a path string")
     if "synthetic" in data:
         _reject_unknown(data["synthetic"], _SYNTH_KEYS, "data.synthetic")
 
@@ -158,9 +160,9 @@ def resolve_fit_config(cfg: dict) -> FitConfig:
 def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     if args.out is not None:
         cfg["out_dir"] = args.out
-    if "out_dir" not in cfg:
-        raise ConfigError("output directory missing: set 'out_dir' in the "
-                          "config or pass --out")
+    if not isinstance(cfg.get("out_dir"), str):
+        raise ConfigError("output directory missing or not a path string: "
+                          "set 'out_dir' in the config or pass --out")
     if args.seed is not None:
         cfg.setdefault("fit", {})["seed"] = args.seed
         if "scenario" in cfg:
@@ -205,12 +207,7 @@ def _load_simulated(cfg: dict) -> tuple[MultiViewDataset, MaskMatrix]:
         raise ConfigError(
             f"no simulated dataset under {droot}; run 'simulate' first")
     ds = load_manifest(manifest)
-    masks = load_masks(masks_path)
-    try:
-        masks.check_against(ds)
-    except ValueError as exc:
-        raise ConfigError(f"dataset under {droot} is inconsistent: {exc}") from exc
-    return ds, masks
+    return ds, load_masks(masks_path, ds)
 
 
 # -------------------------------------------------------------- commands
@@ -396,7 +393,7 @@ def main(argv=None) -> int:
         if args.command == "diagnose":
             return cmd_diagnose(cfg)
         return cmd_ablate(cfg, args.strict)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: e.g. out_dir is a file
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, np.linalg.LinAlgError) as exc:

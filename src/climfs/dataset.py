@@ -312,12 +312,20 @@ def save_masks(masks: MaskMatrix, view_names: list[str],
     return mpath
 
 
-def load_masks(path: str | Path) -> MaskMatrix:
-    """Load masks written by `save_masks`."""
+def load_masks(path: str | Path,
+               ds: MultiViewDataset | None = None) -> MaskMatrix:
+    """Load masks written by `save_masks`. Given the dataset `ds`, masks
+    that do not name its views in order, or do not match them in count
+    and shape, are a ConfigError."""
     path = Path(path)
-    masks = [_load_csv_matrix(p) for _, p in _read_index(path, "masks")[1]]
+    entries = _read_index(path, "masks")[1]
     try:
-        return MaskMatrix(masks)
+        masks = MaskMatrix([_load_csv_matrix(p) for _, p in entries])
+        if ds is not None:
+            masks.check_against(ds)
+            if [e[0] for e in entries] != ds.view_names:
+                raise ValueError(f"views not in the order {ds.view_names}")
+        return masks
     except ValueError as exc:
         raise ConfigError(f"mask index {path}: {exc}") from exc
 

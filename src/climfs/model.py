@@ -142,11 +142,12 @@ FULL_MODEL = Components()
 
 @dataclass
 class ModelState:
-    """All optimization variables, with the shapes `_layout` gives; arrays
-    follow the (features, samples) column-sample convention of
-    `climfs.dataset`. Each graph is a pair of (n, k) arrays: row j of
-    `*_nbr` lists the rows of graph column j (the neighbours of sample j)
-    in ascending order, and row j of `*_w` their weights."""
+    """All optimization variables, with the shapes `_layout` gives; a list
+    field holds one array per view. Arrays follow the (features, samples)
+    column-sample convention of `climfs.dataset`. Each graph is a pair of
+    (n, k) arrays: row j of `*_nbr` lists the rows of graph column j (the
+    neighbours of sample j) in ascending order, and row j of `*_w` their
+    weights."""
 
     Xhat: list[np.ndarray]          # imputed data
     W: list[np.ndarray]             # projections
@@ -157,7 +158,8 @@ class ModelState:
     H_nbr: np.ndarray               # consensus graph neighbours
     H_w: np.ndarray                 # consensus graph weights
     alpha: np.ndarray               # view weights on the simplex
-    adam: list[numkit.AdamState]    # per-view Adam moments for Fv
+    adam_m: list[np.ndarray]        # Adam first moments of Fv
+    adam_v: list[np.ndarray]        # Adam second moments of Fv
     xi: list[np.ndarray]            # per-column S quadratic offsets
     gamma: np.ndarray               # per-column H quadratic weights
     sweeps: int = 0                 # completed sweeps; numbers trace rows
@@ -372,14 +374,14 @@ def init_state(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
     Fstar = np.zeros((n, cfg.c))
     Fstar[np.arange(n), labels] = 1.0
 
-    Fv = [np.zeros((n, cfg.c)) for _ in range(V)]
-    adam = [numkit.AdamState.zeros((n, cfg.c)) for _ in range(V)]
+    def zeros(*shape):
+        return [np.zeros(shape) for _ in range(V)]
 
-    state = ModelState(Xhat=Xhat, W=W, Fv=Fv, Fstar=Fstar,
+    state = ModelState(Xhat=Xhat, W=W, Fv=zeros(n, cfg.c), Fstar=Fstar,
                        S_nbr=[g[0] for g in S], S_w=[g[1] for g in S],
-                       H_nbr=H_nbr, H_w=H_w, alpha=alpha, adam=adam,
-                       xi=[np.zeros(n) for _ in range(V)],
-                       gamma=np.zeros(n))
+                       H_nbr=H_nbr, H_w=H_w, alpha=alpha,
+                       adam_m=zeros(n, cfg.c), adam_v=zeros(n, cfg.c),
+                       xi=zeros(n), gamma=np.zeros(n))
     if components.graph_learning:
         for v in range(V):
             state.xi[v] = _refresh(_q_spec(state, v), n, k,
@@ -465,8 +467,8 @@ def update_Fv(state: ModelState, cfg: FitConfig) -> dict:
         for s in range(FV_INNER_STEPS):
             F = state.Fv[v]
             g = 2.0 * ((F + state.Fstar) @ U - J)
-            step, tvec = numkit.adam_step(
-                state.adam[v], g, FV_ADAM_LR,
+            state.adam_m[v], state.adam_v[v], step, tvec = numkit.adam_step(
+                state.adam_m[v], state.adam_v[v], g, FV_ADAM_LR,
                 FV_INNER_STEPS * state.sweeps + s + 1)
             absF = np.abs(F)
             cand, rejected = _first_descent(
@@ -916,23 +918,22 @@ def rank_features(state: ModelState, ratio: float) -> SelectionResult:
 
 
 def _layout(state: ModelState, n: int, dims: list[int],
-            cfg: FitConfig) -> dict[str, tuple[np.ndarray, tuple]]:
+            cfg: FitConfig) -> dict[str, tuple[str, np.ndarray, tuple]]:
     """The state's layout: each checkpoint name, in `save_state`'s order,
-    with the array of `state` it holds and the shape that array needs for
-    n samples, views of dims[v] features and the c and k of `cfg`."""
-    c, k, V = cfg.c, cfg.k, len(dims)
-    layout = {"Fstar": (state.Fstar, (n, c)), "alpha": (state.alpha, (V,)),
-              "gamma": (state.gamma, (n,)), "H_nbr": (state.H_nbr, (n, k)),
-              "H_w": (state.H_w, (n, k))}
+    with the field of `state` it comes from, the array it holds and the
+    shape that array needs for n samples, views of dims[v] features and
+    the c and k of `cfg`. An array is named after its field, with _<v>
+    appended for view v's entry of a per-view field."""
+    c, k = cfg.c, cfg.k
+    whole = (("Fstar", (n, c)), ("alpha", (len(dims),)), ("gamma", (n,)),
+             ("H_nbr", (n, k)), ("H_w", (n, k)))
+    layout = {f: (f, getattr(state, f), shape) for f, shape in whole}
     for v, d in enumerate(dims):
-        layout.update({f"Xhat_{v}": (state.Xhat[v], (d, n)),
-                       f"W_{v}": (state.W[v], (d, c)),
-                       f"Fv_{v}": (state.Fv[v], (n, c)),
-                       f"xi_{v}": (state.xi[v], (n,)),
-                       f"adam_m_{v}": (state.adam[v].m, (n, c)),
-                       f"adam_v_{v}": (state.adam[v].v, (n, c)),
-                       f"S_{v}_nbr": (state.S_nbr[v], (n, k)),
-                       f"S_{v}_w": (state.S_w[v], (n, k))})
+        per_view = (("Xhat", (d, n)), ("W", (d, c)), ("Fv", (n, c)),
+                    ("xi", (n,)), ("adam_m", (n, c)), ("adam_v", (n, c)),
+                    ("S_nbr", (n, k)), ("S_w", (n, k)))
+        layout.update({f"{f}_{v}": (f, getattr(state, f)[v], shape)
+                       for f, shape in per_view})
     return layout
 
 
@@ -948,12 +949,12 @@ def check_state(state: ModelState, n: int, dims: list[int],
             raise ConfigError(f"state {f.name} holds {len(views)} views, the "
                               f"dataset {len(dims)}")
     cfg.validate(n)
-    for name, (a, shape) in _layout(state, n, dims, cfg).items():
+    for name, (f, a, shape) in _layout(state, n, dims, cfg).items():
         if np.shape(a) != shape:
             raise ConfigError(f"state {name} is shaped {np.shape(a)}, not "
                               f"{shape} (n={n} samples, c={cfg.c}, k={cfg.k})")
-        if name.endswith("_nbr") and not (np.issubdtype(a.dtype, np.integer)
-                                          and ((0 <= a) & (a < n)).all()):
+        if f.endswith("_nbr") and not (np.issubdtype(a.dtype, np.integer)
+                                       and ((0 <= a) & (a < n)).all()):
             raise ConfigError(f"state {name} holds neighbours that are not "
                               f"integers in [0, {n})")
 
@@ -966,9 +967,8 @@ def save_state(state: ModelState, cfg: FitConfig, components: Components,
     reloads bit for bit, so resumed runs continue identically."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    layout = _layout(state, state.n_samples, [len(x) for x in state.Xhat],
-                     cfg)
-    np.savez(out / "state.npz", **{name: a for name, (a, _) in layout.items()})
+    np.savez(out / "state.npz", **{name: a for name, (_, a, _) in _layout(
+        state, state.n_samples, [len(x) for x in state.Xhat], cfg).items()})
     header = {"sweeps": state.sweeps, "cfg": asdict(cfg),
               "components": asdict(components)}
     (out / "header.json").write_text(json.dumps(header, indent=2,
@@ -981,10 +981,10 @@ def load_state(path: str | Path) -> tuple[ModelState, FitConfig, Components]:
     length of alpha. A missing checkpoint is a ConfigError, as is one with
     an entry missing or malformed: a cfg that `FitConfig` rejects,
     components that are not booleans, sweeps that is not a non-negative
-    integer, the flat-index graphs of earlier versions, or a state that
-    fails `check_state` against its own n (Fstar's rows), view sizes
-    (Xhat's rows), c and k. Header keys not read here, like the `adam_t`
-    of earlier versions, are ignored."""
+    integer, the flat-index graphs or the S_<v>_nbr, S_<v>_w names of
+    earlier versions, or a state that fails `check_state` against its own
+    n (Fstar's rows), view sizes (Xhat's rows), c and k. Header keys not
+    read here, like the `adam_t` of earlier versions, are ignored."""
     path = Path(path)
     if not (path / "header.json").is_file():
         raise ConfigError(f"no fitted state under {path}; run 'fit' first")
@@ -999,17 +999,11 @@ def load_state(path: str | Path) -> tuple[ModelState, FitConfig, Components]:
         sweeps = header["sweeps"]
         if type(sweeps) is not int or sweeps < 0:  # a bool is no count
             raise ValueError("sweeps must be a non-negative integer")
-
-        def views(name: str) -> list[np.ndarray]:
-            return [arr[name.format(v)] for v in range(len(arr["alpha"]))]
-
-        state = ModelState(
-            Xhat=views("Xhat_{}"), W=views("W_{}"), Fv=views("Fv_{}"),
-            Fstar=arr["Fstar"], S_nbr=views("S_{}_nbr"), S_w=views("S_{}_w"),
-            H_nbr=arr["H_nbr"], H_w=arr["H_w"], alpha=arr["alpha"],
-            adam=[numkit.AdamState(m=m, v=v) for m, v in
-                  zip(views("adam_m_{}"), views("adam_v_{}"))],
-            xi=views("xi_{}"), gamma=arr["gamma"], sweeps=sweeps)
+        views = range(len(arr["alpha"]))
+        state = ModelState(sweeps=sweeps, **{  # names as `_layout` gives
+            f.name: [arr[f"{f.name}_{v}"] for v in views]
+            if str(f.type).startswith("list") else arr[f.name]
+            for f in fields(ModelState) if f.name != "sweeps"})
         check_state(state, state.n_samples, [len(x) for x in state.Xhat], cfg)
     except (ConfigError, OSError, ValueError, TypeError, KeyError, IndexError,
             zipfile.BadZipFile) as exc:  # an entry missing or malformed

@@ -1,16 +1,14 @@
 """Numeric kernels used by the alternating optimizer.
 
 All kernels operate on float64 numpy arrays and are pure functions except
-for `adam_step`, which advances an `AdamState` in place (single-owner
-mutable), and `ksparse_simplex_columns`, which overwrites the entries of
-its cost rows that it leaves out; everything else is safe to share across
-threads. The k-sparse graphs are read in their (n, k) neighbour form; see
-the section on them below.
+`ksparse_simplex_columns`, which overwrites the entries of its cost rows
+that it leaves out; everything else is safe to share across threads.
+The k-sparse graphs are read in their (n, k) neighbour form; see the
+section on them below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -470,31 +468,19 @@ def pcg(K, B: np.ndarray, X: np.ndarray | None = None,
 # ------------------------------------------------------------------ Adam
 
 
-@dataclass
-class AdamState:
-    """First/second moment accumulators for Adam-style adaptive steps,
-    shaped like the parameter stepped; `adam_step` advances them."""
-
-    m: np.ndarray
-    v: np.ndarray
-
-    @classmethod
-    def zeros(cls, shape) -> "AdamState":
-        return cls(m=np.zeros(shape), v=np.zeros(shape))
-
-
-def adam_step(state: AdamState, grad: np.ndarray, lr: float,
-              t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Advance the Adam moments with `grad` in place as step number t
-    (1 for the first step); return the step lr * mhat / (sqrt(vhat) + eps)
-    (moments bias-corrected for t steps), to subtract from the parameter,
-    and the rate lr / (sqrt(vhat) + eps) it scales."""
+def adam_step(m: np.ndarray, v: np.ndarray, grad: np.ndarray, lr: float,
+              t: int) -> tuple[np.ndarray, ...]:
+    """One Adam step as step number t (1 for the first step) from the
+    first and second moments m, v: returns the moments advanced with
+    `grad`, the step lr * mhat / (sqrt(vhat) + eps) (moments
+    bias-corrected for t steps), to subtract from the parameter, and the
+    rate lr / (sqrt(vhat) + eps) it scales."""
     grad = np.asarray(grad, dtype=float)
-    if grad.shape != state.m.shape:
-        raise ValueError("gradient shape does not match the Adam state")
-    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
-    mhat = state.m / (1.0 - ADAM_BETA1 ** t)
-    vhat = state.v / (1.0 - ADAM_BETA2 ** t)
+    if not grad.shape == m.shape == v.shape:
+        raise ValueError("gradient shape does not match the Adam moments")
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+    mhat = m / (1.0 - ADAM_BETA1 ** t)
+    vhat = v / (1.0 - ADAM_BETA2 ** t)
     den = np.sqrt(vhat) + ADAM_EPS
-    return lr * mhat / den, lr / den
+    return m, v, lr * mhat / den, lr / den

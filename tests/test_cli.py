@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,31 @@ def test_view_missing_guard_keeps_every_sample_alive(tmp_path):
     for m in masks.masks:
         alive |= m.any(axis=0)
     assert alive.all()
+
+
+def test_scenario_that_apply_missing_rejects_exits_2(tmp_path, capsys):
+    cfg = base_config(tmp_path / "out")
+    cfg["data"]["synthetic"]["views"] = 1  # view removal needs two views
+    cfg["scenario"]["kind"] = "view"
+    p = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["simulate", "--config", p]) == 2
+    assert "bad scenario" in capsys.readouterr().err
+
+
+def test_simulate_without_a_scenario_observes_every_entry(tmp_path):
+    cfg = base_config(tmp_path / "out")
+    del cfg["scenario"]
+    cfg["fit"].update(max_iter=2, tol=1e-13)
+    p = write_config(tmp_path / "cfg.json", cfg)
+    for command in ("simulate", "fit", "evaluate"):
+        assert main([command, "--config", p]) == 0, command
+    out = tmp_path / "out"
+    ds = load_manifest(out / "dataset" / "manifest.json")
+    masks = load_masks(out / "dataset" / "masks.json")
+    assert all((m == 1.0).all() for m in masks.masks)
+    state, _, _ = load_state(out / "fit" / "climfs" / "state")
+    for xhat, view in zip(state.Xhat, ds.views):
+        assert xhat.tobytes() == view.tobytes()
 
 
 def test_seed_flag_changes_generated_data(tmp_path):
@@ -266,9 +292,9 @@ def test_checkpoint_bytes_and_key_order_identical_across_runs(two_runs):
         assert npz.files == [
             "Fstar", "alpha", "gamma", "H_nbr", "H_w",
             "Xhat_0", "W_0", "Fv_0", "xi_0", "adam_m_0", "adam_v_0",
-            "S_0_nbr", "S_0_w",
+            "S_nbr_0", "S_w_0",
             "Xhat_1", "W_1", "Fv_1", "xi_1", "adam_m_1", "adam_v_1",
-            "S_1_nbr", "S_1_w"]
+            "S_nbr_1", "S_w_1"]
 
 
 def test_trace_objectives_identical_across_runs(two_runs):
@@ -433,6 +459,12 @@ def invalid_config_cases():
     def boolean_separation(cfg):
         cfg["data"]["synthetic"]["separation"] = True
 
+    def number_out_dir(cfg):
+        cfg["out_dir"] = 5
+
+    def number_manifest(cfg):
+        cfg["data"] = {"manifest": 5}
+
     return [drop_out_dir, both_sources, neither_source, top_typo, fit_typo,
             scenario_typo, bad_method, bad_ratio, empty_ratios, bad_runs,
             bad_kind, bad_delta, bad_fit_value, removed_fit_key,
@@ -444,7 +476,8 @@ def invalid_config_cases():
             list_delta, null_delta, text_delta, float_scenario_seed,
             boolean_scenario_seed, negative_fit_seed, negative_scenario_seed,
             list_method, nested_methods, float_n, boolean_views,
-            boolean_synthetic_seed, boolean_separation]
+            boolean_synthetic_seed, boolean_separation, number_out_dir,
+            number_manifest]
 
 
 @pytest.mark.parametrize("mutate", invalid_config_cases(),
@@ -454,6 +487,13 @@ def test_invalid_config_exits_2(tmp_path, mutate):
     mutate(cfg)
     p = write_config(tmp_path / "cfg.json", cfg)
     assert main(["simulate", "--config", p]) == 2
+
+
+def test_out_dir_that_names_a_file_exits_2(tmp_path, capsys):
+    (tmp_path / "out").write_text("a file, not a directory\n")
+    p = write_config(tmp_path / "cfg.json", base_config(tmp_path / "out"))
+    assert main(["simulate", "--config", p]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_unreadable_or_malformed_config_exits_2(tmp_path):
@@ -519,7 +559,7 @@ def test_checkpoint_without_a_sweep_count_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.count("refit it") == 2
 
 
-@pytest.mark.parametrize("entry", ["W_1", "Fstar", "S_0_nbr", "H_w",
+@pytest.mark.parametrize("entry", ["W_1", "Fstar", "S_nbr_0", "H_w",
                                    "adam_m_0"])
 def test_checkpoint_without_an_array_exits_2(tmp_path, capsys, entry):
     cfg = base_config(tmp_path / "out")
@@ -543,24 +583,27 @@ def _flat_graph_layout(arrays: dict) -> dict:
     indices and values of each dense graph's nonzero entries."""
     out = {}
     for name, a in arrays.items():
-        if name.endswith("_nbr"):
-            graph = name[:-len("_nbr")]
+        if "_nbr" in name:  # H_nbr, S_nbr_<v>: graphs H, S_<v>
+            graph = name.replace("_nbr", "")
             G = np.zeros((a.shape[0], a.shape[0]))
-            G[a, np.arange(a.shape[0])[:, None]] = arrays[f"{graph}_w"]
+            G[a, np.arange(a.shape[0])[:, None]] = \
+                arrays[name.replace("_nbr", "_w")]
             idx = np.flatnonzero(G.view(np.uint64))
             out.update({f"{graph}_idx": idx, f"{graph}_vals": G.ravel()[idx]})
-        elif not name.endswith("_w"):
+        elif not name.startswith(("S_w", "H_w")):
             out[name] = a
     return out
 
 
 @pytest.mark.parametrize("tamper", [
-    lambda a: {**a, "S_1_w": a["S_1_w"][:, 1:]},
+    lambda a: {**a, "S_w_1": a["S_w_1"][:, 1:]},
     lambda a: {**a, "H_nbr": a["H_nbr"][:-1]},
-    lambda a: {**a, "S_0_nbr": a["S_0_nbr"].astype(float)},
+    lambda a: {**a, "S_nbr_0": a["S_nbr_0"].astype(float)},
     lambda a: {**a, "H_nbr": np.full_like(a["H_nbr"], a["H_nbr"].shape[0])},
-    lambda a: {**a, "S_1_nbr": -a["S_1_nbr"]},
+    lambda a: {**a, "S_nbr_1": -a["S_nbr_1"]},
     _flat_graph_layout,
+    lambda a: {re.sub(r"^S_(nbr|w)_(\d)$", r"S_\2_\1", name): x
+               for name, x in a.items()},
     lambda a: {**a, "W_0": np.hstack([a["W_0"], a["W_0"][:, :1]])},
     lambda a: {**a, "Fv_0": np.hstack([a["Fv_0"], a["Fv_0"][:, :1]])},
     lambda a: {**a, "Fstar": np.hstack([a["Fstar"], a["Fstar"][:, :1]])},
@@ -568,6 +611,7 @@ def _flat_graph_layout(arrays: dict) -> dict:
     lambda a: {**a, "gamma": a["gamma"][:-1]},
 ], ids=["weights_not_n_by_k", "neighbours_not_n_by_k", "float_neighbours",
         "neighbour_n", "negative_neighbours", "flat_index_layout",
+        "earlier_view_graph_names",
         "W_not_d_by_c", "Fv_not_n_by_c", "Fstar_not_n_by_c", "short_xi",
         "short_gamma"])
 def test_malformed_graph_checkpoint_exits_2(tmp_path, capsys, tamper):
@@ -699,6 +743,20 @@ def test_malformed_dataset_index_exits_2(tmp_path, capsys, index, content):
     for command in ("fit", "evaluate", "diagnose"):
         assert main([command, "--config", p]) == 2
     assert capsys.readouterr().err.count(f"index {tmp_path}") == 3
+
+
+def test_masks_of_the_views_in_another_order_exit_2(tmp_path, capsys):
+    # both views are 10 x 40, so counts and shapes alone cannot tell
+    p = write_config(tmp_path / "cfg.json", base_config(tmp_path / "out"))
+    assert main(["simulate", "--config", p]) == 0
+    index = tmp_path / "out" / "dataset" / "masks.json"
+    spec = json.loads(index.read_text())
+    spec["masks"].reverse()
+    index.write_text(json.dumps(spec))
+    capsys.readouterr()
+    assert main(["fit", "--config", p]) == 2
+    assert "views not in the order ['view0', 'view1']" in \
+        capsys.readouterr().err
 
 
 # --------------------------------------------------------- numeric errors

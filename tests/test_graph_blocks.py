@@ -45,7 +45,8 @@ def random_state(seed, n, views, k, tied):
         Fv=[np.zeros((n, c)) for _ in range(views)], Fstar=Fstar,
         S_nbr=[g[0] for g in graphs[:-1]], S_w=[g[1] for g in graphs[:-1]],
         H_nbr=graphs[-1][0], H_w=graphs[-1][1], alpha=a / a.sum(),
-        adam=[numkit.AdamState.zeros((n, c)) for _ in range(views)],
+        adam_m=[np.zeros((n, c)) for _ in range(views)],
+        adam_v=[np.zeros((n, c)) for _ in range(views)],
         # stored coefficients on both sides of the self-tuned ones (xi is
         # a half-gap minus alpha_v^2, so it can be negative): some column
         # swaps pay for themselves, some do not

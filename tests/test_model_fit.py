@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from climfs import numkit
 from climfs.baselines import METHODS
@@ -21,8 +24,8 @@ from climfs.dataset import (MaskMatrix, MissingScenario, MultiViewDataset,
 from climfs.errors import ConfigError, NumericError
 from climfs.evaluation import kmeans
 from climfs.model import (EPS_DV, Components, FitConfig, ModelState,
-                          _b_spec, _constrained_impute, _costs,
-                          _spectral_partition, fit,
+                          _b_spec, _constrained_impute, _costs, _layout,
+                          _spectral_partition, check_state, fit,
                           init_state, load_state, objective, rank_features,
                           save_state, update_alpha, update_Fstar, update_Fv,
                           update_H, update_S, update_W, update_Xhat,
@@ -41,15 +44,11 @@ def small_instance(seed=0, n=30, delta=0.3):
 
 
 def state_arrays(st: ModelState) -> dict:
-    """Every array of a ModelState by name, Adam fields included."""
+    """Every array of a ModelState by name, Adam moments included."""
     out = {}
     for f in dataclasses.fields(ModelState):
         val = getattr(st, f.name)
-        if f.name == "adam":
-            for v, a in enumerate(val):
-                out.update({f"adam{v}.{k}": np.asarray(x)
-                            for k, x in vars(a).items()})
-        elif isinstance(val, list):
+        if isinstance(val, list):
             out.update({f"{f.name}{v}": x for v, x in enumerate(val)})
         else:
             out[f.name] = np.asarray(val)   # the sweep count included
@@ -525,6 +524,75 @@ def test_resuming_a_state_that_does_not_fit_is_a_config_error(n, change, nbr,
     masked, masks = small_instance(seed=19, n=n)
     with pytest.raises(ConfigError, match=field):
         fit(masked, masks, dataclasses.replace(cfg, **change), state=st)
+
+
+def test_a_state_with_another_view_count_is_a_config_error():
+    masked, masks = small_instance(seed=19)
+    cfg = FitConfig(k=4, c=3)
+    st = init_state(masked, masks, cfg)
+    with pytest.raises(ConfigError, match="Xhat holds 2 views, the dataset 1"):
+        check_state(st, masked.n_samples, masked.dims[:1], cfg)
+
+
+def _resume_case(draw):
+    """A small instance, settings and method for the resume property: n in
+    6-40, 1-3 views of 1-6 features holding Gaussian, integer,
+    duplicated-sample or constant-feature data, any scenario kind, k <=
+    n - 2 and c <= min(6, n); view removal only with two views or more."""
+    n = draw(hst.integers(6, 40))
+    dims = draw(hst.lists(hst.integers(1, 6), min_size=1, max_size=3))
+    data = draw(hst.sampled_from(["gaussian", "integer", "duplicated",
+                                  "constant"]))
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    views = []
+    for d in dims:
+        X = rng.integers(0, 3, size=(d, n)).astype(float) \
+            if data == "integer" else rng.normal(size=(d, n))
+        if data == "duplicated":
+            X[:, n // 2:] = X[:, :n - n // 2]
+        if data == "constant":
+            X[0] = 1.5
+        views.append(X)
+    kinds = ["variable"] + (["view", "mixed"] if len(dims) > 1 else [])
+    scenario = MissingScenario(draw(hst.sampled_from(kinds)),
+                               draw(hst.floats(0.1, 0.7)),
+                               draw(hst.integers(0, 1000)))
+    cfg = FitConfig(k=draw(hst.integers(1, n - 2)),
+                    c=draw(hst.integers(1, min(6, n))), tol=1e-12,
+                    seed=draw(hst.integers(0, 1000)))
+    return (MultiViewDataset(views=views), scenario, cfg,
+            draw(hst.sampled_from(sorted(METHODS))))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(hst.data())
+def test_a_resumed_fit_matches_the_unbroken_one(tmp_path_factory, data):
+    ds, scenario, cfg, method = _resume_case(data.draw)
+    try:
+        masked, masks = apply_missing(ds, scenario)
+    except ValueError:
+        assume(False)  # a draw that apply_missing rejects
+    comps = METHODS[method]
+    with warnings.catch_warnings():  # a feature row may lose every entry
+        warnings.simplefilter("ignore")
+        unbroken, trace_a = fit(masked, masks,
+                                dataclasses.replace(cfg, max_iter=4), comps)
+        half = dataclasses.replace(cfg, max_iter=2)
+        resumed, trace_b = fit(masked, masks, half, comps)
+        rows = trace_b.rows
+        if not trace_b.converged:  # else the unbroken run stopped there too
+            ckpt = save_state(resumed, half, comps,
+                              tmp_path_factory.mktemp("ck"))
+            loaded, cfg_l, comps_l = load_state(ckpt)
+            resumed, trace_c = fit(masked, masks, cfg_l, comps_l,
+                                   state=loaded)
+            rows = rows + trace_c.rows
+    assert [untimed(r) for r in trace_a.rows] == [untimed(r) for r in rows]
+    assert_states_bitwise_equal(unbroken, resumed)  # sweeps included
+    # the checkpoint names are the array fields, with _<v> per view
+    layout = _layout(unbroken, masked.n_samples, masked.dims, cfg)
+    assert {re.sub(r"_\d+$", "", name) for name in layout} == {
+        f.name for f in dataclasses.fields(ModelState) if f.name != "sweeps"}
 
 
 def test_fit_takes_the_graph_inner_products_once_per_sweep(monkeypatch):

@@ -71,7 +71,8 @@ def make_state(rng, n=8, dims=(4, 3), c=2, k=2):
         **graph_fields([rand_graph(rng, n, k) for _ in range(V)],
                        rand_graph(rng, n, k), k),
         alpha=a / a.sum(),
-        adam=[numkit.AdamState.zeros((n, c)) for _ in range(V)],
+        adam_m=[np.zeros((n, c)) for _ in range(V)],
+        adam_v=[np.zeros((n, c)) for _ in range(V)],
         xi=[rng.random(n) * 0.1 for _ in range(V)],
         gamma=rng.random(n) * 0.1)
 
@@ -200,7 +201,7 @@ def test_update_fv_matches_grid_oracle():
     st.Fstar = np.array([[0.2, 0.1], [0.0, 0.0], [0.0, 0.0]])
     st.Xhat = [np.array([[0.9, 0.0, 0.0], [0.4, 0.0, 0.0]])]
     st.Fv = [np.zeros((3, 2))]
-    st.adam = [numkit.AdamState.zeros((3, 2))]
+    st.adam_m, st.adam_v = [np.zeros((3, 2))], [np.zeros((3, 2))]
     cfg = FitConfig(beta=0.05, c=2, k=1)
 
     # grid over the first row of F (other rows stay at their optimum 0,
@@ -230,7 +231,7 @@ def test_update_fv_zero_gradient_fixed_point():
     st = make_state(rng, n=6, dims=(4,), c=2, k=2)
     st.Fv = [np.zeros((6, 2))]
     st.Xhat = [st.W[0] @ st.Fstar.T]   # exact factorization at Fv = 0
-    st.adam = [numkit.AdamState.zeros((6, 2))]
+    st.adam_m, st.adam_v = [np.zeros((6, 2))], [np.zeros((6, 2))]
     cfg = FitConfig(beta=0.5, c=2, k=2)
     update_Fv(st, cfg)
     assert np.array_equal(st.Fv[0], np.zeros((6, 2)))
@@ -477,7 +478,7 @@ def test_update_s_tie_break_prefers_lower_index():
         Fstar=np.ones((3, 1)),
         **graph_fields([shifted_graph(3, 1, 2)], np.zeros((3, 3)), 1),
         alpha=np.array([1.0]),
-        adam=[numkit.AdamState.zeros((3, 1))],
+        adam_m=[np.zeros((3, 1))], adam_v=[np.zeros((3, 1))],
         xi=[np.full(3, SWAP_ALL)],
         gamma=np.zeros(3))
     cfg = FitConfig(c=1, k=1)
@@ -500,7 +501,7 @@ def test_update_s_equal_distances_selects_lowest_indices():
         # starts on the highest indices
         **graph_fields([shifted_graph(n, k, 3)], np.zeros((n, n)), k),
         alpha=np.array([1.0]),
-        adam=[numkit.AdamState.zeros((n, 1))],
+        adam_m=[np.zeros((n, 1))], adam_v=[np.zeros((n, 1))],
         xi=[np.full(n, SWAP_ALL)],
         gamma=np.zeros(n))
     cfg = FitConfig(c=1, k=k)
@@ -519,7 +520,7 @@ def test_update_s_duplicate_sample_one_hot():
         Fstar=np.ones((4, 1)),
         **graph_fields([shifted_graph(4, 1, 2)], np.zeros((4, 4)), 1),
         alpha=np.array([1.0]),
-        adam=[numkit.AdamState.zeros((4, 1))],
+        adam_m=[np.zeros((4, 1))], adam_v=[np.zeros((4, 1))],
         xi=[np.full(4, SWAP_ALL)],
         gamma=np.zeros(4))
     assert update_S(st, FitConfig(c=1, k=1))["s_guard_skips"] == 0

@@ -10,7 +10,7 @@ import pytest
 from climfs import numkit
 from climfs.errors import NumericError
 from climfs.numkit import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, CG_RTOL,
-                           COLUMN_BLOCK, AdamState, adam_step,
+                           COLUMN_BLOCK, adam_step,
                            identity_plus_laplacian, ksparse_simplex_columns,
                            ksparse_simplex_min, laplacian, pcg, simplex_qp,
                            soft_threshold, solve_scaled_sylvester, sq_dists)
@@ -491,41 +491,45 @@ def test_sq_dists_matches_pairwise_loop():
 
 
 def test_adam_first_step_hand_value():
-    st = AdamState.zeros((1,))
-    step, rate = adam_step(st, np.array([1.0]), 0.1, 1)
+    m, v, step, rate = adam_step(np.zeros(1), np.zeros(1), np.array([1.0]),
+                                 0.1, 1)
     # mhat = vhat = 1 after bias correction -> step = rate = lr / (1 + eps)
     assert step[0] == pytest.approx(0.1 / (1.0 + 1e-8), rel=1e-12)
     assert rate[0] == pytest.approx(0.1 / (1.0 + 1e-8), rel=1e-12)
+    assert m[0] == pytest.approx(0.1) and v[0] == pytest.approx(1e-3)
 
 
 def test_adam_zero_gradient_zero_step():
-    st = AdamState.zeros((3, 2))
-    step, rate = adam_step(st, np.zeros((3, 2)), 1e-3, 1)
+    zeros = np.zeros((3, 2))
+    _, _, step, rate = adam_step(zeros, zeros, zeros, 1e-3, 1)
     np.testing.assert_allclose(step, 0.0, atol=0)
     # vhat = 0, so the rate is lr / eps
     np.testing.assert_array_equal(rate, 1e-3 / ADAM_EPS)
 
 
 def test_adam_constant_gradient_step_approaches_lr():
-    st = AdamState.zeros((1,))
+    m = v = np.zeros(1)
     for t in range(1, 5001):
-        step, _ = adam_step(st, np.array([2.0]), 0.05, t)
+        m, v, step, _ = adam_step(m, v, np.array([2.0]), 0.05, t)
     assert step[0] == pytest.approx(0.05, rel=1e-3)
 
 
 def test_adam_rate_matches_the_bias_corrected_second_moment():
     rng = np.random.default_rng(0)
-    st = AdamState.zeros((4, 3))
+    m = v = np.zeros((4, 3))
     for t, lr in enumerate((1e-3, 0.01, 0.5), start=1):
-        step, rate = adam_step(st, rng.normal(size=(4, 3)), lr, t)
-        vhat = st.v / (1.0 - ADAM_BETA2 ** t)
-        mhat = st.m / (1.0 - ADAM_BETA1 ** t)
+        m_in, v_in, kept = m, v, (m.copy(), v.copy())
+        m, v, step, rate = adam_step(m, v, rng.normal(size=(4, 3)), lr, t)
+        # the moments come back advanced; the ones passed in are unchanged
+        assert np.array_equal(m_in, kept[0]) and np.array_equal(v_in, kept[1])
+        assert not np.array_equal(m, m_in)
+        vhat = v / (1.0 - ADAM_BETA2 ** t)
+        mhat = m / (1.0 - ADAM_BETA1 ** t)
         np.testing.assert_array_equal(rate, lr / (np.sqrt(vhat) + ADAM_EPS))
         np.testing.assert_array_equal(
             step, lr * mhat / (np.sqrt(vhat) + ADAM_EPS))
 
 
 def test_adam_shape_mismatch():
-    st = AdamState.zeros((2,))
     with pytest.raises(ValueError):
-        adam_step(st, np.zeros(3), 1e-3, 1)
+        adam_step(np.zeros(2), np.zeros(2), np.zeros(3), 1e-3, 1)
