@@ -277,9 +277,28 @@ def load_manifest(path: str | Path) -> MultiViewDataset:
         raise ConfigError(f"manifest {path}: {exc}") from exc
 
 
+def _check_view_names(names: list[str]) -> None:
+    """A ConfigError unless every view name gives files of its own in a
+    dataset directory, where view v writes <name>.csv and mask_<name>.csv
+    next to labels.csv: a name must be a non-empty string without a path
+    separator, and no two of those file names may coincide."""
+    files = [f"{x}.csv" for x in names] + [f"mask_{x}.csv" for x in names]
+    if not all(isinstance(x, str) and x and not set(x) & set("/\\\0")
+               for x in names):
+        raise ConfigError(f"view names {names} must be non-empty and hold "
+                          f"no path separator")
+    if len(set(files + ["labels.csv"])) <= len(files):
+        raise ConfigError(f"view names {names} give two dataset files one "
+                          f"name: view files are <name>.csv and "
+                          f"mask_<name>.csv, next to labels.csv")
+
+
 def save_dataset(ds: MultiViewDataset, out_dir: str | Path) -> Path:
     """Write view/label CSVs plus manifest.json to `out_dir`; returns the
-    manifest path. Floats use 17 significant digits (bit-exact reload)."""
+    manifest path. Floats use 17 significant digits (bit-exact reload).
+    View names that `_check_view_names` rejects are a ConfigError, raised
+    before anything is written."""
+    _check_view_names(ds.view_names)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -299,7 +318,9 @@ def save_dataset(ds: MultiViewDataset, out_dir: str | Path) -> Path:
 
 def save_masks(masks: MaskMatrix, view_names: list[str],
                out_dir: str | Path) -> Path:
-    """Write per-view 0/1 mask CSVs plus masks.json; returns the index path."""
+    """Write per-view 0/1 mask CSVs plus masks.json; returns the index
+    path. View names are checked as in `save_dataset`."""
+    _check_view_names(view_names)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []

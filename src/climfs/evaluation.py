@@ -66,7 +66,7 @@ def kmeans(X: np.ndarray, c: int, seed: int = 0,
     centers = _kmeanspp_centers(X, c, rng)
     labels = np.zeros(n, dtype=int)
     history = []
-    for _ in range(KMEANS_MAX_ITER):
+    for it in range(KMEANS_MAX_ITER):
         d2 = np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         new_labels = np.argmin(d2, axis=1)
         for cl in range(c):
@@ -79,9 +79,9 @@ def kmeans(X: np.ndarray, c: int, seed: int = 0,
                 # history stays monotone.
                 far = int(np.argmax(np.min(d2, axis=1)))
                 centers[cl] = X[far]
-        wcss = float(np.sum((X - centers[new_labels]) ** 2))
-        history.append(wcss)
-        if np.array_equal(new_labels, labels) and len(history) > 1:
+        if return_history:
+            history.append(float(np.sum((X - centers[new_labels]) ** 2)))
+        if it > 0 and np.array_equal(new_labels, labels):
             break
         labels = new_labels
     if return_history:

@@ -27,13 +27,13 @@ for bit.
 
 Each graph is held as (n, k) neighbour arrays: for column j, the rows
 nbr[j] (ascending) and their weights w[j] (see `numkit`). Every graph
-solve, at initialization and in each sweep, prices its columns with one
-cost form, given as a spec (Xs, terms): the mean over the data matrices
-Xs of the half squared distances between their columns, plus a times
-the weights of a graph at its neighbours for each term (a, graph).
-`_costs` builds these rows 256 columns at a time into one reused block,
-and the descent guard reads the old columns' costs from that same block.
-Every other graph term is an O(n k) reduction. The spectral
+solve prices its columns with one cost form, given as a spec (X, terms):
+the half squared distances between the columns of X, plus a times the
+weights of a graph at its neighbours for each term (a, graph). `_costs`
+builds these rows 256 columns at a time into one reused block, and the
+descent guard reads the old columns' costs from that same block; the
+initialization computes each view's block once for S^v, H and xi. Every
+other graph term is an O(n k) reduction. The spectral
 initialization finds its c eigenpairs by Lanczos, and the imputation step
 solves I + L by preconditioned conjugate gradients, each on a sparse form
 with at most n (2k + 1) nonzeros built by `numkit.sym_csr`, so no n x n
@@ -235,68 +235,62 @@ def _row_sums(P: np.ndarray) -> np.ndarray:
     return total
 
 
-def _costs(Xs: list[np.ndarray], terms: list[tuple], cols: np.ndarray,
+def _costs(X: np.ndarray | None, terms: list[tuple], cols: np.ndarray,
            out: np.ndarray) -> np.ndarray:
     """Cost rows of the graph columns `cols`, written to `out` (row r
-    prices every sample as a neighbour of column cols[r]): the mean over
-    the data matrices Xs of the half squared distances between their
-    columns (zeros when Xs is empty), plus a * A[:, cols].T at the
-    neighbours of those columns for each term (a, nbr, w) of a graph A."""
-    if len(Xs) == 1:
-        numkit.sq_dists(Xs[0], cols, out)
+    prices every sample as a neighbour of column cols[r]): the half squared
+    distances between the columns of X (None: `out` holds them already),
+    plus a * A[:, cols].T at the neighbours of those columns for each term
+    (a, nbr, w) of a graph A."""
+    if X is not None:
+        numkit.sq_dists(X, cols, out)
         out *= 0.5
-    else:
-        out.fill(0.0)
-        for X in Xs:
-            D = numkit.sq_dists(X, cols)
-            D *= 0.5
-            out += D
-            del D  # one distance block alive at a time
-        if Xs:
-            out /= len(Xs)
     for a, nbr, w in terms:
         at = nbr[cols] + np.arange(cols.size)[:, None] * out.shape[1]
         np.add.at(out.reshape(-1), at.ravel(), (a * w[cols]).ravel())
     return out
 
 
-def _refresh(spec: tuple, n: int, k: int, old: tuple | None = None,
-             offset: float = 0.0) -> tuple:
-    """Solve every column of a k-sparse simplex graph, COLUMN_BLOCK columns
-    at a time: `_costs(*spec, cols, out)` writes the cost rows of the
-    columns `cols` to one block buffer reused for every block, and
-    `numkit.ksparse_simplex_columns` gives each column its closed-form
-    weights and half-gap, stored as the coefficient half-gap - offset.
-    With `old` = (nbr, w, coef), a column keeps its old neighbours,
+def _solve(Q: np.ndarray, cols: np.ndarray, k: int, old: tuple | None = None,
+           offset: float = 0.0) -> tuple:
+    """The columns `cols` of a k-sparse simplex graph from their cost rows
+    Q: `numkit.ksparse_simplex_columns` gives each its closed-form weights
+    and half-gap, stored as the coefficient half-gap - offset. With `old` =
+    (nbr, w, coef) of the whole graph, a column keeps its old neighbours,
     weights and coefficient where q.s + (coef + offset) ||s||^2 would
     increase beyond the slack. Returns the neighbours (ascending per
-    column), weights and coefficients, and the skipped and perturbed
-    column counts."""
-    nbr = np.empty((n, k), dtype=np.intp)
-    w, coef = np.empty((n, k)), np.empty(n)
+    column), weights, coefficients, and skipped and perturbed counts."""
+    at, skipped = np.arange(cols.size)[:, None], 0
+    if old is not None:  # before the kernel overwrites Q[r, cols[r]]
+        o_nbr, o_w, o_coef = (a[cols] for a in old)
+        f_old = _row_sums(Q[at, o_nbr] * o_w) \
+            + (o_coef + offset) * _row_sums(o_w * o_w)
+    b_nbr, b_w, half, pert = numkit.ksparse_simplex_columns(Q, cols, k)
+    b_coef = half - offset
+    if old is not None:
+        f_new = np.einsum("jt,jt->j", Q[at, b_nbr], b_w) \
+            + half * np.einsum("jt,jt->j", b_w, b_w)
+        skip = f_new > f_old + GUARD_RTOL * np.maximum(1.0, np.abs(f_old))
+        b_nbr[skip], b_w[skip], b_coef[skip] = \
+            o_nbr[skip], o_w[skip], o_coef[skip]
+        skipped = int(skip.sum())
+    order = np.argsort(b_nbr, axis=1)
+    return b_nbr[at, order], b_w[at, order], b_coef, skipped, int(pert.sum())
+
+
+def _refresh(spec: tuple, n: int, k: int, old: tuple | None = None,
+             offset: float = 0.0) -> tuple:
+    """`_solve` on every column of a graph, COLUMN_BLOCK columns at a time,
+    from the cost rows `_costs(*spec, cols, out)` writes to one reused
+    block buffer; returns the whole graph's arrays and the counts."""
+    nbr, w, coef = np.empty((n, k), np.intp), np.empty((n, k)), np.empty(n)
     skipped = perturbed = 0
     buf = np.empty((min(numkit.COLUMN_BLOCK, n), n))
     for j0 in range(0, n, numkit.COLUMN_BLOCK):
         cols = np.arange(j0, min(j0 + numkit.COLUMN_BLOCK, n))
-        Q = _costs(*spec, cols, buf[:cols.size])
-        at = np.arange(cols.size)[:, None]
-        if old is not None:  # before the kernel overwrites Q[r, cols[r]]
-            o_nbr, o_w, o_coef = (a[cols] for a in old)
-            f_old = _row_sums(Q[at, o_nbr] * o_w) \
-                + (o_coef + offset) * _row_sums(o_w * o_w)
-        b_nbr, b_w, half, pert = numkit.ksparse_simplex_columns(Q, cols, k)
-        b_coef = half - offset
-        if old is not None:
-            f_new = np.einsum("jt,jt->j", Q[at, b_nbr], b_w) \
-                + half * np.einsum("jt,jt->j", b_w, b_w)
-            skip = f_new > f_old + GUARD_RTOL * np.maximum(1.0, np.abs(f_old))
-            b_nbr[skip], b_w[skip], b_coef[skip] = \
-                o_nbr[skip], o_w[skip], o_coef[skip]
-            skipped += int(skip.sum())
-        order = np.argsort(b_nbr, axis=1)
-        nbr[cols], w[cols] = b_nbr[at, order], b_w[at, order]
-        coef[cols] = b_coef
-        perturbed += int(pert.sum())
+        nbr[cols], w[cols], coef[cols], skip, pert = _solve(
+            _costs(*spec, cols, buf[:cols.size]), cols, k, old, offset)
+        skipped, perturbed = skipped + skip, perturbed + pert
     return nbr, w, coef, skipped, perturbed
 
 
@@ -357,35 +351,47 @@ def init_state(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
     half squared distances, H on their mean over the views; F* is a
     binary one-hot membership from spectral clustering of the initial H;
     F^v starts at zero. The graphs are built from nothing, so their
-    columns are set without the descent guard.
+    columns are set without the descent guard. One pass over column
+    blocks computes each view's distance block once and solves from it the
+    block's H, S^v and, with graph learning, xi columns: a column's xi cost
+    reads only that column of H and of each S^m. gamma follows from F*.
     """
     cfg.validate(ds.n_samples)
     masks.check_against(ds)
     n, V, k = ds.n_samples, ds.n_views, cfg.k
 
     Xhat = [mean_impute(v, m) for v, m in zip(ds.views, masks.masks)]
-    alpha = np.full(V, 1.0 / V)
-    W = [np.ones((d, cfg.c)) for d in ds.dims]
-
-    S = [_refresh(([x], []), n, k)[:2] for x in Xhat]
-    H_nbr, H_w = _refresh((Xhat, []), n, k)[:2]
-
-    labels = _spectral_partition(H_nbr, H_w, cfg.c, cfg.seed)
-    Fstar = np.zeros((n, cfg.c))
-    Fstar[np.arange(n), labels] = 1.0
 
     def zeros(*shape):
         return [np.zeros(shape) for _ in range(V)]
 
-    state = ModelState(Xhat=Xhat, W=W, Fv=zeros(n, cfg.c), Fstar=Fstar,
-                       S_nbr=[g[0] for g in S], S_w=[g[1] for g in S],
-                       H_nbr=H_nbr, H_w=H_w, alpha=alpha,
-                       adam_m=zeros(n, cfg.c), adam_v=zeros(n, cfg.c),
-                       xi=zeros(n), gamma=np.zeros(n))
-    if components.graph_learning:
+    # graph 0 is H, graph v + 1 is S^v
+    nbrs = [np.empty((n, k), np.intp) for _ in range(V + 1)]
+    ws = [np.empty((n, k)) for _ in range(V + 1)]
+    state = ModelState(Xhat=Xhat, W=[np.ones((d, cfg.c)) for d in ds.dims],
+                       Fv=zeros(n, cfg.c), Fstar=np.zeros((n, cfg.c)),
+                       S_nbr=nbrs[1:], S_w=ws[1:], H_nbr=nbrs[0], H_w=ws[0],
+                       alpha=np.full(V, 1.0 / V), adam_m=zeros(n, cfg.c),
+                       adam_v=zeros(n, cfg.c), xi=zeros(n), gamma=np.zeros(n))
+    buf = np.empty((V, min(numkit.COLUMN_BLOCK, n), n))
+    for j0 in range(0, n, numkit.COLUMN_BLOCK):
+        cols = np.arange(j0, min(j0 + numkit.COLUMN_BLOCK, n))
+        D = buf[:, :cols.size]  # the views' half distances
         for v in range(V):
-            state.xi[v] = _refresh(_q_spec(state, v), n, k,
-                                   offset=alpha[v] ** 2)[2]
+            _costs(Xhat[v], [], cols, D[v])
+        # their mean, summed in view order and freed once H is solved
+        nbrs[0][cols], ws[0][cols] = _solve(D.sum(axis=0) / V, cols, k)[:2]
+        for v in range(V):  # the kernel writes only D[v][r, cols[r]]
+            nbrs[v + 1][cols], ws[v + 1][cols] = _solve(D[v], cols, k)[:2]
+        for v in range(V if components.graph_learning else 0):
+            state.xi[v][cols] = _solve(_costs(
+                None, _q_spec(state, v)[1], cols, D[v]), cols, k,
+                offset=state.alpha[v] ** 2)[2]
+    del buf, D  # not held through the spectral partition and gamma
+
+    labels = _spectral_partition(state.H_nbr, state.H_w, cfg.c, cfg.seed)
+    state.Fstar[np.arange(n), labels] = 1.0
+    if components.graph_learning:
         state.gamma = _refresh(_b_spec(state, components), n, k)[2]
     return state
 
@@ -405,7 +411,7 @@ def _q_spec(state: ModelState, v: int) -> tuple:
     pair appears twice.
     """
     a = state.alpha
-    return [state.Xhat[v]], [(-a[v], state.H_nbr, state.H_w)] + [
+    return state.Xhat[v], [(-a[v], state.H_nbr, state.H_w)] + [
         (2.0 * a[v] * a[m], state.S_nbr[m], state.S_w[m])
         for m in range(state.n_views) if m != v]
 
@@ -413,8 +419,8 @@ def _q_spec(state: ModelState, v: int) -> tuple:
 def _b_spec(state: ModelState, components: Components) -> tuple:
     """`_costs` spec of the H subproblem: fused-graph attraction plus, when
     the cluster-structure term is active, consensus-factor distances."""
-    Xs = [state.Fstar.T] if components.cluster_structure else []
-    return Xs, [(-a, nbr, w) for a, nbr, w
+    X = state.Fstar.T if components.cluster_structure else state.Fstar.T[:0]
+    return X, [(-a, nbr, w) for a, nbr, w
                 in zip(state.alpha, state.S_nbr, state.S_w)]
 
 

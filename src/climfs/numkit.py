@@ -24,8 +24,9 @@ SYM_TOL = 1e-10
 ACTIVE_TOL = 1e-12
 # Fixed-point (KKT) residual the simplex QP solution must reach.
 QP_KKT_TOL = 1e-8
-# Graph columns solved per pass of the model's graph updates, and rows per
-# product in `sq_dists`: their temporaries stay O(n * 256).
+# Graph columns solved per pass of the model's graph updates and of its
+# initialization (which holds V + 1 cost blocks, V views and their mean),
+# and rows per product in `sq_dists`: the temporaries stay O(n * 256).
 COLUMN_BLOCK = 256
 # `pcg` stops a column once its residual norm is at most CG_RTOL times its
 # right-hand side's, and raises after CG_MAXITER steps: on I + L of a
@@ -167,9 +168,11 @@ def ksparse_simplex_columns(Q: np.ndarray, cols: np.ndarray,
     cols[r], and its entry Q[r, cols[r]] is left out (and overwritten). A
     degenerate row is solved again after adding eta * position (its index
     in the row without that entry; eta = 1e-12 * max(1, max |q|)), so lower
-    indices win ties. Returns neighbours (b, k), weights (b, k), half-gaps
-    (b,) and the perturbed flags (b,); raises NumericError on non-finite
-    costs or on a row still degenerate after the perturbation."""
+    indices win ties. A row's k+1 smallest costs are selected exactly, from
+    group minima and then g (k+1) candidates (g <= 8). Returns neighbours
+    (b, k), weights (b, k), half-gaps (b,) and the perturbed flags (b,);
+    raises NumericError on non-finite costs or on a row still degenerate
+    after the perturbation."""
     b, n = Q.shape
     cols = np.asarray(cols)
     if cols.shape != (b,) or not 1 <= k < n - 1:
@@ -185,9 +188,19 @@ def ksparse_simplex_columns(Q: np.ndarray, cols: np.ndarray,
         raise NumericError("non-finite costs in a k-sparse subproblem")
     eta = 1e-12 * np.maximum(1.0, np.maximum(hi, -lo))
     Q[rows, cols] = np.inf  # never its own neighbour
+    # the first g * size costs of a row form g chunks of `size`, and the g
+    # costs at one offset of every chunk a group: the k+1 smallest costs
+    # lie in the k+1 groups with the smallest minima or in the tail
+    g = min(8, n // (k + 1))
+    size = n // g
+    tail = np.arange(g * size, n)
     for retry in (False, True):
         at = np.arange(rows.size)[:, None]
-        part = np.argpartition(Q, k, axis=1)[:, :k + 1]
+        top = np.argpartition(Q[:, :g * size].reshape(-1, g, size).min(
+            axis=1), k, axis=1)[:, None, :k + 1]
+        pos = np.hstack([(top + size * np.arange(g)[:, None]).reshape(
+            rows.size, -1), np.broadcast_to(tail, (rows.size, tail.size))])
+        part = pos[at, np.argpartition(Q[at, pos], k, axis=1)[:, :k + 1]]
         vals = Q[at, part]
         order = np.argsort(vals, axis=1)  # ties share weights: any order
         qs = vals[at, order]
@@ -205,7 +218,8 @@ def ksparse_simplex_columns(Q: np.ndarray, cols: np.ndarray,
         if retry:
             raise NumericError("neighborhood degenerate when perturbed")
         rows, cols, eta, Q = rows[~ok], cols[~ok], eta[~ok], Q[~ok]
-        Q += eta[:, None] * (np.arange(n) - (np.arange(n) > cols[:, None]))
+        step = np.arange(n, dtype=float) - (np.arange(n) > cols[:, None])
+        Q += np.multiply(step, eta[:, None], out=step)  # one fewer temporary
     return nbr, w, half, perturbed
 
 
@@ -294,19 +308,14 @@ def sq_dists(X: np.ndarray, cols: np.ndarray | None = None,
     rows at a time. Each block of rows comes from one product
     X[:, cols].T @ X, so the rows of a COLUMN_BLOCK-aligned block equal
     those of the whole matrix bit for bit."""
-    sq = np.einsum("ij,ij->j", X, X)
     if cols is None:
         n = X.shape[1]
         D = np.empty((n, n))
         for r in range(0, n, COLUMN_BLOCK):
-            _sq_dist_rows(X, sq, np.arange(r, min(r + COLUMN_BLOCK, n)),
-                          D[r:r + COLUMN_BLOCK])
+            sq_dists(X, np.arange(r, min(r + COLUMN_BLOCK, n)),
+                     D[r:r + COLUMN_BLOCK])
         return D
-    return _sq_dist_rows(X, sq, cols, out)
-
-
-def _sq_dist_rows(X: np.ndarray, sq: np.ndarray, cols: np.ndarray,
-                  out: np.ndarray | None) -> np.ndarray:
+    sq = np.einsum("ij,ij->j", X, X)
     D = np.matmul(X[:, cols].T, X, out=out)
     D *= -2.0
     D += sq[cols, None] + sq[None, :]

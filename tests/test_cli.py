@@ -715,6 +715,37 @@ def test_manifest_labels_not_a_path_exit_2(tmp_path, capsys, labels):
     assert "'labels' must be a path string or null" in capsys.readouterr().err
 
 
+def _simulate_views_named(tmp_path, names):
+    """`climfs simulate`, without a scenario, on a manifest of 3 x 20
+    views named `names`."""
+    for i in range(len(names)):
+        np.savetxt(tmp_path / f"v{i}.csv", np.full((3, 20), float(i)),
+                   delimiter=",")
+    (tmp_path / "manifest.json").write_text(json.dumps({
+        "views": [{"name": x, "path": f"v{i}.csv"}
+                  for i, x in enumerate(names)], "labels": None}))
+    cfg = base_config(tmp_path / "out")
+    cfg["data"] = {"manifest": str(tmp_path / "manifest.json")}
+    del cfg["scenario"]  # every entry observed
+    return main(["simulate", "--config", write_config(tmp_path / "cfg.json",
+                                                      cfg)])
+
+
+def test_two_views_of_one_name_exit_2_before_writing(tmp_path, capsys):
+    # both would be written to x.csv, the second over the first
+    assert _simulate_views_named(tmp_path, ["x", "x"]) == 2
+    assert "give two dataset files one name" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "dataset").exists()
+
+
+def test_view_name_with_a_path_separator_exit_2_before_writing(tmp_path,
+                                                               capsys):
+    assert _simulate_views_named(tmp_path, ["../escaped"]) == 2
+    assert "no path separator" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "escaped.csv").exists()
+    assert not (tmp_path / "out" / "dataset").exists()
+
+
 @pytest.mark.parametrize("content", ["{broken", "[]"],
                          ids=["not_json", "not_an_object"])
 def test_unreadable_fit_result_exits_2(tmp_path, capsys, content):

@@ -9,9 +9,10 @@ import pytest
 
 from climfs.dataset import (MaskMatrix, MissingScenario, apply_missing,
                             make_synthetic)
-from climfs.evaluation import (EvalReport, _cross_view_pairs,
-                               clustering_accuracy, diagnostics_report,
-                               evaluate_selection, kmeans, nmi)
+from climfs.evaluation import (KMEANS_MAX_ITER, EvalReport,
+                               _cross_view_pairs, clustering_accuracy,
+                               diagnostics_report, evaluate_selection,
+                               kmeans, nmi)
 from climfs.model import FitConfig, SelectionResult, fit
 
 
@@ -67,6 +68,20 @@ def test_kmeans_wcss_history_non_increasing():
         X = rng.normal(size=(40, 4))
         _, hist = kmeans(X, 4, seed=trial, return_history=True)
         assert (np.diff(hist) <= 1e-9 * np.maximum(1.0, hist[:-1])).all()
+
+
+def test_kmeans_labels_do_not_depend_on_the_history():
+    # the history is computed only when asked for; the Lloyd loop must
+    # stop at the same iteration either way, also when clusters empty out
+    rng = np.random.default_rng(6)
+    for seed in range(40):
+        X = rng.normal(size=(int(rng.integers(8, 60)), 3))
+        if seed % 4 == 0:
+            X[: len(X) // 2] = X[0]  # duplicate points empty clusters
+        c = int(rng.integers(1, 7))
+        labels, hist = kmeans(X, c, seed=seed, return_history=True)
+        assert np.array_equal(kmeans(X, c, seed=seed), labels)
+        assert 1 <= len(hist) <= KMEANS_MAX_ITER
 
 
 def test_kmeans_deterministic_per_seed():

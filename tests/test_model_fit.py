@@ -500,13 +500,44 @@ def test_resume_from_nonfinite_checkpoint_raises_numeric_error(tmp_path):
         fit(masked, masks, cfg_l, comp_l, state=loaded)
 
 
-def run_fresh_python(code: str) -> None:
-    """Run `code` in a fresh interpreter that imports this tree's climfs."""
+def run_fresh_python(code: str, **env_vars: str) -> None:
+    """Run `code` in a fresh interpreter that imports this tree's climfs,
+    with the environment variables `env_vars` set."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]), **env_vars)
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
                    timeout=120)
+
+
+def test_fits_under_one_and_two_blas_threads_are_bitwise_equal(tmp_path):
+    # OpenBLAS reads its thread count when it loads, so each count gets a
+    # fresh interpreter. The instance is converge-n400's first: two threads
+    # split its distance products. Not every shape is equal across thread
+    # counts: with scipy-openblas 0.3.31 on an x86-64 box, the 256 x 50 by
+    # 50 x 300 product (n=300) rounds differently under two threads, so a
+    # fit at n=300 or n=150 is not, while n=400 and n=1000 are
+    code = (
+        "import sys\n"
+        "from climfs.dataset import MissingScenario, apply_missing, "
+        "make_synthetic\n"
+        "from climfs.model import Components, FitConfig, fit, save_state\n"
+        "ds = make_synthetic(n=400, views=2, clusters=3, informative=10, "
+        "noise=40, separation=3.0, noise_scale=0.6, seed=0)\n"
+        "cfg = FitConfig(k=6, c=3, max_iter=3, tol=1e-12)\n"
+        "state, _ = fit(*apply_missing(ds, MissingScenario('mixed', 0.5, 0)),"
+        " cfg)\n"
+        "save_state(state, cfg, Components(), sys.argv[1])\n")
+    arrays = []
+    for threads in ("1", "2"):
+        run_fresh_python(code.replace("sys.argv[1]", repr(str(
+            tmp_path / threads))), OPENBLAS_NUM_THREADS=threads)
+        with np.load(tmp_path / threads / "state.npz") as npz:
+            arrays.append(dict(npz))
+    one, two = arrays
+    assert list(one) == list(two) and len(one) > 0
+    for name in one:
+        assert one[name].tobytes() == two[name].tobytes(), name
 
 
 @pytest.mark.parametrize("n, change, nbr, field", [

@@ -395,19 +395,35 @@ def test_b_spec_costs_match_literal_loops():
 
 
 def test_init_specs_give_half_squared_distances_bitwise():
-    # the initial S^v price one view, the initial H the mean over views;
-    # both COLUMN_BLOCK-aligned blocks, the second one partial
+    # init_state prices each block of columns from one half-distance block
+    # per view: S^v from it, H from the views' mean and xi from it plus the
+    # graph terms. Each graph and xi equals the kernel on the whole-matrix
+    # costs, over two COLUMN_BLOCK-aligned blocks, the second one partial
     rng = np.random.default_rng(30)
-    n = numkit.COLUMN_BLOCK + 40
-    Xs = [rng.normal(size=(d, n)) for d in (5, 3, 4)]
-    halves = [0.5 * numkit.sq_dists(X) for X in Xs]
-    mean = sum(halves) / len(Xs)
-    for j0 in (0, numkit.COLUMN_BLOCK):
-        cols = np.arange(j0, min(j0 + numkit.COLUMN_BLOCK, n))
-        out = np.full((cols.size, n), np.nan)
-        for X, half in zip(Xs, halves):
-            assert np.array_equal(_costs([X], [], cols, out), half[cols])
-        assert np.array_equal(_costs(Xs, [], cols, out), mean[cols])
+    n, k = numkit.COLUMN_BLOCK + 40, 5
+    ds = MultiViewDataset([rng.normal(size=(d, n)) for d in (5, 3, 4)])
+    st = init_state(ds, MaskMatrix.all_observed(ds), FitConfig(k=k, c=2))
+    halves = [0.5 * numkit.sq_dists(X) for X in ds.views]
+
+    def solved(Q):  # every column, neighbours ascending
+        nbr, w, half, _ = numkit.ksparse_simplex_columns(Q.copy(),
+                                                         np.arange(n), k)
+        order = np.argsort(nbr, axis=1)
+        return (np.take_along_axis(nbr, order, axis=1),
+                np.take_along_axis(w, order, axis=1), half)
+
+    nbr, w, _ = solved(sum(halves) / len(halves))
+    assert np.array_equal(st.H_nbr, nbr) and np.array_equal(st.H_w, w)
+    a, H, S = st.alpha, st.H, st.S
+    for v, half in enumerate(halves):
+        nbr, w, _ = solved(half)
+        assert np.array_equal(st.S_nbr[v], nbr)
+        assert np.array_equal(st.S_w[v], w)
+        Q = half - a[v] * H.T  # the terms in `_q_spec`'s order
+        for m in range(len(halves)):
+            if m != v:
+                Q = Q + 2.0 * a[v] * a[m] * S[m].T
+        assert np.array_equal(st.xi[v], solved(Q)[2] - a[v] ** 2)
 
 
 def test_update_s_matches_sequential_mirror():

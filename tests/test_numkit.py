@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as hst
 
 from climfs import numkit
 from climfs.errors import NumericError
@@ -76,23 +78,29 @@ def columns(C, k):
     return ksparse_simplex_columns(C.T.copy(), np.arange(C.shape[0]), k)
 
 
-def ksparse_column_loop(C, k):
+def ksparse_column(C, j, k):
     """Per-column reference for `ksparse_simplex_columns`: the scalar
-    kernel on each column without its diagonal, retried after adding
-    eta * position when the column is degenerate."""
+    kernel on column j of the square costs C without its diagonal, retried
+    after adding eta * position when the column is degenerate. Returns the
+    dense column, its half-gap and whether it was perturbed."""
     n = C.shape[0]
-    G, halves, perturbed = np.zeros((n, n)), np.zeros(n), np.zeros(n, bool)
-    for j in range(n):
-        keep = np.arange(n) != j
-        q = C[keep, j]
-        try:
-            s, halves[j] = ksparse_simplex_min(q, k)
-        except NumericError:
-            eta = 1e-12 * max(1.0, float(np.abs(q).max()))
-            s, halves[j] = ksparse_simplex_min(q + eta * np.arange(n - 1), k)
-            perturbed[j] = True
-        G[keep, j] = s
-    return G, halves, perturbed
+    keep = np.arange(n) != j
+    q, col = C[keep, j], np.zeros(n)
+    try:
+        col[keep], half = ksparse_simplex_min(q, k)
+        return col, half, False
+    except NumericError:
+        eta = 1e-12 * max(1.0, float(np.abs(q).max()))
+        col[keep], half = ksparse_simplex_min(q + eta * np.arange(n - 1), k)
+        return col, half, True
+
+
+def ksparse_column_loop(C, k):
+    """`ksparse_column` on every column of C, as a dense graph, half-gaps
+    and perturbed flags."""
+    cols = [ksparse_column(C, j, k) for j in range(C.shape[0])]
+    return (np.stack([c[0] for c in cols], axis=1),
+            np.array([c[1] for c in cols]), np.array([c[2] for c in cols]))
 
 
 # ------------------------------------------------------------- sylvester
@@ -265,6 +273,48 @@ def test_ksparse_columns_match_scalar_kernel_bitwise():
     x = np.array([0.0, 1.0, -1.0])
     nbr, w, _, pert = columns(0.5 * (x[:, None] - x) ** 2, 1)
     assert pert[0] and nbr[0, 0] == 1 and w[0, 0] == 1.0
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(k=hst.integers(1, 8), extra=hst.integers(1, 62),
+       top=hst.sampled_from([0, 1, 2, 3, 10 ** 6]), anchored=hst.booleans(),
+       seed=hst.integers(0, 2 ** 32 - 1))
+# n = 8 < 2(k + 1): a single group; n = 60: 8 groups and a tail of 4;
+# anchored, small integers: ties that the perturbation keeps
+@example(k=6, extra=1, top=2, anchored=False, seed=0)
+@example(k=6, extra=53, top=10 ** 6, anchored=False, seed=1)
+@example(k=3, extra=9, top=1, anchored=True, seed=2)
+def test_ksparse_columns_match_the_scalar_kernel_on_integer_costs(
+        k, extra, top, anchored, seed):
+    # integer costs tie often, within and across the groups of the
+    # two-level selection; an entry of 1e12 makes eta = 1e-12 max |q|
+    # about 1, so some perturbed columns still tie and both kernels raise
+    n = k + 1 + extra
+    rng = np.random.default_rng(seed)
+    C = rng.integers(0, top + 1, size=(n, n)).astype(float)
+    if anchored:
+        some = np.flatnonzero(rng.random(n) < 0.5)
+        C[rng.integers(0, n, size=some.size), some] = 1e12
+    cols = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+    want, fails = [], False
+    for j in cols:
+        try:
+            want.append(ksparse_column(C, j, k))
+        except NumericError:
+            fails = True
+    event(f"g = {min(8, n // (k + 1))}, tail {n % min(8, n // (k + 1)) > 0}")
+    event(f"degenerate: {any(c[2] for c in want)}, after perturbing: "
+          f"{fails}")
+    if fails:
+        with pytest.raises(NumericError, match="degenerate when perturbed"):
+            ksparse_simplex_columns(C.T[cols], cols, k)
+        return
+    nbr, w, half, pert = ksparse_simplex_columns(C.T[cols], cols, k)
+    for r, (col, h, p) in enumerate(want):
+        got = np.zeros(n)
+        got[nbr[r]] = w[r]
+        assert np.array_equal(got, col)
+        assert half[r] == h and pert[r] == p
 
 
 def test_ksparse_columns_rejects_bad_input():
