@@ -231,10 +231,10 @@ def _cluster_separation(state, dists: list[tuple]) -> list[dict]:
                "premise_status": "no imputed pairs"}
         if D is not None:
             rows = F[idx]
-            same = (rows[:, None, :] == rows[None, :, :]).all(axis=2)
+            _, row_id = np.unique(rows, axis=0, return_inverse=True)
             delta = np.sqrt(numkit.sq_dists(rows.T))
             iu = np.triu_indices(idx.size, k=1)
-            same_u = same[iu]
+            same_u = row_id[iu[0]] == row_id[iu[1]]
             dist_u = D[iu]
             delta_u = delta[iu]
             rec["same_pairs"] = int(same_u.sum())
@@ -271,12 +271,10 @@ def _neighbor_consistency(state, dists: list[tuple], rho: float) -> list[dict]:
         if D is not None:
             C = state.W[v] @ (state.Fv[v] + state.Fstar).T
             cnorm = np.linalg.norm(C, axis=0) / scale
-            S = numkit.densify(state.S_nbr[v], state.S_w[v])
-            Ssub = S[np.ix_(idx, idx)]
             omega1 = 1.5 - rho + 0.5 * cnorm[idx]
-            strong = Ssub >= rho
-            np.fill_diagonal(strong, False)
-            jj, ii = np.where(strong)     # row = neighbor, column = target
+            nbr = state.S_nbr[v][idx]       # row = target, column = edge
+            ii, t = np.nonzero((state.S_w[v][idx] >= rho) & np.isin(nbr, idx))
+            jj = np.searchsorted(idx, nbr[ii, t])   # the neighbor's row of D
             margins = omega1[ii] - D[jj, ii]
             rec["pairs"] = int(ii.size)
             rec["violations"] = int(np.sum(margins < -BOUND_TOL))
@@ -300,38 +298,38 @@ def _consensus_value(state) -> float:
                                          state.H_w)
 
 
-def _cross_view_pairs(masks: MaskMatrix) -> np.ndarray:
-    """Boolean (n, n) matrix: samples i and j both carry missing entries,
-    in views that are not the same single view for both."""
+def _cross_view(masks: MaskMatrix, a, b) -> np.ndarray:
+    """Per pair of samples a, b (broadcast index arrays): whether both
+    carry missing entries, in views that are not the same single view."""
     miss = np.stack([(m == 0.0).any(axis=0) for m in masks.masks])  # (V, n)
     count = miss.sum(axis=0)
     # The one view a sample misses, or a key of its own (-1 - i) when it
-    # misses several: equal keys mean the same single view, or i == j.
+    # misses several: equal keys mean the same single view, or a == b.
     key = np.where(count == 1, miss.argmax(axis=0),
                    -1 - np.arange(miss.shape[1]))
-    some = count > 0
-    return some[:, None] & some[None, :] & (key[:, None] != key[None, :])
+    return (count[a] > 0) & (count[b] > 0) & (key[a] != key[b])
 
 
 def _consensus_consistency(state, masks: MaskMatrix,
                            zetas: tuple[float, ...]) -> dict:
     """Consensus-factor rows of strongly fused cross-view pairs must obey
     ||F*_i - F*_j||^2 <= 2 J / zeta, J the consensus subproblem value; a
-    pair qualifies when either directed weight H_ij or H_ji reaches zeta."""
+    pair qualifies, once, when an edge of H (H_ij or H_ji) reaches zeta.
+    Gaps take the Gram form of `numkit.sq_dists`."""
     J = _consensus_value(state)
-    gap2 = numkit.sq_dists(state.Fstar.T)
-    H = state.H
-    Hmax = np.maximum(H, H.T)
-    eligible = _cross_view_pairs(masks)
+    n, nbr, X = state.n_samples, state.H_nbr, state.Fstar.T
+    col = np.arange(n)[:, None]
+    cross = _cross_view(masks, nbr, col)                  # per edge of H
+    pair = (np.minimum(nbr, col) * n + np.maximum(nbr, col))[cross]
+    w, sq = state.H_w[cross], np.einsum("ij,ij->j", X, X)
     checks = []
     for zeta in zetas:
-        sel = eligible & (Hmax >= zeta)   # symmetric by construction
-        iu = np.triu_indices(state.n_samples, k=1)
-        mask_u = sel[iu]
+        i, j = np.divmod(np.unique(pair[w >= zeta]), n)
+        gap2 = np.maximum(-2.0 * np.einsum("ci,ci->i", X[:, i], X[:, j])
+                          + (sq[i] + sq[j]), 0.0)
         bound = 2.0 * J / zeta
-        viol = int(np.sum(gap2[iu][mask_u] > bound + BOUND_TOL))
-        checks.append({"zeta": zeta, "pairs": int(mask_u.sum()),
-                       "bound": bound, "violations": viol})
+        checks.append({"zeta": zeta, "pairs": int(i.size), "bound": bound,
+                       "violations": int(np.sum(gap2 > bound + BOUND_TOL))})
     return {"subproblem_value": J, "checks": checks}
 
 
@@ -344,7 +342,8 @@ def diagnostics_report(state, masks: MaskMatrix, rho: float = 0.1,
     `neighbor_consistency` (strong within-view similarity keeps imputed
     columns close), and `consensus_consistency` (strong consensus
     similarity keeps consensus-factor rows close). Violation counts are
-    expected to be zero wherever the stated premises hold.
+    expected to be zero wherever the stated premises hold. Graph sections
+    walk the edges of valid graphs (`model.check_state`); rho, zetas > 0.
     """
     dists = _imputed_distances(state, masks)
     return {"cluster_separation": _cluster_separation(state, dists),

@@ -738,16 +738,18 @@ def _graph_violations(nbr: np.ndarray, w: np.ndarray,
                       k: int) -> tuple[float, int]:
     """Continuous violation (|column sum - 1| and negative weights; inf for
     a non-finite weight) and the count of columns that are not k distinct
-    in-range neighbours with nonzero weights, none the column itself."""
+    integer neighbours in [0, n) with positive finite weights, none itself."""
     n = nbr.shape[0]
     sums = _row_sums(w)
     viol = float(np.abs(sums - 1.0).max(initial=0.0)) \
         if np.isfinite(sums).all() else np.inf
     viol = max(viol, -float(w.min(initial=0.0)))
-    if nbr.shape != (n, k) or w.shape != (n, k):
+    if nbr.shape != (n, k) or w.shape != (n, k) \
+            or not np.issubdtype(nbr.dtype, np.integer):
         return viol, n
     srt = np.sort(nbr, axis=1)
-    bad = (w == 0.0).any(axis=1) | (srt[:, 1:] == srt[:, :-1]).any(axis=1) \
+    bad = ~((0.0 < w) & (w < np.inf)).all(axis=1) \
+        | (srt[:, 1:] == srt[:, :-1]).any(axis=1) \
         | (srt[:, 0] < 0) | (srt[:, -1] >= n) \
         | (nbr == np.arange(n)[:, None]).any(axis=1)
     return viol, int(bad.sum())
@@ -758,7 +760,7 @@ def validate_state(state: ModelState, ds: MultiViewDataset,
     """Constraint measurements of F*, S, H and alpha, in the order of the
     blocks that write them: continuous violations (rounding noise; inf
     when a graph, alpha or F* holds a non-finite entry) and graph columns
-    that are not k distinct neighbours with nonzero weights (none the
+    that are not k distinct neighbours with positive weights (none the
     column itself), per part under "parts" and combined. Observed entries
     are compared bitwise."""
     measured = {}
@@ -948,21 +950,26 @@ def check_state(state: ModelState, n: int, dims: list[int],
     """A ConfigError naming the first field of `state` that does not fit n
     samples, views of dims[v] features and `cfg`: a per-view list without
     one entry per view, a c or k too large for n (`cfg.validate`), an array
-    of `_layout` off its shape, or neighbours not integers in [0, n)."""
+    of `_layout` off its shape, or a graph column that `_graph_violations`
+    counts as bad (so a negative or non-finite weight)."""
     for f in fields(state):
         views = getattr(state, f.name)
         if isinstance(views, list) and len(views) != len(dims):
             raise ConfigError(f"state {f.name} holds {len(views)} views, the "
                               f"dataset {len(dims)}")
     cfg.validate(n)
-    for name, (f, a, shape) in _layout(state, n, dims, cfg).items():
+    layout = _layout(state, n, dims, cfg)
+    for name, (f, a, shape) in layout.items():
         if np.shape(a) != shape:
             raise ConfigError(f"state {name} is shaped {np.shape(a)}, not "
                               f"{shape} (n={n} samples, c={cfg.c}, k={cfg.k})")
-        if f.endswith("_nbr") and not (np.issubdtype(a.dtype, np.integer)
-                                       and ((0 <= a) & (a < n)).all()):
-            raise ConfigError(f"state {name} holds neighbours that are not "
-                              f"integers in [0, {n})")
+        if f.endswith("_w"):  # after its neighbours, in `_layout`'s order
+            nbrs = name.replace("_w", "_nbr", 1)
+            if _graph_violations(layout[nbrs][1], a, cfg.k)[1]:
+                raise ConfigError(f"state {nbrs}/{name} holds a column not of "
+                                  f"{cfg.k} distinct integer neighbours in "
+                                  f"[0, {n}) with positive finite weights, "
+                                  f"none the column itself")
 
 
 def save_state(state: ModelState, cfg: FitConfig, components: Components,

@@ -7,7 +7,9 @@ whole n x n cost matrices (`build_q`, `build_b`), one batched column
 refresh over them (`refresh_columns`), and the dense Laplacian, so the
 blocked code can be checked against them bit for bit. The imputation
 fallback's dense per-row Cholesky solve (`constrained_impute`) is the
-reference for its batched conjugate gradient form.
+reference for its batched conjugate gradient form, and the dense n x n
+diagnostics sections (`neighbor_consistency`, `consensus_consistency`) the
+reference for the edge-by-edge ones of `climfs.evaluation`.
 """
 
 from types import SimpleNamespace
@@ -16,6 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from climfs import numkit
+from climfs.evaluation import BOUND_TOL, _consensus_value
 from climfs.model import GUARD_RTOL
 
 
@@ -159,3 +162,62 @@ def update_H(dense, k: int, cluster_structure: bool = True) -> tuple[int, int]:
     """The dense H refresh on `dense` in place."""
     return refresh_columns(dense.H, build_b(dense, cluster_structure), k,
                            dense.gamma, guard=True)
+
+
+def neighbor_consistency(state, dists: list[tuple], rho: float) -> list[dict]:
+    """`evaluation._neighbor_consistency` from the dense view graphs: every
+    imputed pair (j, i), j != i, with S^v_ji >= rho."""
+    out = []
+    for v, (idx, scale, D) in enumerate(dists):
+        rec = {"view": v, "rho": rho, "pairs": 0, "violations": 0,
+               "min_margin": None}
+        if D is not None:
+            C = state.W[v] @ (state.Fv[v] + state.Fstar).T
+            cnorm = np.linalg.norm(C, axis=0) / scale
+            S = numkit.densify(state.S_nbr[v], state.S_w[v])
+            Ssub = S[np.ix_(idx, idx)]
+            omega1 = 1.5 - rho + 0.5 * cnorm[idx]
+            strong = Ssub >= rho
+            np.fill_diagonal(strong, False)
+            jj, ii = np.where(strong)     # row = neighbor, column = target
+            margins = omega1[ii] - D[jj, ii]
+            rec["pairs"] = int(ii.size)
+            rec["violations"] = int(np.sum(margins < -BOUND_TOL))
+            if ii.size:
+                rec["min_margin"] = float(margins.min())
+        out.append(rec)
+    return out
+
+
+def cross_view_pairs(masks) -> np.ndarray:
+    """Boolean (n, n) matrix: samples i and j both carry missing entries,
+    in views that are not the same single view for both."""
+    miss = np.stack([(m == 0.0).any(axis=0) for m in masks.masks])  # (V, n)
+    count = miss.sum(axis=0)
+    # The one view a sample misses, or a key of its own (-1 - i) when it
+    # misses several: equal keys mean the same single view, or i == j.
+    key = np.where(count == 1, miss.argmax(axis=0),
+                   -1 - np.arange(miss.shape[1]))
+    some = count > 0
+    return some[:, None] & some[None, :] & (key[:, None] != key[None, :])
+
+
+def consensus_consistency(state, masks, zetas: tuple[float, ...]) -> dict:
+    """`evaluation._consensus_consistency` from the dense consensus graph:
+    the upper triangle of the n x n mask of cross-view pairs with
+    max(H_ij, H_ji) >= zeta, and the n x n squared gaps of `sq_dists`."""
+    J = _consensus_value(state)
+    gap2 = numkit.sq_dists(state.Fstar.T)
+    H = numkit.densify(state.H_nbr, state.H_w)
+    Hmax = np.maximum(H, H.T)
+    eligible = cross_view_pairs(masks)
+    checks = []
+    for zeta in zetas:
+        sel = eligible & (Hmax >= zeta)   # symmetric by construction
+        iu = np.triu_indices(state.n_samples, k=1)
+        mask_u = sel[iu]
+        bound = 2.0 * J / zeta
+        viol = int(np.sum(gap2[iu][mask_u] > bound + BOUND_TOL))
+        checks.append({"zeta": zeta, "pairs": int(mask_u.sum()),
+                       "bound": bound, "violations": viol})
+    return {"subproblem_value": J, "checks": checks}

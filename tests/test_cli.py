@@ -595,6 +595,13 @@ def _flat_graph_layout(arrays: dict) -> dict:
     return out
 
 
+def _set(arrays: dict, name: str, at: tuple, value) -> dict:
+    """`arrays` with one entry of arrays[name] set to `value`."""
+    edited = arrays[name].copy()
+    edited[at] = value
+    return {**arrays, name: edited}
+
+
 @pytest.mark.parametrize("tamper", [
     lambda a: {**a, "S_w_1": a["S_w_1"][:, 1:]},
     lambda a: {**a, "H_nbr": a["H_nbr"][:-1]},
@@ -609,11 +616,16 @@ def _flat_graph_layout(arrays: dict) -> dict:
     lambda a: {**a, "Fstar": np.hstack([a["Fstar"], a["Fstar"][:, :1]])},
     lambda a: {**a, "xi_0": a["xi_0"][:-1]},
     lambda a: {**a, "gamma": a["gamma"][:-1]},
+    lambda a: _set(a, "S_nbr_0", (3, 1), a["S_nbr_0"][3, 0]),
+    lambda a: _set(a, "H_nbr", (5, 0), 5),
+    lambda a: _set(a, "S_w_1", (0, 0), np.nan),
+    lambda a: _set(a, "H_w", (2, 1), -0.5),
 ], ids=["weights_not_n_by_k", "neighbours_not_n_by_k", "float_neighbours",
         "neighbour_n", "negative_neighbours", "flat_index_layout",
         "earlier_view_graph_names",
         "W_not_d_by_c", "Fv_not_n_by_c", "Fstar_not_n_by_c", "short_xi",
-        "short_gamma"])
+        "short_gamma", "repeated_neighbour", "self_loop", "nan_weight",
+        "negative_weight"])
 def test_malformed_graph_checkpoint_exits_2(tmp_path, capsys, tamper):
     cfg = base_config(tmp_path / "out")
     cfg["fit"].update(max_iter=1, tol=1e-13)

@@ -2,15 +2,23 @@
 values; diagnostics on constructed and fitted states."""
 
 import itertools
+import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
+import graph_oracle as oracle
 
 from climfs.dataset import (MaskMatrix, MissingScenario, apply_missing,
                             make_synthetic)
 from climfs.evaluation import (KMEANS_MAX_ITER, EvalReport,
-                               _cross_view_pairs, clustering_accuracy,
+                               _consensus_consistency, _cross_view,
+                               _imputed_distances, _neighbor_consistency,
+                               clustering_accuracy,
                                diagnostics_report, evaluate_selection,
                                kmeans, nmi)
 from climfs.model import FitConfig, SelectionResult, fit
@@ -253,26 +261,33 @@ def fitted(seed=0):
     return state, masks, cfg
 
 
+def cross_view_matrix(masks):
+    """`_cross_view` over every ordered pair of samples, as an (n, n)
+    matrix."""
+    a, b = np.indices((masks.masks[0].shape[1],) * 2)
+    return _cross_view(masks, a, b)
+
+
 def test_cross_view_pair_eligibility():
     # view 0: samples 0,1 missing; view 1: samples 1,2 missing; sample 3
     # complete. Pairs must span two different views of missingness.
     masks = MaskMatrix(masks=[
         np.array([[0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]]),
         np.array([[1.0, 0.0, 0.0, 1.0]])])
-    ok = _cross_view_pairs(masks)
+    ok = cross_view_matrix(masks)
     assert not ok[0, 3] and not ok[3, 0]          # 3 has nothing missing
     assert ok[0, 1] and ok[1, 0]                  # 1 missing in both views
     assert ok[0, 2] and ok[2, 0]                  # different single views
-    assert not ok[0, 0]
+    assert not ok[0, 0] and not ok[1, 1]
     # same single view on both sides: not a cross-view pair
     masks2 = MaskMatrix(masks=[
         np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 1.0]]),
         np.array([[1.0, 1.0, 1.0]])])
-    assert not _cross_view_pairs(masks2)[0, 1]
+    assert not cross_view_matrix(masks2)[0, 1]
 
 
 def cross_view_pairs_loop(masks):
-    """Pair-by-pair reference for `_cross_view_pairs`."""
+    """Pair-by-pair reference for `_cross_view`."""
     miss = np.stack([(m == 0.0).any(axis=0) for m in masks.masks])
     n = miss.shape[1]
     ok = np.zeros((n, n), dtype=bool)
@@ -297,10 +312,84 @@ def test_cross_view_pairs_match_pairwise_loop():
              > rng.uniform(0.0, 0.6)).astype(float) for _ in range(V)])
         miss = np.stack([(m == 0.0).any(axis=0) for m in masks.masks])
         seen |= {(V, int(k)) for k in miss.sum(axis=0)}
-        np.testing.assert_array_equal(_cross_view_pairs(masks),
-                                      cross_view_pairs_loop(masks))
+        loop = cross_view_pairs_loop(masks)
+        np.testing.assert_array_equal(cross_view_matrix(masks), loop)
+        np.testing.assert_array_equal(oracle.cross_view_pairs(masks), loop)
     # complete, single-view-missing and all-views-missing samples occurred
     assert {(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 3)} <= seen
+
+
+def _diagnostics_case(draw):
+    """A random state and masks for the graph sections of the diagnostics,
+    with thresholds rho and zeta: n in 3-30, V = 2 or 3, valid (n, k)
+    graphs (k distinct neighbours, never the column itself) whose weights
+    include rho and zeta exactly, and masks that mix complete,
+    single-view-missing and multi-view-missing samples."""
+    n = draw(hst.integers(3, 30))
+    V = draw(hst.sampled_from([2, 3]))
+    k = draw(hst.integers(1, n - 1))
+    c = draw(hst.integers(1, 3))
+    rho, zeta = draw(hst.sampled_from([(0.1, 0.2), (0.25, 0.1),
+                                       (0.2, 0.2)]))
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    pool = np.array([rho, zeta, 0.05, 0.15, 0.3, 0.6])
+
+    def graph():
+        nbr = np.stack([np.sort(rng.permutation(np.delete(np.arange(n), j))
+                                [:k]) for j in range(n)])
+        w = rng.choice(pool, size=(n, k))
+        w[0, 0], w[1, -1] = rho, zeta
+        return nbr, w
+
+    # per sample: complete, missing in one view, or in at least two
+    kind = rng.permutation(np.arange(n) % 3)
+    missing = np.zeros((V, n), dtype=bool)
+    for i in np.flatnonzero(kind == 1):
+        missing[rng.integers(V), i] = True
+    for i in np.flatnonzero(kind == 2):
+        missing[rng.choice(V, size=rng.integers(2, V + 1), replace=False),
+                i] = True
+    dims = rng.integers(1, 5, size=V)
+    masks = []
+    for v, d in enumerate(dims):
+        m = np.ones((d, n))
+        for i in np.flatnonzero(missing[v]):   # one entry or the whole view
+            m[rng.integers(d) if rng.random() < 0.5 else slice(None), i] = 0.0
+        masks.append(m)
+    # consensus rows from a small pool, so that some repeat
+    Fstar = rng.random((3, c))[rng.integers(3, size=n)]
+    Fstar[rng.random(n) < 0.3] += rng.random((1, c))
+    Xhat = [rng.normal(size=(d, n)) for d in dims]
+    Xhat[0][:, rng.integers(n)] = 0.0   # a zero column keeps scale 1
+    S = [graph() for _ in range(V)]
+    H_nbr, H_w = graph()
+    state = SimpleNamespace(
+        Xhat=Xhat, W=[rng.normal(size=(d, c)) * 10.0 ** rng.uniform(-2, 0.5)
+                      for d in dims],
+        Fv=[0.1 * rng.normal(size=(n, c)) for _ in range(V)], Fstar=Fstar,
+        S_nbr=[g[0] for g in S], S_w=[g[1] for g in S], H_nbr=H_nbr,
+        H_w=H_w, n_views=V, n_samples=n)
+    return state, MaskMatrix(masks=masks), rho, zeta
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(hst.data())
+def test_graph_diagnostics_match_the_dense_sections(data):
+    state, masks, rho, zeta = _diagnostics_case(data.draw)
+    dists = _imputed_distances(state, masks)
+    zetas = (zeta, rho)
+    assert json.dumps(_neighbor_consistency(state, dists, rho)) == \
+        json.dumps(oracle.neighbor_consistency(state, dists, rho))
+    assert json.dumps(_consensus_consistency(state, masks, zetas)) == \
+        json.dumps(oracle.consensus_consistency(state, masks, zetas))
+    # identical consensus rows among each view's imputed samples, pair by
+    # pair
+    for v, rec in enumerate(diagnostics_report(state, masks, rho,
+                                               zetas)["cluster_separation"]):
+        rows = state.Fstar[dists[v][0]]
+        assert rec["same_pairs"] == sum(
+            np.array_equal(rows[a], rows[b])
+            for a, b in itertools.combinations(range(len(rows)), 2))
 
 
 def test_diagnostics_report_structure_and_bounds():

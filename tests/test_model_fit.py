@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
-from climfs import numkit
+from climfs import model, numkit
 from climfs.baselines import METHODS
 from climfs.dataset import (MaskMatrix, MissingScenario, MultiViewDataset,
                             apply_missing, make_synthetic)
@@ -454,24 +454,57 @@ def test_checkpoint_with_drow_arrays_and_n_views_resumes_bitwise(tmp_path):
 
 
 def test_checkpoint_roundtrip_is_bitwise_for_any_graph(tmp_path):
-    # graphs are stored as their neighbour arrays; nothing may rely on a
-    # valid graph or lose a NaN or the sign of a zero
+    # graphs are stored as their neighbour arrays; storing may not rely on
+    # a valid graph or lose a NaN or the sign of a zero, while loading
+    # rejects a broken graph (`check_state`)
     masked, masks = small_instance(seed=11)
     cfg = FitConfig(k=4, c=2)
     st = init_state(masked, masks, cfg)
+    st.Fstar[0, 1] = np.nan
+    st.Fv[1][3] = -0.0
+    loaded, _, _ = load_state(save_state(st, cfg, Components(),
+                                         tmp_path / "ok"))
+    assert_states_bitwise_equal(st, loaded)
+    assert np.isnan(loaded.Fstar[0, 1]) and np.signbit(loaded.Fv[1][3]).all()
     st.S_w[0][0, 1] = np.nan
     st.S_w[1][3] = -0.0
     st.H_nbr[5, 2] = st.H_nbr[5, 0]
     st.H_w[5] = [-0.0, 0.5, 0.25, 0.25]
-    # S[1] column 3 has no nonzero weight, H column 5 a repeated neighbour
-    # and a zero weight
-    assert validate_state(st, masked, masks, cfg)["nnz_bad_columns"] == 2
-    loaded, _, _ = load_state(save_state(st, cfg, Components(),
-                                         tmp_path / "ck"))
-    assert_states_bitwise_equal(st, loaded)
-    assert np.isnan(loaded.S_w[0][0, 1])
-    assert np.signbit(loaded.S_w[1][3]).all() and np.signbit(loaded.H_w[5, 0])
-    assert loaded.H_nbr[5, 2] == loaded.H_nbr[5, 0]
+    # S[0] column 0 has a NaN weight, S[1] column 3 no nonzero weight, H
+    # column 5 a repeated neighbour and a zero weight
+    assert validate_state(st, masked, masks, cfg)["nnz_bad_columns"] == 3
+    ckpt = save_state(st, cfg, Components(), tmp_path / "ck")
+    with np.load(ckpt / "state.npz") as npz:
+        stored = dict(npz)
+    for name, (_, a, _) in _layout(st, st.n_samples, masked.dims,
+                                   cfg).items():
+        assert stored[name].dtype == a.dtype, name
+        assert stored[name].tobytes() == a.tobytes(), name
+    with pytest.raises(ConfigError, match="H_nbr/H_w holds a column"):
+        load_state(ckpt)   # the first graph of `_layout` to fail
+
+
+@pytest.mark.parametrize("name, at, value, graph", [
+    ("S_nbr_0", (3, 1), lambda a: a[3, 0], "S_nbr_0/S_w_0"),
+    ("H_nbr", (5, 0), lambda a: 5, "H_nbr/H_w"),
+    ("S_w_1", (2, 0), lambda a: 0.0, "S_nbr_1/S_w_1"),
+    ("H_w", (4, 2), lambda a: -0.25, "H_nbr/H_w"),
+    ("S_w_0", (0, 0), lambda a: np.inf, "S_nbr_0/S_w_0"),
+], ids=["repeated_neighbour", "self_loop", "zero_weight", "negative_weight",
+        "infinite_weight"])
+def test_a_checkpoint_with_a_broken_graph_column_is_a_config_error(
+        tmp_path, name, at, value, graph):
+    masked, masks = small_instance(seed=19)
+    cfg = FitConfig(k=4, c=3, max_iter=2, tol=1e-15)
+    st, _ = fit(masked, masks, cfg)
+    ckpt = save_state(st, cfg, Components(), tmp_path / "ck")
+    with np.load(ckpt / "state.npz") as npz:
+        arrays = dict(npz)
+    arrays[name][at] = value(arrays[name])
+    np.savez(ckpt / "state.npz", **arrays)
+    with pytest.raises(ConfigError, match=f"{graph} holds a column not of 4 "
+                                          f"distinct integer neighbours"):
+        load_state(ckpt)
 
 
 def test_unreadable_or_missing_checkpoint_is_a_config_error(tmp_path):
@@ -543,9 +576,9 @@ def test_fits_under_one_and_two_blas_threads_are_bitwise_equal(tmp_path):
 @pytest.mark.parametrize("n, change, nbr, field", [
     (30, {"k": 5}, None, "H_nbr"), (30, {"k": 3}, None, "H_nbr"),
     (30, {"c": 2}, None, "Fstar"), (31, {}, None, "samples"),
-    (30, {}, -1, "H_nbr"), (30, {}, 30, "H_nbr")],
+    (30, {}, -1, "H_nbr"), (30, {}, 30, "H_nbr"), (30, {}, 6, "H_nbr")],
     ids=["k_up", "k_down", "c_down", "n_up", "negative_neighbour",
-         "neighbour_n"])
+         "neighbour_n", "self_loop"])
 def test_resuming_a_state_that_does_not_fit_is_a_config_error(n, change, nbr,
                                                               field):
     cfg = FitConfig(k=4, c=3, max_iter=2, tol=1e-15)
@@ -861,7 +894,13 @@ def _sub_updates(state, masked, masks, cfg, comps):
 
 @pytest.mark.parametrize("kind", ["climfs", "climfs-i", "climfs-ii",
                                   "climfs-iii"])
-def test_fit_constraint_rows_equal_a_full_check_after_every_sub_update(kind):
+def test_fit_constraint_rows_equal_a_full_check_after_every_sub_update(
+        kind, monkeypatch):
+    # `fit` refuses to resume from broken graph columns (`check_state`);
+    # this test starts from some on purpose, so that a part left
+    # unmeasured shows in a row, and skips that check: its start state
+    # fits the instance in every shape
+    monkeypatch.setattr(model, "check_state", lambda *args: None)
     masked, masks = small_instance(seed=16)
     cfg = FitConfig(k=4, c=2, max_iter=5, tol=1e-15)
     comps = METHODS[kind]
