@@ -326,7 +326,12 @@ def save_masks(masks: MaskMatrix, view_names: list[str],
     entries = []
     for name, m in zip(view_names, masks.masks):
         fname = f"mask_{name}.csv"
-        np.savetxt(out / fname, m, fmt="%d", delimiter=",")
+        # the bytes np.savetxt(fmt="%d", delimiter=",") writes: each
+        # digit followed by a comma, the last of a row by a newline
+        text = np.full((m.shape[0], 2 * m.shape[1]), ord(","), np.uint8)
+        text[:, 0::2] = m.astype(np.uint8) + ord("0")
+        text[:, -1:] = ord("\n")
+        (out / fname).write_bytes(text.tobytes())
         entries.append({"name": name, "path": fname})
     mpath = out / "masks.json"
     mpath.write_text(json.dumps({"masks": entries}, indent=2, sort_keys=True) + "\n")

@@ -46,47 +46,74 @@ def _kmeanspp_centers(X: np.ndarray, c: int,
     return centers
 
 
-def kmeans(X: np.ndarray, c: int, seed: int = 0,
-           return_history: bool = False):
-    """Lloyd's algorithm with k-means++ seeding from an explicit seed.
+def kmeans(X: np.ndarray, c: int, seed=0, return_history: bool = False):
+    """Lloyd's algorithm from k-means++ centers drawn per seed, for one
+    seed or for a sequence of seeds run as one batch.
 
-    Ties in assignment go to the lowest cluster index; a cluster left
-    empty is re-seeded at the point farthest from its current center.
-    Returns the labels, plus the per-iteration within-cluster
-    sum-of-squares history when `return_history` is set (the history is
-    non-increasing).
+    Each iteration prices the centers of every live run in one product,
+    ||x||^2 - 2 C X^T + ||c||^2, assigns each point to its nearest center
+    (ties to the lowest index) and moves each center to the mean of its
+    points; a cluster left empty is re-seeded at the point farthest from
+    its run's centers. A run leaves the batch once its assignment repeats,
+    so it ends as it would alone. Temporaries are O(runs c n). Returns the
+    labels, (n,) for an int seed and (runs, n) for a sequence, plus with
+    `return_history` each run's per-iteration within-cluster sum of
+    squares (non-increasing; a list of them for a sequence).
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be 2-D (samples x features)")
-    n = X.shape[0]
+    n, d = X.shape
     if not 1 <= c <= n:
         raise ValueError(f"need 1 <= c <= n, got c={c}, n={n}")
-    rng = np.random.default_rng(seed)
-    centers = _kmeanspp_centers(X, c, rng)
-    labels = np.zeros(n, dtype=int)
-    history = []
-    for it in range(KMEANS_MAX_ITER):
-        d2 = np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        new_labels = np.argmin(d2, axis=1)
-        for cl in range(c):
-            members = new_labels == cl
-            if members.any():
-                centers[cl] = X[members].mean(axis=0)
-            else:
-                # Re-seeding an empty cluster at the farthest point leaves
-                # the current assignment cost unchanged, so the WCSS
-                # history stays monotone.
-                far = int(np.argmax(np.min(d2, axis=1)))
-                centers[cl] = X[far]
+    seeds = np.atleast_1d(seed)
+    if seeds.ndim != 1 or seeds.size == 0:
+        raise ValueError("seed must be an integer or a sequence of them")
+    centers = np.stack([_kmeanspp_centers(X, c, np.random.default_rng(s))
+                        for s in seeds.tolist()])
+    runs = seeds.size
+    sq = np.einsum("ij,ij->i", X, X)
+    # -1 is no cluster, so no run stops at its first assignment
+    labels = np.full((runs, n), -1, dtype=np.intp)
+    history = [[] for _ in range(runs)]
+    live = np.arange(runs)
+    for _ in range(KMEANS_MAX_ITER):
+        C = centers[live].reshape(-1, d)                     # (live c, d)
+        d2 = (-2.0 * C) @ X.T
+        d2 += sq
+        d2 += np.einsum("ij,ij->i", C, C)[:, None]
+        d2 = d2.reshape(live.size, c, n)
+        # the first nearest center: one pass per cluster is faster than an
+        # argmin along the short strided axis
+        best, new = d2[:, 0].copy(), np.zeros((live.size, n), dtype=np.intp)
+        for cl in range(1, c):
+            closer = d2[:, cl] < best
+            new += closer * (cl - new)
+            np.minimum(best, d2[:, cl], out=best)
+        member = (new[:, None, :] == np.arange(c)[:, None]).astype(float)
+        member = member.reshape(-1, n)                       # rows of C
+        counts = member.sum(axis=1)
+        C = member @ X
+        C /= np.maximum(counts, 1.0)[:, None]
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            # Re-seeding an empty cluster at the farthest point leaves
+            # the current assignment cost unchanged, so the WCSS history
+            # stays monotone.
+            C[empty] = X[best[empty // c].argmax(axis=1)]
+        centers[live] = C.reshape(-1, c, d)
         if return_history:
-            history.append(float(np.sum((X - centers[new_labels]) ** 2)))
-        if it > 0 and np.array_equal(new_labels, labels):
+            for r, lab in zip(live.tolist(), new):
+                history[r].append(float(np.sum((X - centers[r][lab]) ** 2)))
+        done = (new == labels[live]).all(axis=1)
+        labels[live] = new
+        live = live[~done]
+        if live.size == 0:
             break
-        labels = new_labels
-    if return_history:
-        return labels, np.array(history)
-    return labels
+    history = [np.array(h) for h in history]
+    if np.ndim(seed) == 0:
+        labels, history = labels[0], history[0]
+    return (labels, history) if return_history else labels
 
 
 # ----------------------------------------------------------- ACC and NMI
@@ -167,8 +194,9 @@ class EvalReport:
 def evaluate_selection(ds: MultiViewDataset, sel, c: int, runs: int = 50,
                        seed: int = 0) -> EvalReport:
     """Cluster the samples on the selected features (concatenated across
-    views) `runs` times with seeds seed..seed+runs-1 and report per-run
-    and mean ACC/NMI against the dataset labels.
+    views) `runs` times with seeds seed..seed+runs-1, all in one batched
+    `kmeans` call, and report per-run and mean ACC/NMI against the
+    dataset labels.
 
     The caller decides which data to evaluate on; passing a dataset built
     from imputed views scores the method's own imputation.
@@ -179,11 +207,11 @@ def evaluate_selection(ds: MultiViewDataset, sel, c: int, runs: int = 50,
     X = np.hstack(parts)
     if X.shape[1] == 0:
         raise ValueError("selection keeps no features")
-    acc_runs, nmi_runs = [], []
-    for r in range(runs):
-        labels = kmeans(X, c, seed=seed + r)
-        acc_runs.append(clustering_accuracy(labels, ds.labels))
-        nmi_runs.append(nmi(labels, ds.labels))
+    if runs < 1:
+        raise ValueError(f"need at least one run, got runs={runs}")
+    labels = kmeans(X, c, seed=range(seed, seed + runs))
+    acc_runs = [clustering_accuracy(lab, ds.labels) for lab in labels]
+    nmi_runs = [nmi(lab, ds.labels) for lab in labels]
     return EvalReport(acc_mean=float(np.mean(acc_runs)),
                       nmi_mean=float(np.mean(nmi_runs)),
                       acc_runs=acc_runs, nmi_runs=nmi_runs, runs=runs,
@@ -202,8 +230,10 @@ def _imputed_distances(state, masks: MaskMatrix) -> list[tuple]:
         idx = np.where((mask == 0.0).any(axis=0))[0]
         norms = np.linalg.norm(X, axis=0)
         scale = np.where(norms == 0.0, 1.0, norms)
-        D = (np.sqrt(numkit.sq_dists(X[:, idx] / scale[idx]))
-             if idx.size >= 2 else None)
+        D = None
+        if idx.size >= 2:
+            D = numkit.sq_dists(X[:, idx] / scale[idx])
+            np.sqrt(D, out=D)
         out.append((idx, scale, D))
     return out
 
@@ -215,7 +245,9 @@ def _cluster_separation(state, dists: list[tuple]) -> list[dict]:
     apart, whenever ||F^v||_1 < (sigma_min delta - 4)/(sigma_min +
     sigma_max) holds for the pair (delta is that pair's consensus row
     distance). Distances are taken on column-normalized imputed data, the
-    scaling under which the bounds are stated (`_imputed_distances`).
+    scaling under which the bounds are stated (`_imputed_distances`). The
+    pairs are walked `numkit.COLUMN_BLOCK` rows at a time, with each
+    block's consensus row distances from `numkit.sq_dists`.
     """
     out = []
     F = state.Fstar
@@ -232,21 +264,25 @@ def _cluster_separation(state, dists: list[tuple]) -> list[dict]:
         if D is not None:
             rows = F[idx]
             _, row_id = np.unique(rows, axis=0, return_inverse=True)
-            delta = np.sqrt(numkit.sq_dists(rows.T))
-            iu = np.triu_indices(idx.size, k=1)
-            same_u = row_id[iu[0]] == row_id[iu[1]]
-            dist_u = D[iu]
-            delta_u = delta[iu]
-            rec["same_pairs"] = int(same_u.sum())
-            rec["same_violations"] = int(
-                np.sum(dist_u[same_u] > mu + BOUND_TOL))
-            cross = ~same_u
-            rec["cross_pairs"] = int(cross.sum())
-            premise = cross & (fv1 * (smin + smax) < smin * delta_u - 4.0)
-            rec["premise_pairs"] = int(premise.sum())
-            nu = 0.5 * smin * (delta_u - fv1) - 1.0
-            rec["cross_violations"] = int(
-                np.sum(dist_u[premise] < nu[premise] - BOUND_TOL))
+            m = idx.size
+            for r in range(0, m, numkit.COLUMN_BLOCK):
+                # pairs (i, j), i < j, for the block's rows i
+                i = np.arange(r, min(r + numkit.COLUMN_BLOCK, m))
+                upper = i[:, None] < np.arange(r, m)
+                delta = np.sqrt(numkit.sq_dists(rows.T, i)[:, r:])
+                dist = D[r:r + numkit.COLUMN_BLOCK, r:]
+                same = row_id[i, None] == row_id[r:]
+                cross = upper & ~same
+                same &= upper
+                rec["same_pairs"] += int(np.count_nonzero(same))
+                rec["same_violations"] += int(np.count_nonzero(
+                    same & (dist > mu + BOUND_TOL)))
+                rec["cross_pairs"] += int(np.count_nonzero(cross))
+                premise = cross & (fv1 * (smin + smax) < smin * delta - 4.0)
+                nu = 0.5 * smin * (delta - fv1) - 1.0
+                rec["premise_pairs"] += int(np.count_nonzero(premise))
+                rec["cross_violations"] += int(np.count_nonzero(
+                    premise & (dist < nu - BOUND_TOL)))
             if rec["cross_pairs"] == 0:
                 rec["premise_status"] = "no cross-cluster pairs"
             elif rec["premise_pairs"] == 0:

@@ -8,8 +8,9 @@ refresh over them (`refresh_columns`), and the dense Laplacian, so the
 blocked code can be checked against them bit for bit. The imputation
 fallback's dense per-row Cholesky solve (`constrained_impute`) is the
 reference for its batched conjugate gradient form, and the dense n x n
-diagnostics sections (`neighbor_consistency`, `consensus_consistency`) the
-reference for the edge-by-edge ones of `climfs.evaluation`.
+diagnostics sections (`neighbor_consistency`, `consensus_consistency`,
+`cluster_separation`) the reference for the edge-by-edge and row-block
+ones of `climfs.evaluation`.
 """
 
 from types import SimpleNamespace
@@ -221,3 +222,49 @@ def consensus_consistency(state, masks, zetas: tuple[float, ...]) -> dict:
         checks.append({"zeta": zeta, "pairs": int(mask_u.sum()),
                        "bound": bound, "violations": viol})
     return {"subproblem_value": J, "checks": checks}
+
+
+def cluster_separation(state, dists: list[tuple]) -> list[dict]:
+    """`evaluation._cluster_separation` over whole m x m arrays: the
+    `np.triu_indices` pairs of each view's m imputed samples, with their
+    consensus row distances from one `sq_dists` matrix."""
+    out = []
+    F = state.Fstar
+    for v, (idx, _, D) in enumerate(dists):
+        sv = np.linalg.svd(state.W[v], compute_uv=False)
+        smax, smin = float(sv[0]), float(sv[-1])
+        fv1 = float(np.abs(state.Fv[v]).sum())
+        mu = 0.5 * smax * fv1 + 1.0
+        rec = {"view": v, "sigma_max": smax, "sigma_min": smin,
+               "fv_l1": fv1, "mu": mu, "imputed_samples": int(idx.size),
+               "same_pairs": 0, "same_violations": 0, "cross_pairs": 0,
+               "premise_pairs": 0, "cross_violations": 0,
+               "premise_status": "no imputed pairs"}
+        if D is not None:
+            rows = F[idx]
+            _, row_id = np.unique(rows, axis=0, return_inverse=True)
+            delta = np.sqrt(numkit.sq_dists(rows.T))
+            iu = np.triu_indices(idx.size, k=1)
+            same_u = row_id[iu[0]] == row_id[iu[1]]
+            dist_u = D[iu]
+            delta_u = delta[iu]
+            rec["same_pairs"] = int(same_u.sum())
+            rec["same_violations"] = int(
+                np.sum(dist_u[same_u] > mu + BOUND_TOL))
+            cross = ~same_u
+            rec["cross_pairs"] = int(cross.sum())
+            premise = cross & (fv1 * (smin + smax) < smin * delta_u - 4.0)
+            rec["premise_pairs"] = int(premise.sum())
+            nu = 0.5 * smin * (delta_u - fv1) - 1.0
+            rec["cross_violations"] = int(
+                np.sum(dist_u[premise] < nu[premise] - BOUND_TOL))
+            if rec["cross_pairs"] == 0:
+                rec["premise_status"] = "no cross-cluster pairs"
+            elif rec["premise_pairs"] == 0:
+                rec["premise_status"] = "premise unmet"
+            else:
+                rec["premise_status"] = (
+                    f"premise held for {rec['premise_pairs']}/"
+                    f"{rec['cross_pairs']} cross-cluster pairs")
+        out.append(rec)
+    return out

@@ -122,6 +122,17 @@ def test_masks_round_trip(tmp_path):
         assert np.array_equal(a, b)
 
 
+def test_mask_files_are_the_bytes_of_savetxt(tmp_path):
+    rng = np.random.default_rng(21)
+    for shape in [(50, 1000), (1, 1), (4, 1), (1, 7), (6, 13)]:
+        m = rng.integers(0, 2, size=shape).astype(float)
+        m[(m == 0.0) & (rng.random(shape) < 0.5)] = -0.0   # prints as 0
+        save_masks(MaskMatrix([m]), ["a"], tmp_path)
+        np.savetxt(tmp_path / "ref.csv", m, fmt="%d", delimiter=",")
+        assert (tmp_path / "mask_a.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes(), shape
+
+
 MALFORMED_INDEXES = {
     "masks_empty": ("masks.json", {}),
     "mask_without_path": ("masks.json", {"masks": [{"name": "a"}]}),

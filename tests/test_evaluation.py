@@ -12,16 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import graph_oracle as oracle
+import kmeans_oracle
 
 from climfs.dataset import (MaskMatrix, MissingScenario, apply_missing,
                             make_synthetic)
 from climfs.evaluation import (KMEANS_MAX_ITER, EvalReport,
-                               _consensus_consistency, _cross_view,
-                               _imputed_distances, _neighbor_consistency,
-                               clustering_accuracy,
+                               _cluster_separation, _consensus_consistency,
+                               _cross_view, _imputed_distances,
+                               _neighbor_consistency, clustering_accuracy,
                                diagnostics_report, evaluate_selection,
                                kmeans, nmi)
-from climfs.model import FitConfig, SelectionResult, fit
+from climfs.model import FitConfig, SelectionResult, fit, rank_features
 
 
 def acc_brute(pred, truth):
@@ -95,6 +96,76 @@ def test_kmeans_labels_do_not_depend_on_the_history():
 def test_kmeans_deterministic_per_seed():
     X = np.random.default_rng(4).normal(size=(30, 3))
     assert np.array_equal(kmeans(X, 3, seed=9), kmeans(X, 3, seed=9))
+
+
+@pytest.fixture(scope="module")
+def planted_eval_inputs():
+    """What `evaluate_selection` clusters on the planted family: the top
+    20% of features of a 2-sweep fit's imputed views, at n = 150 and 400,
+    two seeds each."""
+    inputs = []
+    for n in (150, 400):
+        for seed in (0, 1):
+            ds = make_synthetic(n=n, views=2, clusters=3, informative=10,
+                                noise=40, separation=3.0, noise_scale=0.6,
+                                seed=seed)
+            state, _ = fit(*apply_missing(ds, MissingScenario("mixed", 0.5,
+                                                              seed)),
+                           FitConfig(k=6, c=3, max_iter=2, tol=1e-12,
+                                     seed=seed))
+            sel = rank_features(state, 0.2)
+            inputs.append(np.hstack([x[i].T for x, i in
+                                     zip(state.Xhat, sel.selected)]))
+    return inputs
+
+
+def test_kmeans_batch_matches_the_per_seed_oracle(planted_eval_inputs):
+    for X in planted_eval_inputs:
+        batch = kmeans(X, 3, seed=range(5, 35))
+        assert batch.shape == (30, X.shape[0])
+        for r, labels in enumerate(batch):
+            assert np.array_equal(labels, kmeans_oracle.kmeans(X, 3, 5 + r))
+
+
+@pytest.mark.parametrize("case", ["duplicates", "empties", "empties_midway",
+                                  "c_1", "c_n"])
+def test_kmeans_batch_run_equals_its_seed_alone_and_the_oracle(case):
+    rng = np.random.default_rng(13)
+    X, c = rng.normal(size=(30, 2)), 4
+    if case == "duplicates":
+        X[10:25] = X[3]
+    elif case == "empties":
+        # two distinct points: from the third center on, k-means++ draws
+        # a point at random, so centers coincide and clusters empty out
+        X = np.repeat([[0.0, 0.0], [1.0, 2.0]], 15, axis=0)
+    elif case == "empties_midway":
+        # rounded points, so distances tie; for some seeds a cluster
+        # empties after the first pass, with points off every center
+        X, c = np.round(np.random.default_rng(387).normal(size=(34, 2))
+                        * 3.0), 8
+    elif case == "c_1":
+        c = 1
+    else:
+        c = len(X)
+    seeds = [3, 0, 17, 4, 9, 11, 2, 8]
+    labels, hists = kmeans(X, c, seed=seeds, return_history=True)
+    for s, lab, hist in zip(seeds, labels, hists):
+        one, one_hist = kmeans(X, c, seed=s, return_history=True)
+        assert one.tobytes() == lab.tobytes()
+        assert one_hist.tobytes() == hist.tobytes()
+        assert np.array_equal(lab, kmeans_oracle.kmeans(X, c, s))
+    used = [np.unique(lab).size for lab in labels]
+    if case == "empties":
+        assert max(used) == 2 < c
+    if case == "c_n":
+        assert min(used) == c
+
+
+def test_kmeans_rejects_seeds_that_are_not_a_flat_sequence():
+    X = np.zeros((4, 2))
+    for seed in ([], [[0, 1]]):
+        with pytest.raises(ValueError, match="seed"):
+            kmeans(X, 2, seed=seed)
 
 
 # ---------------------------------------------------------------- accuracy
@@ -226,6 +297,13 @@ def test_evaluate_selection_requires_labels():
     with pytest.raises(ValueError):
         evaluate_selection(ds, _identity_selection(ds.dims), c=2, runs=1,
                            seed=0)
+
+
+def test_evaluate_selection_requires_a_run():
+    ds = make_synthetic(n=20, views=1, clusters=2, informative=2, noise=2,
+                        seed=2)
+    with pytest.raises(ValueError, match="runs=0"):
+        evaluate_selection(ds, _identity_selection(ds.dims), c=2, runs=0)
 
 
 def test_evaluate_selection_planted_informative_features():
@@ -382,6 +460,8 @@ def test_graph_diagnostics_match_the_dense_sections(data):
         json.dumps(oracle.neighbor_consistency(state, dists, rho))
     assert json.dumps(_consensus_consistency(state, masks, zetas)) == \
         json.dumps(oracle.consensus_consistency(state, masks, zetas))
+    assert json.dumps(_cluster_separation(state, dists)) == \
+        json.dumps(oracle.cluster_separation(state, dists))
     # identical consensus rows among each view's imputed samples, pair by
     # pair
     for v, rec in enumerate(diagnostics_report(state, masks, rho,
@@ -390,6 +470,30 @@ def test_graph_diagnostics_match_the_dense_sections(data):
         assert rec["same_pairs"] == sum(
             np.array_equal(rows[a], rows[b])
             for a, b in itertools.combinations(range(len(rows)), 2))
+
+
+def test_cluster_separation_matches_the_dense_section_across_blocks():
+    # 600 imputed samples span three row blocks; consensus rows from a
+    # pool of five and a large sigma_min give every count a nonzero value
+    rng = np.random.default_rng(12)
+    n, c = 600, 3
+    masks = [np.ones((4, n)), np.ones((3, n))]
+    masks[0][rng.integers(4, size=n), np.arange(n)] = 0.0
+    masks[1][:, ::2] = 0.0
+    state = SimpleNamespace(
+        Xhat=[rng.normal(size=(4, n)), rng.normal(size=(3, n))],
+        W=[4.0 * np.eye(4, c), 4.0 * np.eye(3, c)],
+        Fv=[1e-4 * rng.normal(size=(n, c)) for _ in range(2)],
+        Fstar=rng.uniform(0.0, 2.0, size=(5, c))[rng.integers(5, size=n)])
+    dists = _imputed_distances(state, MaskMatrix(masks=masks))
+    got = _cluster_separation(state, dists)
+    assert json.dumps(got) == json.dumps(oracle.cluster_separation(state,
+                                                                   dists))
+    assert [rec["imputed_samples"] for rec in got] == [n, n // 2]
+    for rec in got:
+        assert 0 < rec["same_violations"] < rec["same_pairs"]
+        assert 0 < rec["cross_violations"] < rec["premise_pairs"] \
+            < rec["cross_pairs"]
 
 
 def test_diagnostics_report_structure_and_bounds():

@@ -549,28 +549,41 @@ def test_fits_under_one_and_two_blas_threads_are_bitwise_equal(tmp_path):
     # split its distance products. Not every shape is equal across thread
     # counts: with scipy-openblas 0.3.31 on an x86-64 box, the 256 x 50 by
     # 50 x 300 product (n=300) rounds differently under two threads, so a
-    # fit at n=300 or n=150 is not, while n=400 and n=1000 are
+    # fit at n=300 or n=150 is not, while n=400 and n=1000 are. The fitted
+    # state is then scored by 50 k-means runs, whose products also go
+    # through BLAS
     code = (
-        "import sys\n"
-        "from climfs.dataset import MissingScenario, apply_missing, "
-        "make_synthetic\n"
-        "from climfs.model import Components, FitConfig, fit, save_state\n"
+        "import json, pathlib\n"
+        "from climfs.dataset import MissingScenario, MultiViewDataset, "
+        "apply_missing, make_synthetic\n"
+        "from climfs.evaluation import evaluate_selection\n"
+        "from climfs.model import Components, FitConfig, fit, "
+        "rank_features, save_state\n"
+        "out = pathlib.Path(OUT)\n"
         "ds = make_synthetic(n=400, views=2, clusters=3, informative=10, "
         "noise=40, separation=3.0, noise_scale=0.6, seed=0)\n"
         "cfg = FitConfig(k=6, c=3, max_iter=3, tol=1e-12)\n"
         "state, _ = fit(*apply_missing(ds, MissingScenario('mixed', 0.5, 0)),"
         " cfg)\n"
-        "save_state(state, cfg, Components(), sys.argv[1])\n")
-    arrays = []
+        "save_state(state, cfg, Components(), out)\n"
+        "rep = evaluate_selection(MultiViewDataset(views=state.Xhat, "
+        "labels=ds.labels), rank_features(state, 0.2), c=3, runs=50)\n"
+        "(out / 'scores.json').write_text(json.dumps([rep.acc_runs, "
+        "rep.nmi_runs]))\n")
+    arrays, scores = [], []
     for threads in ("1", "2"):
-        run_fresh_python(code.replace("sys.argv[1]", repr(str(
-            tmp_path / threads))), OPENBLAS_NUM_THREADS=threads)
+        run_fresh_python(code.replace("OUT", repr(str(tmp_path / threads))),
+                         OPENBLAS_NUM_THREADS=threads)
         with np.load(tmp_path / threads / "state.npz") as npz:
             arrays.append(dict(npz))
+        scores.append(json.loads((tmp_path / threads
+                                  / "scores.json").read_text()))
     one, two = arrays
     assert list(one) == list(two) and len(one) > 0
     for name in one:
         assert one[name].tobytes() == two[name].tobytes(), name
+    assert len(scores[0][0]) == 50
+    assert scores[0] == scores[1]
 
 
 @pytest.mark.parametrize("n, change, nbr, field", [
