@@ -221,103 +221,92 @@ def evaluate_selection(ds: MultiViewDataset, sel, c: int, runs: int = 50,
 # -------------------------------------------------------------- diagnostics
 
 
-def _imputed_distances(state, masks: MaskMatrix) -> list[tuple]:
-    """Per view: the samples with a masked entry, the column norms of the
-    imputed data (1 for a zero column), and the distances between those
-    samples' normalized columns (None for fewer than two samples)."""
-    out = []
-    for X, mask in zip(state.Xhat, masks.masks):
-        idx = np.where((mask == 0.0).any(axis=0))[0]
-        norms = np.linalg.norm(X, axis=0)
-        scale = np.where(norms == 0.0, 1.0, norms)
-        D = None
-        if idx.size >= 2:
-            D = numkit.sq_dists(X[:, idx] / scale[idx])
-            np.sqrt(D, out=D)
-        out.append((idx, scale, D))
-    return out
+def _imputed_pair_sections(state, masks: MaskMatrix,
+                           rho: float) -> tuple[list[dict], list[dict]]:
+    """Per view, the `cluster_separation` and `neighbor_consistency`
+    records of the m samples with a masked entry. Distances are taken
+    between their columns of the imputed data divided by the column norms
+    (1 for a zero column), the scaling under which the bounds are stated,
+    in one walk over `numkit.COLUMN_BLOCK` rows of them: no m x m array.
 
-
-def _cluster_separation(state, dists: list[tuple]) -> list[dict]:
-    """Per view: imputed same-cluster pairs (identical consensus rows)
-    must sit within mu = sigma_max ||F^v||_1 / 2 + 1 of each other, and
-    cross-cluster pairs at least nu = sigma_min (delta - ||F^v||_1)/2 - 1
-    apart, whenever ||F^v||_1 < (sigma_min delta - 4)/(sigma_min +
+    Cluster separation: imputed same-cluster pairs (identical consensus
+    rows) must sit within mu = sigma_max ||F^v||_1 / 2 + 1 of each other,
+    and cross-cluster pairs at least nu = sigma_min (delta - ||F^v||_1)/2
+    - 1 apart, whenever ||F^v||_1 < (sigma_min delta - 4)/(sigma_min +
     sigma_max) holds for the pair (delta is that pair's consensus row
-    distance). Distances are taken on column-normalized imputed data, the
-    scaling under which the bounds are stated (`_imputed_distances`). The
-    pairs are walked `numkit.COLUMN_BLOCK` rows at a time, with each
-    block's consensus row distances from `numkit.sq_dists`.
+    distance, from `numkit.sq_dists` on the same block of rows).
+
+    Neighbor consistency: for imputed samples i with a strong imputed
+    neighbor j (directed weight S^v_ji >= rho), their distance, read from
+    j's row, must stay below 3/2 - rho + ||c_i||/2, where c_i is the
+    reconstruction W^v (F^v_i + F*_i) of sample i under the same column
+    scaling.
     """
-    out = []
-    F = state.Fstar
-    for v, (idx, _, D) in enumerate(dists):
+    seps, nbrs = [], []
+    for v, (X, mask) in enumerate(zip(state.Xhat, masks.masks)):
+        idx = np.where((mask == 0.0).any(axis=0))[0]
+        m = idx.size
         sv = np.linalg.svd(state.W[v], compute_uv=False)
         smax, smin = float(sv[0]), float(sv[-1])
         fv1 = float(np.abs(state.Fv[v]).sum())
         mu = 0.5 * smax * fv1 + 1.0
-        rec = {"view": v, "sigma_max": smax, "sigma_min": smin,
-               "fv_l1": fv1, "mu": mu, "imputed_samples": int(idx.size),
+        sep = {"view": v, "sigma_max": smax, "sigma_min": smin,
+               "fv_l1": fv1, "mu": mu, "imputed_samples": m,
                "same_pairs": 0, "same_violations": 0, "cross_pairs": 0,
                "premise_pairs": 0, "cross_violations": 0,
                "premise_status": "no imputed pairs"}
-        if D is not None:
-            rows = F[idx]
-            _, row_id = np.unique(rows, axis=0, return_inverse=True)
-            m = idx.size
-            for r in range(0, m, numkit.COLUMN_BLOCK):
-                # pairs (i, j), i < j, for the block's rows i
-                i = np.arange(r, min(r + numkit.COLUMN_BLOCK, m))
-                upper = i[:, None] < np.arange(r, m)
-                delta = np.sqrt(numkit.sq_dists(rows.T, i)[:, r:])
-                dist = D[r:r + numkit.COLUMN_BLOCK, r:]
-                same = row_id[i, None] == row_id[r:]
-                cross = upper & ~same
-                same &= upper
-                rec["same_pairs"] += int(np.count_nonzero(same))
-                rec["same_violations"] += int(np.count_nonzero(
-                    same & (dist > mu + BOUND_TOL)))
-                rec["cross_pairs"] += int(np.count_nonzero(cross))
-                premise = cross & (fv1 * (smin + smax) < smin * delta - 4.0)
-                nu = 0.5 * smin * (delta - fv1) - 1.0
-                rec["premise_pairs"] += int(np.count_nonzero(premise))
-                rec["cross_violations"] += int(np.count_nonzero(
-                    premise & (dist < nu - BOUND_TOL)))
-            if rec["cross_pairs"] == 0:
-                rec["premise_status"] = "no cross-cluster pairs"
-            elif rec["premise_pairs"] == 0:
-                rec["premise_status"] = "premise unmet"
-            else:
-                rec["premise_status"] = (
-                    f"premise held for {rec['premise_pairs']}/"
-                    f"{rec['cross_pairs']} cross-cluster pairs")
-        out.append(rec)
-    return out
-
-
-def _neighbor_consistency(state, dists: list[tuple], rho: float) -> list[dict]:
-    """Per view: for imputed samples i with a strong imputed neighbor j
-    (directed weight S^v_ji >= rho), the column-normalized distance must
-    stay below 3/2 - rho + ||c_i||/2, where c_i is the reconstruction
-    W^v (F^v_i + F*_i) of sample i under the same column scaling."""
-    out = []
-    for v, (idx, scale, D) in enumerate(dists):
-        rec = {"view": v, "rho": rho, "pairs": 0, "violations": 0,
+        nbr = {"view": v, "rho": rho, "pairs": 0, "violations": 0,
                "min_margin": None}
-        if D is not None:
-            C = state.W[v] @ (state.Fv[v] + state.Fstar).T
-            cnorm = np.linalg.norm(C, axis=0) / scale
-            omega1 = 1.5 - rho + 0.5 * cnorm[idx]
-            nbr = state.S_nbr[v][idx]       # row = target, column = edge
-            ii, t = np.nonzero((state.S_w[v][idx] >= rho) & np.isin(nbr, idx))
-            jj = np.searchsorted(idx, nbr[ii, t])   # the neighbor's row of D
-            margins = omega1[ii] - D[jj, ii]
-            rec["pairs"] = int(ii.size)
-            rec["violations"] = int(np.sum(margins < -BOUND_TOL))
-            if ii.size:
-                rec["min_margin"] = float(margins.min())
-        out.append(rec)
-    return out
+        seps.append(sep)
+        nbrs.append(nbr)
+        if m < 2:
+            continue
+        norms = np.linalg.norm(X, axis=0)
+        scale = np.where(norms == 0.0, 1.0, norms)
+        Xn = X[:, idx] / scale[idx]
+        rows = state.Fstar[idx]
+        _, row_id = np.unique(rows, axis=0, return_inverse=True)
+        C = state.W[v] @ (state.Fv[v] + state.Fstar).T
+        omega1 = 1.5 - rho + 0.5 * (np.linalg.norm(C, axis=0) / scale)[idx]
+        edges = state.S_nbr[v][idx]     # row = target, column = edge
+        ii, t = np.nonzero((state.S_w[v][idx] >= rho) & np.isin(edges, idx))
+        jj = np.searchsorted(idx, edges[ii, t])   # the neighbor's row
+        edge_dist = np.empty(ii.size)
+        for r in range(0, m, numkit.COLUMN_BLOCK):
+            i = np.arange(r, min(r + numkit.COLUMN_BLOCK, m))
+            dist = np.sqrt(numkit.sq_dists(Xn, i))
+            at = (jj >= r) & (jj < r + i.size)
+            edge_dist[at] = dist[jj[at] - r, ii[at]]
+            # pairs (i, j), i < j, for the block's rows i
+            dist = dist[:, r:]
+            upper = i[:, None] < np.arange(r, m)
+            delta = np.sqrt(numkit.sq_dists(rows.T, i)[:, r:])
+            same = row_id[i, None] == row_id[r:]
+            cross = upper & ~same
+            same &= upper
+            sep["same_pairs"] += int(np.count_nonzero(same))
+            sep["same_violations"] += int(np.count_nonzero(
+                same & (dist > mu + BOUND_TOL)))
+            sep["cross_pairs"] += int(np.count_nonzero(cross))
+            premise = cross & (fv1 * (smin + smax) < smin * delta - 4.0)
+            nu = 0.5 * smin * (delta - fv1) - 1.0
+            sep["premise_pairs"] += int(np.count_nonzero(premise))
+            sep["cross_violations"] += int(np.count_nonzero(
+                premise & (dist < nu - BOUND_TOL)))
+        if sep["cross_pairs"] == 0:
+            sep["premise_status"] = "no cross-cluster pairs"
+        elif sep["premise_pairs"] == 0:
+            sep["premise_status"] = "premise unmet"
+        else:
+            sep["premise_status"] = (
+                f"premise held for {sep['premise_pairs']}/"
+                f"{sep['cross_pairs']} cross-cluster pairs")
+        margins = omega1[ii] - edge_dist
+        nbr["pairs"] = int(ii.size)
+        nbr["violations"] = int(np.sum(margins < -BOUND_TOL))
+        if ii.size:
+            nbr["min_margin"] = float(margins.min())
+    return seps, nbrs
 
 
 def _consensus_value(state) -> float:
@@ -379,11 +368,14 @@ def diagnostics_report(state, masks: MaskMatrix, rho: float = 0.1,
     columns close), and `consensus_consistency` (strong consensus
     similarity keeps consensus-factor rows close). Violation counts are
     expected to be zero wherever the stated premises hold. Graph sections
-    walk the edges of valid graphs (`model.check_state`); rho, zetas > 0.
+    walk the edges of valid graphs (`model.check_state`); rho and the
+    zetas must be positive numbers, else ValueError.
     """
-    dists = _imputed_distances(state, masks)
-    return {"cluster_separation": _cluster_separation(state, dists),
-            "neighbor_consistency": _neighbor_consistency(state, dists,
-                                                          float(rho)),
-            "consensus_consistency": _consensus_consistency(
-                state, masks, tuple(zetas))}
+    rho, zetas = float(rho), tuple(zetas)
+    if not (rho > 0.0 and all(float(z) > 0.0 for z in zetas)):
+        raise ValueError("rho and the zetas must be positive numbers, got "
+                         f"rho={rho}, zetas={zetas}")
+    seps, nbrs = _imputed_pair_sections(state, masks, rho)
+    return {"cluster_separation": seps, "neighbor_consistency": nbrs,
+            "consensus_consistency": _consensus_consistency(state, masks,
+                                                            zetas)}

@@ -26,7 +26,7 @@ ACTIVE_TOL = 1e-12
 QP_KKT_TOL = 1e-8
 # Graph columns solved per pass of the model's graph updates and of its
 # initialization (which holds V + 1 cost blocks, V views and their mean),
-# and rows per product in `sq_dists`: the temporaries stay O(n * 256).
+# and rows per pass of the diagnostics: the temporaries stay O(n * 256).
 COLUMN_BLOCK = 256
 # `pcg` stops a column once its residual norm is at most CG_RTOL times its
 # right-hand side's, and raises after CG_MAXITER steps: on I + L of a
@@ -299,22 +299,12 @@ def _support_kkt(Q: np.ndarray, c: np.ndarray,
     return x / ssum
 
 
-def sq_dists(X: np.ndarray, cols: np.ndarray | None = None,
+def sq_dists(X: np.ndarray, cols: np.ndarray,
              out: np.ndarray | None = None) -> np.ndarray:
-    """Squared Euclidean distances between the columns of X, with the
-    rounding negatives of the Gram expansion clamped to 0: the rows `cols`
-    (distances from those columns to every column), written to `out` if
-    given, or, without `cols`, the whole n x n matrix, filled COLUMN_BLOCK
-    rows at a time. Each block of rows comes from one product
-    X[:, cols].T @ X, so the rows of a COLUMN_BLOCK-aligned block equal
-    those of the whole matrix bit for bit."""
-    if cols is None:
-        n = X.shape[1]
-        D = np.empty((n, n))
-        for r in range(0, n, COLUMN_BLOCK):
-            sq_dists(X, np.arange(r, min(r + COLUMN_BLOCK, n)),
-                     D[r:r + COLUMN_BLOCK])
-        return D
+    """Squared Euclidean distances from the columns `cols` of X to every
+    column, one row per entry of `cols`, written to `out` if given, with
+    the rounding negatives of the Gram expansion clamped to 0. The rows
+    come from one product X[:, cols].T @ X."""
     sq = np.einsum("ij,ij->j", X, X)
     D = np.matmul(X[:, cols].T, X, out=out)
     D *= -2.0

@@ -9,8 +9,11 @@ blocked code can be checked against them bit for bit. The imputation
 fallback's dense per-row Cholesky solve (`constrained_impute`) is the
 reference for its batched conjugate gradient form, and the dense n x n
 diagnostics sections (`neighbor_consistency`, `consensus_consistency`,
-`cluster_separation`) the reference for the edge-by-edge and row-block
-ones of `climfs.evaluation`.
+`cluster_separation`, on the whole distance matrices of
+`imputed_distances`) the reference for the edge-by-edge and row-block
+ones of `climfs.evaluation`. Whole distance matrices stack the
+COLUMN_BLOCK-aligned row blocks of `numkit.sq_dists` (`whole_sq_dists`),
+so their rows equal the blocked code's bit for bit.
 """
 
 from types import SimpleNamespace
@@ -58,6 +61,15 @@ def set_graph(state, which, G: np.ndarray) -> None:
         state.S_nbr[which], state.S_w[which] = nbr, w
 
 
+def whole_sq_dists(X: np.ndarray) -> np.ndarray:
+    """The whole n x n `numkit.sq_dists` matrix of the columns of X,
+    stacked from its COLUMN_BLOCK-aligned blocks of rows."""
+    n = X.shape[1]
+    return np.concatenate([
+        numkit.sq_dists(X, np.arange(r, min(r + numkit.COLUMN_BLOCK, n)))
+        for r in range(0, n, numkit.COLUMN_BLOCK)])
+
+
 def laplacian(A: np.ndarray) -> np.ndarray:
     """Dense Laplacian diag(colsums) - S of S = (A + A^T) / 2."""
     A = (A + A.T) / 2.0
@@ -103,7 +115,7 @@ def build_q(dense, v: int) -> np.ndarray:
     """Whole n x n S^v costs: q_ij = ||xhat_i - xhat_j||^2 / 2
     - alpha_v H_ij + 2 alpha_v sum_{m != v} alpha_m S^m_ij."""
     a = dense.alpha
-    Q = numkit.sq_dists(dense.Xhat[v])
+    Q = whole_sq_dists(dense.Xhat[v])
     Q *= 0.5
     Q += -a[v] * dense.H
     for m in range(dense.n_views):
@@ -116,7 +128,7 @@ def build_b(dense, cluster_structure: bool = True) -> np.ndarray:
     """Whole n x n H costs: fused-graph attraction plus, with the cluster
     structure term, half squared consensus-factor distances."""
     if cluster_structure:
-        B = numkit.sq_dists(dense.Fstar.T)
+        B = whole_sq_dists(dense.Fstar.T)
         B *= 0.5
     else:
         B = np.zeros((dense.n_samples, dense.n_samples))
@@ -165,9 +177,28 @@ def update_H(dense, k: int, cluster_structure: bool = True) -> tuple[int, int]:
                            dense.gamma, guard=True)
 
 
+def imputed_distances(state, masks) -> list[tuple]:
+    """Per view: the samples with a masked entry, the column norms of the
+    imputed data (1 for a zero column), and the whole m x m distance
+    matrix between those samples' normalized columns (None for fewer than
+    two samples)."""
+    out = []
+    for X, mask in zip(state.Xhat, masks.masks):
+        idx = np.where((mask == 0.0).any(axis=0))[0]
+        norms = np.linalg.norm(X, axis=0)
+        scale = np.where(norms == 0.0, 1.0, norms)
+        D = None
+        if idx.size >= 2:
+            D = np.sqrt(whole_sq_dists(X[:, idx] / scale[idx]))
+        out.append((idx, scale, D))
+    return out
+
+
 def neighbor_consistency(state, dists: list[tuple], rho: float) -> list[dict]:
-    """`evaluation._neighbor_consistency` from the dense view graphs: every
-    imputed pair (j, i), j != i, with S^v_ji >= rho."""
+    """The `neighbor_consistency` section of
+    `evaluation.diagnostics_report` from the dense view graphs and the
+    `imputed_distances` matrices: every imputed pair (j, i), j != i, with
+    S^v_ji >= rho."""
     out = []
     for v, (idx, scale, D) in enumerate(dists):
         rec = {"view": v, "rho": rho, "pairs": 0, "violations": 0,
@@ -206,9 +237,10 @@ def cross_view_pairs(masks) -> np.ndarray:
 def consensus_consistency(state, masks, zetas: tuple[float, ...]) -> dict:
     """`evaluation._consensus_consistency` from the dense consensus graph:
     the upper triangle of the n x n mask of cross-view pairs with
-    max(H_ij, H_ji) >= zeta, and the n x n squared gaps of `sq_dists`."""
+    max(H_ij, H_ji) >= zeta, and the n x n squared gaps of
+    `whole_sq_dists`."""
     J = _consensus_value(state)
-    gap2 = numkit.sq_dists(state.Fstar.T)
+    gap2 = whole_sq_dists(state.Fstar.T)
     H = numkit.densify(state.H_nbr, state.H_w)
     Hmax = np.maximum(H, H.T)
     eligible = cross_view_pairs(masks)
@@ -225,9 +257,10 @@ def consensus_consistency(state, masks, zetas: tuple[float, ...]) -> dict:
 
 
 def cluster_separation(state, dists: list[tuple]) -> list[dict]:
-    """`evaluation._cluster_separation` over whole m x m arrays: the
-    `np.triu_indices` pairs of each view's m imputed samples, with their
-    consensus row distances from one `sq_dists` matrix."""
+    """The `cluster_separation` section of `evaluation.diagnostics_report`
+    over whole m x m arrays: the `np.triu_indices` pairs of each view's m
+    imputed samples (`imputed_distances`), with their consensus row
+    distances from one `whole_sq_dists` matrix."""
     out = []
     F = state.Fstar
     for v, (idx, _, D) in enumerate(dists):
@@ -243,7 +276,7 @@ def cluster_separation(state, dists: list[tuple]) -> list[dict]:
         if D is not None:
             rows = F[idx]
             _, row_id = np.unique(rows, axis=0, return_inverse=True)
-            delta = np.sqrt(numkit.sq_dists(rows.T))
+            delta = np.sqrt(whole_sq_dists(rows.T))
             iu = np.triu_indices(idx.size, k=1)
             same_u = row_id[iu[0]] == row_id[iu[1]]
             dist_u = D[iu]

@@ -4,6 +4,7 @@ values; diagnostics on constructed and fitted states."""
 import itertools
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,12 +17,9 @@ import kmeans_oracle
 
 from climfs.dataset import (MaskMatrix, MissingScenario, apply_missing,
                             make_synthetic)
-from climfs.evaluation import (KMEANS_MAX_ITER, EvalReport,
-                               _cluster_separation, _consensus_consistency,
-                               _cross_view, _imputed_distances,
-                               _neighbor_consistency, clustering_accuracy,
-                               diagnostics_report, evaluate_selection,
-                               kmeans, nmi)
+from climfs.evaluation import (KMEANS_MAX_ITER, EvalReport, _cross_view,
+                               clustering_accuracy, diagnostics_report,
+                               evaluate_selection, kmeans, nmi)
 from climfs.model import FitConfig, SelectionResult, fit, rank_features
 
 
@@ -450,50 +448,66 @@ def _diagnostics_case(draw):
     return state, MaskMatrix(masks=masks), rho, zeta
 
 
+def assert_dense_sections(report, state, masks, rho, zetas):
+    """Each section of `report` equals the dense oracle's, as JSON."""
+    dists = oracle.imputed_distances(state, masks)
+    assert json.dumps(report["neighbor_consistency"]) == \
+        json.dumps(oracle.neighbor_consistency(state, dists, rho))
+    assert json.dumps(report["consensus_consistency"]) == \
+        json.dumps(oracle.consensus_consistency(state, masks, zetas))
+    assert json.dumps(report["cluster_separation"]) == \
+        json.dumps(oracle.cluster_separation(state, dists))
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(hst.data())
 def test_graph_diagnostics_match_the_dense_sections(data):
     state, masks, rho, zeta = _diagnostics_case(data.draw)
-    dists = _imputed_distances(state, masks)
     zetas = (zeta, rho)
-    assert json.dumps(_neighbor_consistency(state, dists, rho)) == \
-        json.dumps(oracle.neighbor_consistency(state, dists, rho))
-    assert json.dumps(_consensus_consistency(state, masks, zetas)) == \
-        json.dumps(oracle.consensus_consistency(state, masks, zetas))
-    assert json.dumps(_cluster_separation(state, dists)) == \
-        json.dumps(oracle.cluster_separation(state, dists))
+    report = diagnostics_report(state, masks, rho, zetas)
+    assert_dense_sections(report, state, masks, rho, zetas)
     # identical consensus rows among each view's imputed samples, pair by
     # pair
-    for v, rec in enumerate(diagnostics_report(state, masks, rho,
-                                               zetas)["cluster_separation"]):
-        rows = state.Fstar[dists[v][0]]
+    for v, rec in enumerate(report["cluster_separation"]):
+        idx = np.flatnonzero((masks.masks[v] == 0.0).any(axis=0))
+        rows = state.Fstar[idx]
         assert rec["same_pairs"] == sum(
             np.array_equal(rows[a], rows[b])
             for a, b in itertools.combinations(range(len(rows)), 2))
 
 
 def test_cluster_separation_matches_the_dense_section_across_blocks():
-    # 600 imputed samples span three row blocks; consensus rows from a
-    # pool of five and a large sigma_min give every count a nonzero value
+    # 600 imputed samples span three row blocks (300 in view 1, two);
+    # consensus rows from a pool of five and a large sigma_min give every
+    # count a nonzero value. Every sample's neighbours lie 2, 256, 300 and
+    # 598 samples on, even offsets, so that view 1's even imputed samples
+    # have imputed neighbours, and the strong edges cross row blocks.
     rng = np.random.default_rng(12)
-    n, c = 600, 3
+    n, c, rho, zetas = 600, 3, 0.1, (0.1, 0.2)
     masks = [np.ones((4, n)), np.ones((3, n))]
     masks[0][rng.integers(4, size=n), np.arange(n)] = 0.0
     masks[1][:, ::2] = 0.0
+    masks = MaskMatrix(masks=masks)
+    nbr = np.sort((np.arange(n)[:, None] + [2, 256, 300, 598]) % n, axis=1)
+    pool = np.array([0.05, rho, 0.3, 0.6])
     state = SimpleNamespace(
-        Xhat=[rng.normal(size=(4, n)), rng.normal(size=(3, n))],
+        Xhat=[10.0 * rng.normal(size=(4, n)), 10.0 * rng.normal(size=(3, n))],
         W=[4.0 * np.eye(4, c), 4.0 * np.eye(3, c)],
         Fv=[1e-4 * rng.normal(size=(n, c)) for _ in range(2)],
-        Fstar=rng.uniform(0.0, 2.0, size=(5, c))[rng.integers(5, size=n)])
-    dists = _imputed_distances(state, MaskMatrix(masks=masks))
-    got = _cluster_separation(state, dists)
-    assert json.dumps(got) == json.dumps(oracle.cluster_separation(state,
-                                                                   dists))
+        Fstar=rng.uniform(0.0, 2.0, size=(5, c))[rng.integers(5, size=n)],
+        S_nbr=[nbr, nbr], S_w=[rng.choice(pool, size=(n, 4)) for _ in "SS"],
+        H_nbr=nbr, H_w=rng.choice(pool, size=(n, 4)), n_views=2,
+        n_samples=n)
+    report = diagnostics_report(state, masks, rho, zetas)
+    assert_dense_sections(report, state, masks, rho, zetas)
+    got = report["cluster_separation"]
     assert [rec["imputed_samples"] for rec in got] == [n, n // 2]
     for rec in got:
         assert 0 < rec["same_violations"] < rec["same_pairs"]
         assert 0 < rec["cross_violations"] < rec["premise_pairs"] \
             < rec["cross_pairs"]
+    for rec in report["neighbor_consistency"]:
+        assert 0 < rec["violations"] < rec["pairs"]
 
 
 def test_diagnostics_report_structure_and_bounds():
@@ -510,6 +524,50 @@ def test_diagnostics_report_structure_and_bounds():
         assert chk["violations"] == 0
         assert chk["bound"] == pytest.approx(
             2.0 * cc["subproblem_value"] / chk["zeta"])
+
+
+def test_diagnostics_build_no_m_by_m_array():
+    # the whole imputed distance matrices peaked at 2.6 m x m arrays
+    rng = np.random.default_rng(5)
+    n, c, dims = 3000, 3, (4, 3)
+    masks = [np.ones((d, n)) for d in dims]
+    for m in masks:   # every sample imputed in both views
+        m[rng.integers(m.shape[0], size=n), np.arange(n)] = 0.0
+    nbr = np.sort((np.arange(n)[:, None] + [1, 2, 300, 2999]) % n, axis=1)
+    state = SimpleNamespace(
+        Xhat=[rng.normal(size=(d, n)) for d in dims],
+        W=[rng.normal(size=(d, c)) for d in dims],
+        Fv=[0.1 * rng.normal(size=(n, c)) for _ in dims],
+        Fstar=rng.random((n, c)), S_nbr=[nbr, nbr],
+        S_w=[np.full((n, 4), 0.25)] * 2, H_nbr=nbr, H_w=np.full((n, 4), 0.25),
+        n_views=2, n_samples=n)
+    masks = MaskMatrix(masks=masks)
+    diagnostics_report(state, masks)   # imports outside the probe
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        report = diagnostics_report(state, masks)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert [rec["imputed_samples"] for rec in report["cluster_separation"]] \
+        == [n, n]
+    assert peak < n * n * 8, round(peak / (n * n * 8), 2)
+
+
+@pytest.fixture(scope="module")
+def fitted_zero():
+    return fitted(0)
+
+
+@pytest.mark.parametrize("rho, zetas", [
+    (0.0, (0.1,)), (-1.0, (0.1,)), (math.nan, (0.1,)), (0.1, (0.0,)),
+    (0.1, (0.2, -0.5)), (0.1, (math.nan,))])
+def test_diagnostics_report_rejects_thresholds_that_are_not_positive(
+        fitted_zero, rho, zetas):
+    state, masks, _ = fitted_zero
+    with pytest.raises(ValueError, match="positive numbers"):
+        diagnostics_report(state, masks, rho, zetas)
 
 
 def test_diagnostics_orthonormal_consensus_premise_flag():

@@ -17,7 +17,7 @@ from climfs.numkit import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, CG_RTOL,
                            ksparse_simplex_min, laplacian, pcg, simplex_qp,
                            soft_threshold, solve_scaled_sylvester, sq_dists)
 from graph_oracle import laplacian as dense_laplacian
-from graph_oracle import sparse
+from graph_oracle import sparse, whole_sq_dists
 
 # ---------------------------------------------------------------- oracles
 
@@ -522,16 +522,23 @@ def test_sq_dists_matches_pairwise_loop():
     rng = np.random.default_rng(37)
     for shape in ((1, 1), (3, 5), (6, 2)):
         X = rng.normal(size=shape)
-        D = sq_dists(X)
         want = np.array([[float((X[:, i] - X[:, j]) @ (X[:, i] - X[:, j]))
                           for j in range(shape[1])] for i in range(shape[1])])
-        np.testing.assert_allclose(D, want, rtol=1e-12, atol=1e-12)
+        cols = np.arange(shape[1])
+        np.testing.assert_allclose(sq_dists(X, cols), want, rtol=1e-12,
+                                   atol=1e-12)
+        # rows in any order, written to `out`
+        out = np.empty((shape[1], shape[1]))
+        assert sq_dists(X, cols[::-1], out) is out
+        np.testing.assert_allclose(out, want[::-1], rtol=1e-12, atol=1e-12)
     # identical columns cancel to rounding noise, clamped at 0
     X = np.repeat(rng.normal(size=(4, 1)) * 1e3, 3, axis=1)
-    assert sq_dists(X).min() == 0.0
-    # a block of rows equals the same rows of the whole matrix, bit for bit
+    assert sq_dists(X, np.arange(3)).min() == 0.0
+    # the oracle's whole matrix is the COLUMN_BLOCK-aligned blocks of rows,
+    # bit for bit
     X = rng.normal(size=(7, COLUMN_BLOCK + 40))
-    D = sq_dists(X)
+    D = whole_sq_dists(X)
+    assert D.shape == (X.shape[1], X.shape[1])
     for r in (0, COLUMN_BLOCK):
         cols = np.arange(r, min(r + COLUMN_BLOCK, X.shape[1]))
         assert np.array_equal(sq_dists(X, cols), D[cols])
