@@ -166,13 +166,14 @@ def ksparse_simplex_columns(Q: np.ndarray, cols: np.ndarray,
     """`ksparse_simplex_min` on the costs of graph columns `cols`, bit for
     bit: row r of Q (b x n) prices every sample as a neighbour of column
     cols[r], and its entry Q[r, cols[r]] is left out (and overwritten). A
-    degenerate row is solved again after adding eta * position (its index
-    in the row without that entry; eta = 1e-12 * max(1, max |q|)), so lower
-    indices win ties. A row's k+1 smallest costs are selected exactly, from
-    group minima and then g (k+1) candidates (g <= 8). Returns neighbours
-    (b, k), weights (b, k), half-gaps (b,) and the perturbed flags (b,);
-    raises NumericError on non-finite costs or on a row still degenerate
-    after the perturbation."""
+    row's k+1 smallest costs are selected exactly, from group minima and
+    then g (k+1) candidates (g <= 8). A degenerate row is solved again
+    after adding eta * position (its index in the row without that entry;
+    eta = 1e-12 * max(1, max |q|), for those rows only), so lower indices
+    win ties. Returns neighbours (b, k), weights (b, k), half-gaps (b,) and
+    perturbed flags (b,). A NaN or -inf cost, a +inf among a row's k+1
+    smallest or in a degenerate row, and a row still degenerate when
+    perturbed are a NumericError."""
     b, n = Q.shape
     cols = np.asarray(cols)
     if cols.shape != (b,) or not 1 <= k < n - 1:
@@ -181,12 +182,6 @@ def ksparse_simplex_columns(Q: np.ndarray, cols: np.ndarray,
     nbr, w = np.empty((b, k), dtype=np.intp), np.empty((b, k))
     half, perturbed = np.empty(b), np.zeros(b, dtype=bool)
     rows = np.arange(b)
-    Q[rows, cols] = 0.0
-    # max and min propagate NaN, so both are finite exactly when Q is
-    hi, lo = Q.max(axis=1), Q.min(axis=1)
-    if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
-        raise NumericError("non-finite costs in a k-sparse subproblem")
-    eta = 1e-12 * np.maximum(1.0, np.maximum(hi, -lo))
     Q[rows, cols] = np.inf  # never its own neighbour
     # the first g * size costs of a row form g chunks of `size`, and the g
     # costs at one offset of every chunk a group: the k+1 smallest costs
@@ -196,12 +191,18 @@ def ksparse_simplex_columns(Q: np.ndarray, cols: np.ndarray,
     tail = np.arange(g * size, n)
     for retry in (False, True):
         at = np.arange(rows.size)[:, None]
-        top = np.argpartition(Q[:, :g * size].reshape(-1, g, size).min(
-            axis=1), k, axis=1)[:, None, :k + 1]
+        mins = Q[:, :g * size].reshape(-1, g, size).min(axis=1)
+        # min propagates NaN, so `> -inf` fails for a NaN or -inf anywhere
+        if not ((mins > -np.inf).all() and (Q[:, g * size:] > -np.inf).all()):
+            raise NumericError("non-finite costs in a k-sparse subproblem")
+        top = np.argpartition(mins, k, axis=1)[:, None, :k + 1]
+        del mins  # not held through the retry
         pos = np.hstack([(top + size * np.arange(g)[:, None]).reshape(
             rows.size, -1), np.broadcast_to(tail, (rows.size, tail.size))])
         part = pos[at, np.argpartition(Q[at, pos], k, axis=1)[:, :k + 1]]
         vals = Q[at, part]
+        if not np.isfinite(vals).all():
+            raise NumericError("non-finite costs in a k-sparse subproblem")
         order = np.argsort(vals, axis=1)  # ties share weights: any order
         qs = vals[at, order]
         # contiguous rows, so the sums round as in `ksparse_simplex_min`
@@ -217,7 +218,10 @@ def ksparse_simplex_columns(Q: np.ndarray, cols: np.ndarray,
             break
         if retry:
             raise NumericError("neighborhood degenerate when perturbed")
-        rows, cols, eta, Q = rows[~ok], cols[~ok], eta[~ok], Q[~ok]
+        rows, cols, Q = rows[~ok], cols[~ok], Q[~ok]
+        # a +inf makes eta inf, and 0 * inf a NaN that the retry refuses
+        eta = 1e-12 * np.maximum(1.0, np.abs(Q).max(
+            axis=1, initial=0.0, where=np.arange(n) != cols[:, None]))
         step = np.arange(n, dtype=float) - (np.arange(n) > cols[:, None])
         Q += np.multiply(step, eta[:, None], out=step)  # one fewer temporary
     return nbr, w, half, perturbed

@@ -337,6 +337,42 @@ def test_ksparse_columns_rejects_bad_input():
         assert np.array_equal(got, want[cols])
 
 
+def test_ksparse_columns_refuse_nan_and_minus_inf_in_chunks_and_tail():
+    # n = 23, k = 2: 7 chunks of 3 costs and a tail of 2; the check reads
+    # the group minima and the tail, so both must see a bad entry
+    n, k = 23, 2
+    g = min(8, n // (k + 1))
+    assert n % g > 0
+    C = np.random.default_rng(8).normal(size=(n, n))
+    for bad in (np.nan, -np.inf):
+        for at in (5, g * (n // g), n - 1):   # a chunk, the tail twice
+            Q = C.copy()
+            Q[3, at] = bad
+            with pytest.raises(NumericError, match="non-finite"):
+                ksparse_simplex_columns(Q, np.arange(n), k)
+
+
+def test_ksparse_columns_solve_plus_inf_outside_the_cheapest_only():
+    n, k = 23, 2
+    C = np.random.default_rng(9).normal(size=(n, n))
+    want = ksparse_simplex_columns(C.copy(), np.arange(n), k)
+    # a +inf that is not among its row's k+1 smallest costs is solved
+    Q = C.copy()
+    Q[np.arange(n), np.argmax(Q, axis=1)] = np.inf
+    for got, exp in zip(ksparse_simplex_columns(Q, np.arange(n), k), want):
+        assert np.array_equal(got, exp)
+    # one among them is refused: row 0 has only k finite costs
+    Q = C.copy()
+    Q[0, k + 1:] = np.inf
+    with pytest.raises(NumericError, match="non-finite"):
+        ksparse_simplex_columns(Q, np.arange(n), k)
+    # so is one in a degenerate row, whose eta it would make infinite
+    Q = np.ones((n, n))
+    Q[0, n - 1] = np.inf
+    with pytest.raises(NumericError, match="non-finite"):
+        ksparse_simplex_columns(Q, np.arange(n), k)
+
+
 # ------------------------------------------------------------ simplex QP
 
 
