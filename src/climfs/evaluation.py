@@ -234,7 +234,8 @@ def _imputed_pair_sections(state, masks: MaskMatrix,
     and cross-cluster pairs at least nu = sigma_min (delta - ||F^v||_1)/2
     - 1 apart, whenever ||F^v||_1 < (sigma_min delta - 4)/(sigma_min +
     sigma_max) holds for the pair (delta is that pair's consensus row
-    distance, from `numkit.sq_dists` on the same block of rows).
+    distance, from `numkit.half_sq_dists` on the same block of rows,
+    doubled).
 
     Neighbor consistency: for imputed samples i with a strong imputed
     neighbor j (directed weight S^v_ji >= rho), their distance, read from
@@ -263,8 +264,10 @@ def _imputed_pair_sections(state, masks: MaskMatrix,
             continue
         norms = np.linalg.norm(X, axis=0)
         scale = np.where(norms == 0.0, 1.0, norms)
-        Xn = X[:, idx] / scale[idx]
+        # factors of the normalized columns and of the consensus rows
+        fx = numkit.half_sq_factors(X[:, idx] / scale[idx])
         rows = state.Fstar[idx]
+        ff = numkit.half_sq_factors(rows.T)
         _, row_id = np.unique(rows, axis=0, return_inverse=True)
         C = state.W[v] @ (state.Fv[v] + state.Fstar).T
         omega1 = 1.5 - rho + 0.5 * (np.linalg.norm(C, axis=0) / scale)[idx]
@@ -274,13 +277,13 @@ def _imputed_pair_sections(state, masks: MaskMatrix,
         edge_dist = np.empty(ii.size)
         for r in range(0, m, numkit.COLUMN_BLOCK):
             i = np.arange(r, min(r + numkit.COLUMN_BLOCK, m))
-            dist = np.sqrt(numkit.sq_dists(Xn, i))
+            dist = np.sqrt(2.0 * numkit.half_sq_dists(fx, i))
             at = (jj >= r) & (jj < r + i.size)
             edge_dist[at] = dist[jj[at] - r, ii[at]]
             # pairs (i, j), i < j, for the block's rows i
             dist = dist[:, r:]
             upper = i[:, None] < np.arange(r, m)
-            delta = np.sqrt(numkit.sq_dists(rows.T, i)[:, r:])
+            delta = np.sqrt(2.0 * numkit.half_sq_dists(ff, i)[:, r:])
             same = row_id[i, None] == row_id[r:]
             cross = upper & ~same
             same &= upper
@@ -340,18 +343,17 @@ def _consensus_consistency(state, masks: MaskMatrix,
     """Consensus-factor rows of strongly fused cross-view pairs must obey
     ||F*_i - F*_j||^2 <= 2 J / zeta, J the consensus subproblem value; a
     pair qualifies, once, when an edge of H (H_ij or H_ji) reaches zeta.
-    Gaps take the Gram form of `numkit.sq_dists`."""
+    Gaps take the augmented form of `numkit.half_sq_factors`, doubled."""
     J = _consensus_value(state)
     n, nbr, X = state.n_samples, state.H_nbr, state.Fstar.T
     col = np.arange(n)[:, None]
     cross = _cross_view(masks, nbr, col)                  # per edge of H
     pair = (np.minimum(nbr, col) * n + np.maximum(nbr, col))[cross]
-    w, sq = state.H_w[cross], np.einsum("ij,ij->j", X, X)
+    w, (L, R) = state.H_w[cross], numkit.half_sq_factors(X)
     checks = []
     for zeta in zetas:
         i, j = np.divmod(np.unique(pair[w >= zeta]), n)
-        gap2 = np.maximum(-2.0 * np.einsum("ci,ci->i", X[:, i], X[:, j])
-                          + (sq[i] + sq[j]), 0.0)
+        gap2 = 2.0 * np.maximum(np.einsum("ci,ci->i", L[:, i], R[:, j]), 0.0)
         bound = 2.0 * J / zeta
         checks.append({"zeta": zeta, "pairs": int(i.size), "bound": bound,
                        "violations": int(np.sum(gap2 > bound + BOUND_TOL))})

@@ -3,8 +3,10 @@
 All kernels operate on float64 numpy arrays and are pure functions except
 `ksparse_simplex_columns`, which overwrites the entries of its cost rows
 that it leaves out; everything else is safe to share across threads.
-The k-sparse graphs are read in their (n, k) neighbour form; see the
-section on them below.
+Graph costs are half squared distances, a block of them one product of
+augmented factors (`half_sq_factors`) with the halving folded in, which
+`ksparse_simplex_columns` checks from its group minima and tail. The
+k-sparse graphs are read in their (n, k) neighbour form; see below.
 """
 
 from __future__ import annotations
@@ -303,18 +305,26 @@ def _support_kkt(Q: np.ndarray, c: np.ndarray,
     return x / ssum
 
 
-def sq_dists(X: np.ndarray, cols: np.ndarray,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """Squared Euclidean distances from the columns `cols` of X to every
-    column, one row per entry of `cols`, written to `out` if given, with
-    the rounding negatives of the Gram expansion clamped to 0. The rows
-    come from one product X[:, cols].T @ X."""
-    sq = np.einsum("ij,ij->j", X, X)
-    D = np.matmul(X[:, cols].T, X, out=out)
-    D *= -2.0
-    D += sq[cols, None] + sq[None, :]
-    np.maximum(D, 0.0, out=D)
-    return D
+def half_sq_factors(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factors L = [X; h; 1] and R = [-X; 1; h], each (d+2, n), of the
+    columns of X (d, n), h = ||x||^2 / 2: L[:, i] . R[:, j] is the half
+    squared distance ||x_i - x_j||^2 / 2."""
+    d, n = X.shape
+    L, R = np.empty((d + 2, n)), np.empty((d + 2, n))
+    L[:d], L[d + 1], R[d] = X, 1.0, 1.0
+    np.negative(X, out=R[:d])
+    L[d] = R[d + 1] = 0.5 * np.einsum("ij,ij->j", X, X)
+    return L, R
+
+
+def half_sq_dists(factors: tuple, cols: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Half squared distances from the columns `cols` to every column, a
+    row per entry of `cols`: L[:, cols].T @ R of the `half_sq_factors`
+    (L, R), into `out` if given, clamped at 0. Twice a row is the squared
+    distances, exactly."""
+    D = np.matmul(factors[0][:, cols].T, factors[1], out=out)
+    return np.maximum(D, 0.0, out=D)
 
 
 # ------------------------------------------------------ k-sparse graphs

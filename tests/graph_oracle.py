@@ -11,9 +11,10 @@ reference for its batched conjugate gradient form, and the dense n x n
 diagnostics sections (`neighbor_consistency`, `consensus_consistency`,
 `cluster_separation`, on the whole distance matrices of
 `imputed_distances`) the reference for the edge-by-edge and row-block
-ones of `climfs.evaluation`. Whole distance matrices stack the
-COLUMN_BLOCK-aligned row blocks of `numkit.sq_dists` (`whole_sq_dists`),
-so their rows equal the blocked code's bit for bit.
+ones of `climfs.evaluation`. Whole half squared distance matrices stack
+the COLUMN_BLOCK-aligned row blocks of `numkit.half_sq_dists`
+(`whole_half_sq_dists`), so their rows equal the blocked code's bit for
+bit; twice one is the squared distance matrix.
 """
 
 from types import SimpleNamespace
@@ -61,12 +62,13 @@ def set_graph(state, which, G: np.ndarray) -> None:
         state.S_nbr[which], state.S_w[which] = nbr, w
 
 
-def whole_sq_dists(X: np.ndarray) -> np.ndarray:
-    """The whole n x n `numkit.sq_dists` matrix of the columns of X,
+def whole_half_sq_dists(X: np.ndarray) -> np.ndarray:
+    """The whole n x n `numkit.half_sq_dists` matrix of the columns of X,
     stacked from its COLUMN_BLOCK-aligned blocks of rows."""
-    n = X.shape[1]
+    n, factors = X.shape[1], numkit.half_sq_factors(X)
     return np.concatenate([
-        numkit.sq_dists(X, np.arange(r, min(r + numkit.COLUMN_BLOCK, n)))
+        numkit.half_sq_dists(factors,
+                             np.arange(r, min(r + numkit.COLUMN_BLOCK, n)))
         for r in range(0, n, numkit.COLUMN_BLOCK)])
 
 
@@ -113,10 +115,11 @@ def dense_state(state) -> SimpleNamespace:
 
 def build_q(dense, v: int) -> np.ndarray:
     """Whole n x n S^v costs: q_ij = ||xhat_i - xhat_j||^2 / 2
-    - alpha_v H_ij + 2 alpha_v sum_{m != v} alpha_m S^m_ij."""
+    - alpha_v H_ij + 2 alpha_v sum_{m != v} alpha_m S^m_ij. Column j
+    holds row j of the distances, as the blocked code prices column j: the
+    augmented product is symmetric only up to rounding."""
     a = dense.alpha
-    Q = whole_sq_dists(dense.Xhat[v])
-    Q *= 0.5
+    Q = whole_half_sq_dists(dense.Xhat[v]).T
     Q += -a[v] * dense.H
     for m in range(dense.n_views):
         if m != v:
@@ -126,10 +129,10 @@ def build_q(dense, v: int) -> np.ndarray:
 
 def build_b(dense, cluster_structure: bool = True) -> np.ndarray:
     """Whole n x n H costs: fused-graph attraction plus, with the cluster
-    structure term, half squared consensus-factor distances."""
+    structure term, half squared consensus-factor distances (column j
+    from row j, as in `build_q`)."""
     if cluster_structure:
-        B = whole_sq_dists(dense.Fstar.T)
-        B *= 0.5
+        B = whole_half_sq_dists(dense.Fstar.T).T
     else:
         B = np.zeros((dense.n_samples, dense.n_samples))
     for a, G in zip(dense.alpha, dense.S):
@@ -189,7 +192,7 @@ def imputed_distances(state, masks) -> list[tuple]:
         scale = np.where(norms == 0.0, 1.0, norms)
         D = None
         if idx.size >= 2:
-            D = np.sqrt(whole_sq_dists(X[:, idx] / scale[idx]))
+            D = np.sqrt(2.0 * whole_half_sq_dists(X[:, idx] / scale[idx]))
         out.append((idx, scale, D))
     return out
 
@@ -238,9 +241,9 @@ def consensus_consistency(state, masks, zetas: tuple[float, ...]) -> dict:
     """`evaluation._consensus_consistency` from the dense consensus graph:
     the upper triangle of the n x n mask of cross-view pairs with
     max(H_ij, H_ji) >= zeta, and the n x n squared gaps of
-    `whole_sq_dists`."""
+    `whole_half_sq_dists`, doubled."""
     J = _consensus_value(state)
-    gap2 = whole_sq_dists(state.Fstar.T)
+    gap2 = 2.0 * whole_half_sq_dists(state.Fstar.T)
     H = numkit.densify(state.H_nbr, state.H_w)
     Hmax = np.maximum(H, H.T)
     eligible = cross_view_pairs(masks)
@@ -260,7 +263,7 @@ def cluster_separation(state, dists: list[tuple]) -> list[dict]:
     """The `cluster_separation` section of `evaluation.diagnostics_report`
     over whole m x m arrays: the `np.triu_indices` pairs of each view's m
     imputed samples (`imputed_distances`), with their consensus row
-    distances from one `whole_sq_dists` matrix."""
+    distances from one `whole_half_sq_dists` matrix, doubled."""
     out = []
     F = state.Fstar
     for v, (idx, _, D) in enumerate(dists):
@@ -276,7 +279,7 @@ def cluster_separation(state, dists: list[tuple]) -> list[dict]:
         if D is not None:
             rows = F[idx]
             _, row_id = np.unique(rows, axis=0, return_inverse=True)
-            delta = np.sqrt(whole_sq_dists(rows.T))
+            delta = np.sqrt(2.0 * whole_half_sq_dists(rows.T))
             iu = np.triu_indices(idx.size, k=1)
             same_u = row_id[iu[0]] == row_id[iu[1]]
             dist_u = D[iu]

@@ -547,11 +547,11 @@ def test_fits_under_one_and_two_blas_threads_are_bitwise_equal(tmp_path):
     # OpenBLAS reads its thread count when it loads, so each count gets a
     # fresh interpreter. The instance is converge-n400's first: two threads
     # split its distance products. Not every shape is equal across thread
-    # counts: with scipy-openblas 0.3.31 on an x86-64 box, the 256 x 50 by
-    # 50 x 300 product (n=300) rounds differently under two threads, so a
-    # fit at n=300 or n=150 is not, while n=400 and n=1000 are. The fitted
-    # state is then scored by 50 k-means runs, whose products also go
-    # through BLAS
+    # counts: with scipy-openblas 0.3.31 on an x86-64 box, the 256 x 52 by
+    # 52 x 300 product of augmented factors (n=300) rounds differently
+    # under two threads, so a fit at n=300 or n=150 is not, while n=400
+    # and n=1000 are. The fitted state is then scored by 50 k-means runs,
+    # whose products also go through BLAS
     code = (
         "import json, pathlib\n"
         "from climfs.dataset import MissingScenario, MultiViewDataset, "

@@ -22,7 +22,7 @@ from climfs.model import (EPS_DV, Components, FitConfig, ModelState,
                           update_Fstar, update_Fv, update_S, update_H,
                           update_W, update_Xhat)
 from graph_oracle import (constrained_impute, graph_fields, laplacian,
-                          set_graph, whole_sq_dists)
+                          set_graph, whole_half_sq_dists)
 
 # ----------------------------------------------------------------- helpers
 
@@ -404,7 +404,7 @@ def test_init_specs_give_half_squared_distances_bitwise():
     n, k = numkit.COLUMN_BLOCK + 40, 5
     ds = MultiViewDataset([rng.normal(size=(d, n)) for d in (5, 3, 4)])
     st = init_state(ds, MaskMatrix.all_observed(ds), FitConfig(k=k, c=2))
-    halves = [0.5 * whole_sq_dists(X) for X in ds.views]
+    halves = [whole_half_sq_dists(X) for X in ds.views]
 
     def solved(Q):  # every column, neighbours ascending
         nbr, w, half, _ = numkit.ksparse_simplex_columns(Q.copy(),

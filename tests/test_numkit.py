@@ -12,12 +12,13 @@ from hypothesis import strategies as hst
 from climfs import numkit
 from climfs.errors import NumericError
 from climfs.numkit import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, CG_RTOL,
-                           COLUMN_BLOCK, adam_step,
-                           identity_plus_laplacian, ksparse_simplex_columns,
+                           COLUMN_BLOCK, adam_step, half_sq_dists,
+                           half_sq_factors, identity_plus_laplacian,
+                           ksparse_simplex_columns,
                            ksparse_simplex_min, laplacian, pcg, simplex_qp,
-                           soft_threshold, solve_scaled_sylvester, sq_dists)
+                           soft_threshold, solve_scaled_sylvester)
 from graph_oracle import laplacian as dense_laplacian
-from graph_oracle import sparse, whole_sq_dists
+from graph_oracle import sparse, whole_half_sq_dists
 
 # ---------------------------------------------------------------- oracles
 
@@ -555,29 +556,42 @@ def test_pcg_raises_at_the_step_cap(monkeypatch):
 
 
 def test_sq_dists_matches_pairwise_loop():
+    # half squared distances, within 1e-12 of each row's largest entry;
+    # a zero-row X (no features) gives zeros
     rng = np.random.default_rng(37)
-    for shape in ((1, 1), (3, 5), (6, 2)):
+    for shape in ((1, 1), (3, 5), (6, 2), (0, 4), (50, 40)):
         X = rng.normal(size=shape)
         want = np.array([[float((X[:, i] - X[:, j]) @ (X[:, i] - X[:, j]))
-                          for j in range(shape[1])] for i in range(shape[1])])
+                          for j in range(shape[1])]
+                         for i in range(shape[1])]) / 2.0
         cols = np.arange(shape[1])
-        np.testing.assert_allclose(sq_dists(X, cols), want, rtol=1e-12,
-                                   atol=1e-12)
+        factors = half_sq_factors(X)
+        assert all(f.shape == (shape[0] + 2, shape[1]) for f in factors)
+        scale = want.max(axis=1, keepdims=True)
+        assert (np.abs(half_sq_dists(factors, cols) - want)
+                <= 1e-12 * scale).all()
         # rows in any order, written to `out`
         out = np.empty((shape[1], shape[1]))
-        assert sq_dists(X, cols[::-1], out) is out
-        np.testing.assert_allclose(out, want[::-1], rtol=1e-12, atol=1e-12)
-    # identical columns cancel to rounding noise, clamped at 0
-    X = np.repeat(rng.normal(size=(4, 1)) * 1e3, 3, axis=1)
-    assert sq_dists(X, np.arange(3)).min() == 0.0
+        assert half_sq_dists(factors, cols[::-1], out) is out
+        assert (np.abs(out - want[::-1]) <= 1e-12 * scale[::-1]).all()
+    # duplicate columns, as mean imputation makes them, tie exactly in
+    # every row, and rounding below zero is clamped to 0. (At some widths,
+    # such as 300, the BLAS rounds its last few columns in another order,
+    # as it did the Gram product before; 400 is not one of them.)
+    for d in (50, 3):
+        X = rng.normal(size=(d, 400)) * 3.0
+        X[:, 300:] = X[:, [7]]
+        D = half_sq_dists(half_sq_factors(X), np.arange(COLUMN_BLOCK))
+        assert (D[:, 300:] == D[:, [7]]).all() and D.min() >= 0.0
     # the oracle's whole matrix is the COLUMN_BLOCK-aligned blocks of rows,
     # bit for bit
     X = rng.normal(size=(7, COLUMN_BLOCK + 40))
-    D = whole_sq_dists(X)
+    D = whole_half_sq_dists(X)
     assert D.shape == (X.shape[1], X.shape[1])
     for r in (0, COLUMN_BLOCK):
         cols = np.arange(r, min(r + COLUMN_BLOCK, X.shape[1]))
-        assert np.array_equal(sq_dists(X, cols), D[cols])
+        assert np.array_equal(half_sq_dists(half_sq_factors(X), cols),
+                              D[cols])
 
 
 # ------------------------------------------------------------------ adam
