@@ -3,9 +3,8 @@
 Selected features are judged by clustering the (imputed) data restricted
 to them: repeated seeded k-means, accuracy under the best label matching,
 and normalized mutual information. `diagnostics_report` additionally
-checks the structural guarantees the optimizer is designed around:
-cluster separation of the imputed data and similarity-driven consistency
-bounds, with violation counts and margins.
+checks two similarity-driven consistency bounds of a fitted state, with
+violation counts and margins, on the (n, k) edges of its graphs.
 """
 
 from __future__ import annotations
@@ -221,95 +220,31 @@ def evaluate_selection(ds: MultiViewDataset, sel, c: int, runs: int = 50,
 # -------------------------------------------------------------- diagnostics
 
 
-def _imputed_pair_sections(state, masks: MaskMatrix,
-                           rho: float) -> tuple[list[dict], list[dict]]:
-    """Per view, the `cluster_separation` and `neighbor_consistency`
-    records of the m samples with a masked entry. Distances are taken
-    between their columns of the imputed data divided by the column norms
-    (1 for a zero column), the scaling under which the bounds are stated,
-    in one walk over `numkit.COLUMN_BLOCK` rows of them: no m x m array.
-
-    Cluster separation: imputed same-cluster pairs (identical consensus
-    rows) must sit within mu = sigma_max ||F^v||_1 / 2 + 1 of each other,
-    and cross-cluster pairs at least nu = sigma_min (delta - ||F^v||_1)/2
-    - 1 apart, whenever ||F^v||_1 < (sigma_min delta - 4)/(sigma_min +
-    sigma_max) holds for the pair (delta is that pair's consensus row
-    distance, from `numkit.half_sq_dists` on the same block of rows,
-    doubled).
-
-    Neighbor consistency: for imputed samples i with a strong imputed
-    neighbor j (directed weight S^v_ji >= rho), their distance, read from
-    j's row, must stay below 3/2 - rho + ||c_i||/2, where c_i is the
-    reconstruction W^v (F^v_i + F*_i) of sample i under the same column
-    scaling.
-    """
-    seps, nbrs = [], []
+def _neighbor_consistency(state, masks: MaskMatrix,
+                          rho: float) -> list[dict]:
+    """Per view, imputed samples i (with a masked entry) with a strong
+    imputed neighbor j (directed weight S^v_ji >= rho) must sit within
+    3/2 - rho + ||c_i||/2 of it, where c_i is the reconstruction
+    W^v (F^v_i + F*_i) of sample i. Columns, c_i included, are divided by
+    their norms in the imputed data (1 for a zero column), the scaling
+    under which the bound is stated, and each edge's distance is taken
+    from its two columns: O(n k d) work."""
+    out = []
     for v, (X, mask) in enumerate(zip(state.Xhat, masks.masks)):
-        idx = np.where((mask == 0.0).any(axis=0))[0]
-        m = idx.size
-        sv = np.linalg.svd(state.W[v], compute_uv=False)
-        smax, smin = float(sv[0]), float(sv[-1])
-        fv1 = float(np.abs(state.Fv[v]).sum())
-        mu = 0.5 * smax * fv1 + 1.0
-        sep = {"view": v, "sigma_max": smax, "sigma_min": smin,
-               "fv_l1": fv1, "mu": mu, "imputed_samples": m,
-               "same_pairs": 0, "same_violations": 0, "cross_pairs": 0,
-               "premise_pairs": 0, "cross_violations": 0,
-               "premise_status": "no imputed pairs"}
-        nbr = {"view": v, "rho": rho, "pairs": 0, "violations": 0,
-               "min_margin": None}
-        seps.append(sep)
-        nbrs.append(nbr)
-        if m < 2:
-            continue
+        imputed = (mask == 0.0).any(axis=0)
+        nbr = state.S_nbr[v]
+        i, t = np.nonzero((state.S_w[v] >= rho) & imputed[nbr]
+                          & imputed[:, None])   # target i, edge slot t
         norms = np.linalg.norm(X, axis=0)
         scale = np.where(norms == 0.0, 1.0, norms)
-        # factors of the normalized columns and of the consensus rows
-        fx = numkit.half_sq_factors(X[:, idx] / scale[idx])
-        rows = state.Fstar[idx]
-        ff = numkit.half_sq_factors(rows.T)
-        _, row_id = np.unique(rows, axis=0, return_inverse=True)
         C = state.W[v] @ (state.Fv[v] + state.Fstar).T
-        omega1 = 1.5 - rho + 0.5 * (np.linalg.norm(C, axis=0) / scale)[idx]
-        edges = state.S_nbr[v][idx]     # row = target, column = edge
-        ii, t = np.nonzero((state.S_w[v][idx] >= rho) & np.isin(edges, idx))
-        jj = np.searchsorted(idx, edges[ii, t])   # the neighbor's row
-        edge_dist = np.empty(ii.size)
-        for r in range(0, m, numkit.COLUMN_BLOCK):
-            i = np.arange(r, min(r + numkit.COLUMN_BLOCK, m))
-            dist = np.sqrt(2.0 * numkit.half_sq_dists(fx, i))
-            at = (jj >= r) & (jj < r + i.size)
-            edge_dist[at] = dist[jj[at] - r, ii[at]]
-            # pairs (i, j), i < j, for the block's rows i
-            dist = dist[:, r:]
-            upper = i[:, None] < np.arange(r, m)
-            delta = np.sqrt(2.0 * numkit.half_sq_dists(ff, i)[:, r:])
-            same = row_id[i, None] == row_id[r:]
-            cross = upper & ~same
-            same &= upper
-            sep["same_pairs"] += int(np.count_nonzero(same))
-            sep["same_violations"] += int(np.count_nonzero(
-                same & (dist > mu + BOUND_TOL)))
-            sep["cross_pairs"] += int(np.count_nonzero(cross))
-            premise = cross & (fv1 * (smin + smax) < smin * delta - 4.0)
-            nu = 0.5 * smin * (delta - fv1) - 1.0
-            sep["premise_pairs"] += int(np.count_nonzero(premise))
-            sep["cross_violations"] += int(np.count_nonzero(
-                premise & (dist < nu - BOUND_TOL)))
-        if sep["cross_pairs"] == 0:
-            sep["premise_status"] = "no cross-cluster pairs"
-        elif sep["premise_pairs"] == 0:
-            sep["premise_status"] = "premise unmet"
-        else:
-            sep["premise_status"] = (
-                f"premise held for {sep['premise_pairs']}/"
-                f"{sep['cross_pairs']} cross-cluster pairs")
-        margins = omega1[ii] - edge_dist
-        nbr["pairs"] = int(ii.size)
-        nbr["violations"] = int(np.sum(margins < -BOUND_TOL))
-        if ii.size:
-            nbr["min_margin"] = float(margins.min())
-    return seps, nbrs
+        omega1 = 1.5 - rho + 0.5 * (np.linalg.norm(C, axis=0) / scale)[i]
+        Y = np.ascontiguousarray((X / scale).T)    # a sample per row
+        margins = omega1 - np.linalg.norm(Y[i] - Y[nbr[i, t]], axis=1)
+        out.append({"view": v, "rho": rho, "pairs": int(i.size),
+                    "violations": int(np.sum(margins < -BOUND_TOL)),
+                    "min_margin": float(margins.min()) if i.size else None})
+    return out
 
 
 def _consensus_value(state) -> float:
@@ -343,17 +278,18 @@ def _consensus_consistency(state, masks: MaskMatrix,
     """Consensus-factor rows of strongly fused cross-view pairs must obey
     ||F*_i - F*_j||^2 <= 2 J / zeta, J the consensus subproblem value; a
     pair qualifies, once, when an edge of H (H_ij or H_ji) reaches zeta.
-    Gaps take the augmented form of `numkit.half_sq_factors`, doubled."""
+    Each gap is taken from its two rows."""
     J = _consensus_value(state)
-    n, nbr, X = state.n_samples, state.H_nbr, state.Fstar.T
+    n, nbr = state.n_samples, state.H_nbr
+    F = np.ascontiguousarray(state.Fstar)   # so F[i] gathers whole rows
     col = np.arange(n)[:, None]
     cross = _cross_view(masks, nbr, col)                  # per edge of H
     pair = (np.minimum(nbr, col) * n + np.maximum(nbr, col))[cross]
-    w, (L, R) = state.H_w[cross], numkit.half_sq_factors(X)
+    w = state.H_w[cross]
     checks = []
     for zeta in zetas:
         i, j = np.divmod(np.unique(pair[w >= zeta]), n)
-        gap2 = 2.0 * np.maximum(np.einsum("ci,ci->i", L[:, i], R[:, j]), 0.0)
+        gap2 = np.sum((F[i] - F[j]) ** 2, axis=1)
         bound = 2.0 * J / zeta
         checks.append({"zeta": zeta, "pairs": int(i.size), "bound": bound,
                        "violations": int(np.sum(gap2 > bound + BOUND_TOL))})
@@ -364,20 +300,17 @@ def diagnostics_report(state, masks: MaskMatrix, rho: float = 0.1,
                        zetas: tuple[float, ...] = (0.1, 0.2)) -> dict:
     """Structural diagnostics of a fitted state, JSON-ready.
 
-    Sections: `cluster_separation` (imputed same-cluster pairs close,
-    cross-cluster pairs far, with per-pair premise tracking),
-    `neighbor_consistency` (strong within-view similarity keeps imputed
-    columns close), and `consensus_consistency` (strong consensus
-    similarity keeps consensus-factor rows close). Violation counts are
-    expected to be zero wherever the stated premises hold. Graph sections
-    walk the edges of valid graphs (`model.check_state`); rho and the
-    zetas must be positive numbers, else ValueError.
+    Sections: `neighbor_consistency` (strong within-view similarity keeps
+    imputed columns close) and `consensus_consistency` (strong consensus
+    similarity keeps consensus-factor rows close), each with the pairs it
+    tested and the violations of its bound among them. Both walk the
+    edges of valid graphs (`model.check_state`); rho and the zetas must be
+    positive numbers, else ValueError.
     """
     rho, zetas = float(rho), tuple(zetas)
     if not (rho > 0.0 and all(float(z) > 0.0 for z in zetas)):
         raise ValueError("rho and the zetas must be positive numbers, got "
                          f"rho={rho}, zetas={zetas}")
-    seps, nbrs = _imputed_pair_sections(state, masks, rho)
-    return {"cluster_separation": seps, "neighbor_consistency": nbrs,
+    return {"neighbor_consistency": _neighbor_consistency(state, masks, rho),
             "consensus_consistency": _consensus_consistency(state, masks,
                                                             zetas)}

@@ -27,14 +27,14 @@ for bit.
 
 Each graph is held as (n, k) neighbour arrays: for column j, the rows
 nbr[j] (ascending) and their weights w[j] (see `numkit`). Every graph
-solve prices its columns with one cost form, given as a spec (factors,
+solve prices its columns with one cost form, given as a spec (factor,
 terms): the half squared distances between the columns of X, from its
-augmented factors (`numkit.half_sq_factors`, built once per refresh),
+augmented factor (`numkit.half_sq_factors`, built once per refresh),
 plus a times the weights of a graph at its neighbours for each term (a,
 graph). `_costs` builds these rows 256 columns at a time into one reused
 block, each block's distances one product with the halving folded in,
 and the descent guard reads the old columns' costs from that same block;
-the initialization builds each view's factors once and computes each
+the initialization builds each view's factor once and computes each
 view's block once for S^v, H and xi. Every other graph term is an O(n k)
 reduction. The spectral
 initialization finds its c eigenpairs by Lanczos, and the imputation step
@@ -238,15 +238,15 @@ def _row_sums(P: np.ndarray) -> np.ndarray:
     return total
 
 
-def _costs(factors: tuple | None, terms: list[tuple], cols: np.ndarray,
+def _costs(factor: np.ndarray | None, terms: list[tuple], cols: np.ndarray,
            out: np.ndarray) -> np.ndarray:
     """Cost rows of the graph columns `cols`, written to `out` (row r
     prices every sample as a neighbour of column cols[r]): the half squared
-    distances of `numkit.half_sq_dists` on `factors` (None: `out` holds
+    distances of `numkit.half_sq_dists` on `factor` (None: `out` holds
     them already), plus a * A[:, cols].T at the neighbours of those columns
     for each term (a, nbr, w) of a graph A."""
-    if factors is not None:
-        numkit.half_sq_dists(factors, cols, out)
+    if factor is not None:
+        numkit.half_sq_dists(factor, cols, out)
     for a, nbr, w in terms:
         at = nbr[cols] + np.arange(cols.size)[:, None] * out.shape[1]
         np.add.at(out.reshape(-1), at.ravel(), (a * w[cols]).ravel())
@@ -375,14 +375,14 @@ def init_state(ds: MultiViewDataset, masks: MaskMatrix, cfg: FitConfig,
                        S_nbr=nbrs[1:], S_w=ws[1:], H_nbr=nbrs[0], H_w=ws[0],
                        alpha=np.full(V, 1.0 / V), adam_m=zeros(n, cfg.c),
                        adam_v=zeros(n, cfg.c), xi=zeros(n), gamma=np.zeros(n))
-    # each view's factors, once; the xi terms read the graphs filled below
+    # each view's factor, once; the xi terms read the graphs filled below
     specs = [_q_spec(state, v) for v in range(V)]
     buf = np.empty((V, min(numkit.COLUMN_BLOCK, n), n))
     for j0 in range(0, n, numkit.COLUMN_BLOCK):
         cols = np.arange(j0, min(j0 + numkit.COLUMN_BLOCK, n))
         D = buf[:, :cols.size]  # the views' half distances
-        for v, (factors, _) in enumerate(specs):
-            numkit.half_sq_dists(factors, cols, D[v])
+        for v, (factor, _) in enumerate(specs):
+            numkit.half_sq_dists(factor, cols, D[v])
         # their mean, summed in view order and freed once H is solved
         nbrs[0][cols], ws[0][cols] = _solve(D.sum(axis=0) / V, cols, k)[:2]
         for v in range(V):  # the kernel writes only D[v][r, cols[r]]

@@ -4,9 +4,10 @@ All kernels operate on float64 numpy arrays and are pure functions except
 `ksparse_simplex_columns`, which overwrites the entries of its cost rows
 that it leaves out; everything else is safe to share across threads.
 Graph costs are half squared distances, a block of them one product of
-augmented factors (`half_sq_factors`) with the halving folded in, which
-`ksparse_simplex_columns` checks from its group minima and tail. The
-k-sparse graphs are read in their (n, k) neighbour form; see below.
+augmented factors (`half_sq_factors`, `half_sq_dists`) with the halving
+folded in, which `ksparse_simplex_columns` checks from its group minima
+and tail. The k-sparse graphs are read in their (n, k) neighbour form;
+see below.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ ACTIVE_TOL = 1e-12
 # Fixed-point (KKT) residual the simplex QP solution must reach.
 QP_KKT_TOL = 1e-8
 # Graph columns solved per pass of the model's graph updates and of its
-# initialization (which holds V + 1 cost blocks, V views and their mean),
-# and rows per pass of the diagnostics: the temporaries stay O(n * 256).
+# initialization (which holds V + 1 cost blocks, V views and their mean):
+# the temporaries stay O(n * 256).
 COLUMN_BLOCK = 256
 # `pcg` stops a column once its residual norm is at most CG_RTOL times its
 # right-hand side's, and raises after CG_MAXITER steps: on I + L of a
@@ -221,9 +222,10 @@ def ksparse_simplex_columns(Q: np.ndarray, cols: np.ndarray,
         if retry:
             raise NumericError("neighborhood degenerate when perturbed")
         rows, cols, Q = rows[~ok], cols[~ok], Q[~ok]
-        # a +inf makes eta inf, and 0 * inf a NaN that the retry refuses
         eta = 1e-12 * np.maximum(1.0, np.abs(Q).max(
             axis=1, initial=0.0, where=np.arange(n) != cols[:, None]))
+        if not np.isfinite(eta).all():  # a +inf in a degenerate row
+            raise NumericError("non-finite costs in a k-sparse subproblem")
         step = np.arange(n, dtype=float) - (np.arange(n) > cols[:, None])
         Q += np.multiply(step, eta[:, None], out=step)  # one fewer temporary
     return nbr, w, half, perturbed
@@ -305,25 +307,29 @@ def _support_kkt(Q: np.ndarray, c: np.ndarray,
     return x / ssum
 
 
-def half_sq_factors(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factors L = [X; h; 1] and R = [-X; 1; h], each (d+2, n), of the
-    columns of X (d, n), h = ||x||^2 / 2: L[:, i] . R[:, j] is the half
-    squared distance ||x_i - x_j||^2 / 2."""
+def half_sq_factors(X: np.ndarray) -> np.ndarray:
+    """The right factor R = [-X; 1; h], (d+2, n), of the columns of X
+    (d, n), h = ||x||^2 / 2. With the left factor L = [X; h; 1], which
+    `half_sq_dists` builds from R for the columns it prices, L[:, i] .
+    R[:, j] is the half squared distance ||x_i - x_j||^2 / 2."""
     d, n = X.shape
-    L, R = np.empty((d + 2, n)), np.empty((d + 2, n))
-    L[:d], L[d + 1], R[d] = X, 1.0, 1.0
+    R = np.empty((d + 2, n))
     np.negative(X, out=R[:d])
-    L[d] = R[d + 1] = 0.5 * np.einsum("ij,ij->j", X, X)
-    return L, R
+    R[d], R[d + 1] = 1.0, 0.5 * np.einsum("ij,ij->j", X, X)
+    return R
 
 
-def half_sq_dists(factors: tuple, cols: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
+def half_sq_dists(R: np.ndarray, cols: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
     """Half squared distances from the columns `cols` to every column, a
-    row per entry of `cols`: L[:, cols].T @ R of the `half_sq_factors`
-    (L, R), into `out` if given, clamped at 0. Twice a row is the squared
-    distances, exactly."""
-    D = np.matmul(factors[0][:, cols].T, factors[1], out=out)
+    row per entry of `cols`, into `out`: L[:, cols].T @ R for the
+    `half_sq_factors` R, clamped at 0. The left block [X; h; 1] of `cols`
+    is R's columns with their first d rows negated (exact) and the last
+    two swapped. Twice a row is the squared distances, exactly."""
+    L = R[:, cols]
+    np.negative(L[:-2], out=L[:-2])
+    L[-2:] = L[[-1, -2]]
+    D = np.matmul(L.T, R, out=out)
     return np.maximum(D, 0.0, out=D)
 
 
@@ -384,11 +390,12 @@ def graph_inner(nbr_a: np.ndarray, w_a: np.ndarray, nbr_b: np.ndarray,
 def sym_matmul(nbr: np.ndarray, w: np.ndarray, F: np.ndarray) -> np.ndarray:
     """(A F + A^T F) / 2 for a thin F (n, c): A F scatters w[j, t] F_j onto
     row nbr[j, t]; A^T F gathers sum_t w[j, t] F_nbr[j, t] into row j."""
-    n = nbr.shape[0]
-    AF = np.stack([np.bincount(nbr.ravel(), (w * F[:, [c]]).ravel(),
-                               minlength=n) for c in range(F.shape[1])],
-                  axis=1)
-    return (AF + np.einsum("jt,jtc->jc", w, F[nbr])) / 2.0
+    n, c = F.shape
+    # one bin per entry of (A F)^T, each summing its terms in (j, t) order
+    at = nbr.ravel() + n * np.arange(c)[:, None]
+    terms = np.repeat(F.T, nbr.shape[1], axis=1) * w.ravel()
+    AF = np.bincount(at.ravel(), terms.ravel(), minlength=c * n)
+    return (AF.reshape(c, n).T + np.einsum("jt,jtc->jc", w, F[nbr])) / 2.0
 
 
 def sym_csr(nbr: np.ndarray, half: np.ndarray,

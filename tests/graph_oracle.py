@@ -5,14 +5,16 @@ costs a column block at a time. The helpers here convert dense graphs to
 that form, and keep the dense construction the blocked updates replaced:
 whole n x n cost matrices (`build_q`, `build_b`), one batched column
 refresh over them (`refresh_columns`), and the dense Laplacian, so the
-blocked code can be checked against them bit for bit. The imputation
-fallback's dense per-row Cholesky solve (`constrained_impute`) is the
-reference for its batched conjugate gradient form, and the dense n x n
-diagnostics sections (`neighbor_consistency`, `consensus_consistency`,
-`cluster_separation`, on the whole distance matrices of
-`imputed_distances`) the reference for the edge-by-edge and row-block
-ones of `climfs.evaluation`. Whole half squared distance matrices stack
-the COLUMN_BLOCK-aligned row blocks of `numkit.half_sq_dists`
+blocked code can be checked against them bit for bit; `sym_matmul` keeps
+the per-column loop of `numkit.sym_matmul`, equal to it bit for bit. The
+imputation fallback's dense per-row Cholesky solve
+(`constrained_impute`) is the reference for its batched conjugate
+gradient form, and the diagnostics sections over every pair of samples
+of the dense graphs (`neighbor_consistency`, `consensus_consistency`)
+the reference for the edge-by-edge ones of `climfs.evaluation`; they
+take each pair's distance with the same expression, so the two agree
+bit for bit. Whole half squared distance matrices stack the
+COLUMN_BLOCK-aligned row blocks of `numkit.half_sq_dists`
 (`whole_half_sq_dists`), so their rows equal the blocked code's bit for
 bit; twice one is the squared distance matrix.
 """
@@ -65,11 +67,12 @@ def set_graph(state, which, G: np.ndarray) -> None:
 def whole_half_sq_dists(X: np.ndarray) -> np.ndarray:
     """The whole n x n `numkit.half_sq_dists` matrix of the columns of X,
     stacked from its COLUMN_BLOCK-aligned blocks of rows."""
-    n, factors = X.shape[1], numkit.half_sq_factors(X)
-    return np.concatenate([
-        numkit.half_sq_dists(factors,
-                             np.arange(r, min(r + numkit.COLUMN_BLOCK, n)))
-        for r in range(0, n, numkit.COLUMN_BLOCK)])
+    n, R = X.shape[1], numkit.half_sq_factors(X)
+    D = np.empty((n, n))
+    for r in range(0, n, numkit.COLUMN_BLOCK):
+        rows = np.arange(r, min(r + numkit.COLUMN_BLOCK, n))
+        numkit.half_sq_dists(R, rows, D[r:r + rows.size])
+    return D
 
 
 def laplacian(A: np.ndarray) -> np.ndarray:
@@ -80,6 +83,17 @@ def laplacian(A: np.ndarray) -> np.ndarray:
 
 def sym_degrees(A: np.ndarray) -> np.ndarray:
     return (A.sum(axis=0) + A.sum(axis=1)) / 2.0
+
+
+def sym_matmul(nbr: np.ndarray, w: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """`numkit.sym_matmul` with A F scattered one column of F at a time,
+    each by its own `np.bincount`: the loop its single bincount replaced,
+    which sums every entry's terms in the same order."""
+    n = nbr.shape[0]
+    AF = np.stack([np.bincount(nbr.ravel(), (w * F[:, [c]]).ravel(),
+                               minlength=n) for c in range(F.shape[1])],
+                  axis=1)
+    return (AF + np.einsum("jt,jtc->jc", w, F[nbr])) / 2.0
 
 
 def constrained_impute(M: np.ndarray, K: np.ndarray, mask: np.ndarray,
@@ -180,47 +194,28 @@ def update_H(dense, k: int, cluster_structure: bool = True) -> tuple[int, int]:
                            dense.gamma, guard=True)
 
 
-def imputed_distances(state, masks) -> list[tuple]:
-    """Per view: the samples with a masked entry, the column norms of the
-    imputed data (1 for a zero column), and the whole m x m distance
-    matrix between those samples' normalized columns (None for fewer than
-    two samples)."""
+def neighbor_consistency(state, masks, rho: float) -> list[dict]:
+    """The `neighbor_consistency` section of
+    `evaluation.diagnostics_report` from the dense view graphs: every pair
+    (j, i), j != i, of samples with a masked entry and S^v_ji >= rho, each
+    distance taken between the pair's norm-scaled columns."""
     out = []
-    for X, mask in zip(state.Xhat, masks.masks):
-        idx = np.where((mask == 0.0).any(axis=0))[0]
+    for v, (X, mask) in enumerate(zip(state.Xhat, masks.masks)):
+        imputed = (mask == 0.0).any(axis=0)
         norms = np.linalg.norm(X, axis=0)
         scale = np.where(norms == 0.0, 1.0, norms)
-        D = None
-        if idx.size >= 2:
-            D = np.sqrt(2.0 * whole_half_sq_dists(X[:, idx] / scale[idx]))
-        out.append((idx, scale, D))
-    return out
-
-
-def neighbor_consistency(state, dists: list[tuple], rho: float) -> list[dict]:
-    """The `neighbor_consistency` section of
-    `evaluation.diagnostics_report` from the dense view graphs and the
-    `imputed_distances` matrices: every imputed pair (j, i), j != i, with
-    S^v_ji >= rho."""
-    out = []
-    for v, (idx, scale, D) in enumerate(dists):
-        rec = {"view": v, "rho": rho, "pairs": 0, "violations": 0,
-               "min_margin": None}
-        if D is not None:
-            C = state.W[v] @ (state.Fv[v] + state.Fstar).T
-            cnorm = np.linalg.norm(C, axis=0) / scale
-            S = numkit.densify(state.S_nbr[v], state.S_w[v])
-            Ssub = S[np.ix_(idx, idx)]
-            omega1 = 1.5 - rho + 0.5 * cnorm[idx]
-            strong = Ssub >= rho
-            np.fill_diagonal(strong, False)
-            jj, ii = np.where(strong)     # row = neighbor, column = target
-            margins = omega1[ii] - D[jj, ii]
-            rec["pairs"] = int(ii.size)
-            rec["violations"] = int(np.sum(margins < -BOUND_TOL))
-            if ii.size:
-                rec["min_margin"] = float(margins.min())
-        out.append(rec)
+        C = state.W[v] @ (state.Fv[v] + state.Fstar).T
+        omega1 = 1.5 - rho + 0.5 * (np.linalg.norm(C, axis=0) / scale)
+        S = numkit.densify(state.S_nbr[v], state.S_w[v])
+        strong = (S >= rho) & imputed[:, None] & imputed[None, :]
+        np.fill_diagonal(strong, False)
+        jj, ii = np.where(strong)     # row = neighbor, column = target
+        Y = np.ascontiguousarray((X / scale).T)
+        margins = omega1[ii] - np.linalg.norm(Y[ii] - Y[jj], axis=1)
+        out.append({"view": v, "rho": rho, "pairs": int(ii.size),
+                    "violations": int(np.sum(margins < -BOUND_TOL)),
+                    "min_margin": float(margins.min()) if ii.size
+                    else None})
     return out
 
 
@@ -240,67 +235,21 @@ def cross_view_pairs(masks) -> np.ndarray:
 def consensus_consistency(state, masks, zetas: tuple[float, ...]) -> dict:
     """`evaluation._consensus_consistency` from the dense consensus graph:
     the upper triangle of the n x n mask of cross-view pairs with
-    max(H_ij, H_ji) >= zeta, and the n x n squared gaps of
-    `whole_half_sq_dists`, doubled."""
+    max(H_ij, H_ji) >= zeta, and each pair's squared gap taken from its
+    two consensus rows."""
     J = _consensus_value(state)
-    gap2 = 2.0 * whole_half_sq_dists(state.Fstar.T)
+    F = np.ascontiguousarray(state.Fstar)
     H = numkit.densify(state.H_nbr, state.H_w)
     Hmax = np.maximum(H, H.T)
     eligible = cross_view_pairs(masks)
+    iu = np.triu_indices(state.n_samples, k=1)
     checks = []
     for zeta in zetas:
-        sel = eligible & (Hmax >= zeta)   # symmetric by construction
-        iu = np.triu_indices(state.n_samples, k=1)
-        mask_u = sel[iu]
+        sel = (eligible & (Hmax >= zeta))[iu]   # symmetric by construction
+        i, j = iu[0][sel], iu[1][sel]
+        gap2 = np.sum((F[i] - F[j]) ** 2, axis=1)
         bound = 2.0 * J / zeta
-        viol = int(np.sum(gap2[iu][mask_u] > bound + BOUND_TOL))
-        checks.append({"zeta": zeta, "pairs": int(mask_u.sum()),
+        viol = int(np.sum(gap2 > bound + BOUND_TOL))
+        checks.append({"zeta": zeta, "pairs": int(sel.sum()),
                        "bound": bound, "violations": viol})
     return {"subproblem_value": J, "checks": checks}
-
-
-def cluster_separation(state, dists: list[tuple]) -> list[dict]:
-    """The `cluster_separation` section of `evaluation.diagnostics_report`
-    over whole m x m arrays: the `np.triu_indices` pairs of each view's m
-    imputed samples (`imputed_distances`), with their consensus row
-    distances from one `whole_half_sq_dists` matrix, doubled."""
-    out = []
-    F = state.Fstar
-    for v, (idx, _, D) in enumerate(dists):
-        sv = np.linalg.svd(state.W[v], compute_uv=False)
-        smax, smin = float(sv[0]), float(sv[-1])
-        fv1 = float(np.abs(state.Fv[v]).sum())
-        mu = 0.5 * smax * fv1 + 1.0
-        rec = {"view": v, "sigma_max": smax, "sigma_min": smin,
-               "fv_l1": fv1, "mu": mu, "imputed_samples": int(idx.size),
-               "same_pairs": 0, "same_violations": 0, "cross_pairs": 0,
-               "premise_pairs": 0, "cross_violations": 0,
-               "premise_status": "no imputed pairs"}
-        if D is not None:
-            rows = F[idx]
-            _, row_id = np.unique(rows, axis=0, return_inverse=True)
-            delta = np.sqrt(2.0 * whole_half_sq_dists(rows.T))
-            iu = np.triu_indices(idx.size, k=1)
-            same_u = row_id[iu[0]] == row_id[iu[1]]
-            dist_u = D[iu]
-            delta_u = delta[iu]
-            rec["same_pairs"] = int(same_u.sum())
-            rec["same_violations"] = int(
-                np.sum(dist_u[same_u] > mu + BOUND_TOL))
-            cross = ~same_u
-            rec["cross_pairs"] = int(cross.sum())
-            premise = cross & (fv1 * (smin + smax) < smin * delta_u - 4.0)
-            rec["premise_pairs"] = int(premise.sum())
-            nu = 0.5 * smin * (delta_u - fv1) - 1.0
-            rec["cross_violations"] = int(
-                np.sum(dist_u[premise] < nu[premise] - BOUND_TOL))
-            if rec["cross_pairs"] == 0:
-                rec["premise_status"] = "no cross-cluster pairs"
-            elif rec["premise_pairs"] == 0:
-                rec["premise_status"] = "premise unmet"
-            else:
-                rec["premise_status"] = (
-                    f"premise held for {rec['premise_pairs']}/"
-                    f"{rec['cross_pairs']} cross-cluster pairs")
-        out.append(rec)
-    return out

@@ -139,6 +139,8 @@ def test_graph_reductions_match_dense_forms(drawn):
             assert_close(numkit.laplacian_quad(X, nbr, w),
                          np.sum((X @ L) * X))
         assert_close(numkit.sym_matmul(nbr, w, F), (A @ F + A.T @ F) / 2.0)
+        assert np.array_equal(numkit.sym_matmul(nbr, w, F),
+                              oracle.sym_matmul(nbr, w, F))
         for (nbr_b, w_b), B in zip(graphs, dense):
             assert_close(numkit.graph_inner(nbr, w, nbr_b, w_b),
                          np.vdot(A, B))

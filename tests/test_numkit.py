@@ -565,14 +565,15 @@ def test_sq_dists_matches_pairwise_loop():
                           for j in range(shape[1])]
                          for i in range(shape[1])]) / 2.0
         cols = np.arange(shape[1])
-        factors = half_sq_factors(X)
-        assert all(f.shape == (shape[0] + 2, shape[1]) for f in factors)
+        R = half_sq_factors(X)
+        assert R.shape == (shape[0] + 2, shape[1])
+        assert np.array_equal(R[:-2], -X) and (R[-2] == 1.0).all()
         scale = want.max(axis=1, keepdims=True)
-        assert (np.abs(half_sq_dists(factors, cols) - want)
-                <= 1e-12 * scale).all()
-        # rows in any order, written to `out`
         out = np.empty((shape[1], shape[1]))
-        assert half_sq_dists(factors, cols[::-1], out) is out
+        assert half_sq_dists(R, cols, out) is out
+        assert (np.abs(out - want) <= 1e-12 * scale).all()
+        # rows in any order
+        half_sq_dists(R, cols[::-1], out)
         assert (np.abs(out - want[::-1]) <= 1e-12 * scale[::-1]).all()
     # duplicate columns, as mean imputation makes them, tie exactly in
     # every row, and rounding below zero is clamped to 0. (At some widths,
@@ -581,7 +582,8 @@ def test_sq_dists_matches_pairwise_loop():
     for d in (50, 3):
         X = rng.normal(size=(d, 400)) * 3.0
         X[:, 300:] = X[:, [7]]
-        D = half_sq_dists(half_sq_factors(X), np.arange(COLUMN_BLOCK))
+        D = half_sq_dists(half_sq_factors(X), np.arange(COLUMN_BLOCK),
+                          np.empty((COLUMN_BLOCK, 400)))
         assert (D[:, 300:] == D[:, [7]]).all() and D.min() >= 0.0
     # the oracle's whole matrix is the COLUMN_BLOCK-aligned blocks of rows,
     # bit for bit
@@ -590,7 +592,8 @@ def test_sq_dists_matches_pairwise_loop():
     assert D.shape == (X.shape[1], X.shape[1])
     for r in (0, COLUMN_BLOCK):
         cols = np.arange(r, min(r + COLUMN_BLOCK, X.shape[1]))
-        assert np.array_equal(half_sq_dists(half_sq_factors(X), cols),
+        assert np.array_equal(half_sq_dists(half_sq_factors(X), cols,
+                                            np.empty((cols.size, X.shape[1]))),
                               D[cols])
 
 
