@@ -36,11 +36,13 @@ block, each block's distances one product with the halving folded in,
 and the descent guard reads the old columns' costs from that same block;
 the initialization builds each view's factor once and computes each
 view's block once for S^v, H and xi. Every other graph term is an O(n k)
-reduction. The spectral
-initialization finds its c eigenpairs by Lanczos, and the imputation step
-solves I + L by preconditioned conjugate gradients, each on a sparse form
-with at most n (2k + 1) nonzeros built by `numkit.sym_csr`, so no n x n
-array is made in a sweep. Only the spectral initialization when
+reduction. The spectral initialization finds its c eigenpairs by Lanczos
+on a sparse form with at most 2k nonzeros per row built by
+`numkit.sym_csr`. The imputation step solves I + L by one Cholesky
+factorization of a dense form up to n = `numkit.COLUMN_BLOCK`, where that
+is no larger than a cost block, and by preconditioned conjugate gradients
+on a sparse form with at most n (2k + 1) nonzeros above it, where no
+n x n array is made in a sweep. Only the spectral initialization when
 c >= n - 1 makes its sparse form dense, for a full eigensolve.
 `ModelState.S` and `ModelState.H` give dense read-only copies for readers
 outside the optimizer. Eigensolver and solver failures and non-finite
@@ -619,17 +621,21 @@ def update_Xhat(state: ModelState, ds: MultiViewDataset, masks: MaskMatrix,
     R = M (I + L)^{-1} with M = W (F^v + F*)^T and L the symmetrized-graph
     Laplacian of S^v (the symmetrized form is an identity with the
     pairwise smoothness term). M has rank c, so R = W Y^T with
-    Y^T = (F^v + F*)^T (I + L)^{-1}: I + L is built in sparse form from the
-    (n, k) graph and solved for the c factor columns at once by
-    Jacobi-preconditioned conjugate gradients (`numkit.pcg`). Observed
-    entries are copied back verbatim. If that fast path X' would increase
-    the subproblem, that is if <X' - X, (X' + X) (I + L) - 2M> > 0, the
-    masked entries are recomputed by the exact constrained solve instead.
-    Without graph learning the subproblem is ||X - M||^2, whose
-    constrained minimizer sets the masked entries to M: no guard needed.
-    Returns the fallbacks taken and the conjugate gradient steps summed
-    over the solves. A non-finite or negative weight of S^v, or a solve
-    that does not converge, is a NumericError.
+    Y^T = (F^v + F*)^T (I + L)^{-1}: I + L is built from the (n, k) graph
+    and solved for the c factor columns at once
+    (`numkit.solve_identity_plus_laplacian`), by one Cholesky
+    factorization of a dense I + L up to n = `numkit.COLUMN_BLOCK` and by
+    Jacobi-preconditioned conjugate gradients on a sparse one above it.
+    Observed entries are copied back verbatim. If that fast path X' would
+    increase the subproblem, that is if <X' - X, (X' + X) (I + L) - 2M>
+    > 0, the masked entries are recomputed by the exact constrained solve
+    instead, conjugate gradients with the same I + L. Without graph
+    learning the subproblem is ||X - M||^2, whose constrained minimizer
+    sets the masked entries to M: no guard needed. Returns the fallbacks
+    taken and the conjugate gradient steps summed over the solves (the
+    fallbacks' only, up to COLUMN_BLOCK). A non-finite or negative weight
+    of S^v, or a conjugate gradient solve that does not converge, is a
+    NumericError.
     """
     fallbacks = steps = 0
     for v in range(state.n_views):
@@ -640,8 +646,8 @@ def update_Xhat(state: ModelState, ds: MultiViewDataset, masks: MaskMatrix,
             state.Xhat[v] = np.where(obs, ds.views[v], M)
             continue
         X = state.Xhat[v]
-        K = numkit.identity_plus_laplacian(state.S_nbr[v], state.S_w[v])
-        Yt, used = numkit.pcg(K, G.T)
+        Yt, K, used = numkit.solve_identity_plus_laplacian(
+            state.S_nbr[v], state.S_w[v], G.T)
         cand = np.where(obs, ds.views[v], state.W[v] @ Yt)
         if np.vdot(cand - X, (K @ (cand + X).T).T - 2.0 * M) > 0.0:
             cand, more = _constrained_impute(M, K, obs, ds.views[v], X)
@@ -649,6 +655,7 @@ def update_Xhat(state: ModelState, ds: MultiViewDataset, masks: MaskMatrix,
             fallbacks += 1
         steps += used
         state.Xhat[v] = cand
+        del K   # a dense I + L is not held through the next view's solve
     return {"xhat_fallbacks": fallbacks, "cg_iters": steps}
 
 

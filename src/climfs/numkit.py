@@ -339,8 +339,9 @@ def half_sq_dists(R: np.ndarray, cols: np.ndarray,
 # of A has weight w[j, t] at row nbr[j, t], and zeros elsewhere (a row
 # listed twice in one column holds the sum of its weights). The functions
 # of this section read a graph in that form in O(n k) work, and every
-# matrix of its symmetrized form comes from `sym_csr`; only `densify` and
-# `laplacian` build an n x n array.
+# matrix of its symmetrized form is made from the entries `_sym_entries`
+# lists; only `densify`, `laplacian` and, up to n = COLUMN_BLOCK,
+# `identity_plus_laplacian` build an n x n array.
 
 
 def densify(nbr: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -398,40 +399,79 @@ def sym_matmul(nbr: np.ndarray, w: np.ndarray, F: np.ndarray) -> np.ndarray:
     return (AF.reshape(c, n).T + np.einsum("jt,jtc->jc", w, F[nbr])) / 2.0
 
 
-def sym_csr(nbr: np.ndarray, half: np.ndarray,
-            diag: np.ndarray | None = None):
-    """The (n, n) scipy CSR matrix with half[j, t] at (nbr[j, t], j) and at
-    (j, nbr[j, t]), entries at one place summed, plus `diag` on the
-    diagonal when given: built in O(n k), at most n (2k + 1) nonzeros.
-    When each column's neighbours are distinct and never the column itself,
-    an entry sums at most two terms, so the matrix is exactly symmetric."""
-    # imported here: `import climfs` leaves scipy out
-    from scipy.sparse import csr_matrix
+def _sym_entries(nbr: np.ndarray, half: np.ndarray,
+                 diag: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """Rows, columns and values of the entries of the symmetric (n, n)
+    matrix with half[j, t] at (nbr[j, t], j) and at (j, nbr[j, t]), plus
+    `diag` on the diagonal when given: at most n (2k + 1) of them, entries
+    at one place to be summed. When each column's neighbours are distinct
+    and never the column itself, a place sums at most two terms, so the
+    matrix is exactly symmetric."""
     n = nbr.shape[0]
     ids = np.arange(n)
     rows, cols = nbr.ravel(), np.repeat(ids, nbr.shape[1])
     data, i, j = [half.ravel()] * 2, [rows, cols], [cols, rows]
     if diag is not None:
         data, i, j = data + [diag], i + [ids], j + [ids]
-    return csr_matrix((np.concatenate(data), (np.concatenate(i),
-                                              np.concatenate(j))),
-                      shape=(n, n))
+    return np.concatenate(i), np.concatenate(j), np.concatenate(data)
+
+
+def sym_csr(nbr: np.ndarray, half: np.ndarray,
+            diag: np.ndarray | None = None):
+    """The `_sym_entries` matrix as a scipy CSR matrix, built in O(n k)
+    with at most n (2k + 1) nonzeros."""
+    # imported here: `import climfs` leaves scipy out
+    from scipy.sparse import csr_matrix
+    i, j, data = _sym_entries(nbr, half, diag)
+    n = nbr.shape[0]
+    return csr_matrix((data, (i, j)), shape=(n, n))
 
 
 def identity_plus_laplacian(nbr: np.ndarray, w: np.ndarray):
-    """I + L for L = laplacian(nbr, w), as a `sym_csr` matrix. It is
+    """I + L for L = laplacian(nbr, w): up to n = COLUMN_BLOCK, where it is
+    no larger than a graph cost block, one dense (n, n) array (one
+    bincount of the `_sym_entries`, no temporary n x n array), and above it
+    a `sym_csr` matrix; the entries are the same either way. It is
     symmetric positive definite, with eigenvalues in [1, 1 + 2 max
     degree], when every weight is nonnegative; a non-finite or negative
     weight is a NumericError."""
     if not (np.isfinite(w).all() and (w >= 0.0).all()):
         raise NumericError("non-finite or negative graph weight in I + L")
-    return sym_csr(nbr, -0.5 * w, 1.0 + sym_degrees(nbr, w))
+    half, diag = -0.5 * w, 1.0 + sym_degrees(nbr, w)
+    n = nbr.shape[0]
+    if n > COLUMN_BLOCK:
+        return sym_csr(nbr, half, diag)
+    i, j, data = _sym_entries(nbr, half, diag)
+    return np.bincount(i * n + j, data, minlength=n * n).reshape(n, n)
+
+
+def solve_identity_plus_laplacian(nbr: np.ndarray, w: np.ndarray,
+                                  B: np.ndarray) -> tuple:
+    """Solve X (I + L) = B for every row of B (m, n), L = laplacian(nbr,
+    w). Returns X, the `identity_plus_laplacian` I + L (for the caller's
+    products with it) and the conjugate gradient steps taken. A dense
+    I + L is solved by one Cholesky factorization, n^3 / 3 flops, with
+    no step counted; it is factored in place and built again afterwards,
+    so the solve holds one n x n array at a time. A sparse one is solved
+    by `pcg`, whose NumericError it raises."""
+    K = identity_plus_laplacian(nbr, w)
+    if not isinstance(K, np.ndarray):
+        X, steps = pcg(K, B)
+        return X, K, steps
+    # imported here: `import climfs` leaves scipy out
+    from scipy.linalg import cho_factor, cho_solve
+    # K is symmetric, and K.T the Fortran-ordered array LAPACK overwrites
+    # (scipy copies a C-ordered one whatever overwrite_a says)
+    factor = cho_factor(K.T, overwrite_a=True, check_finite=False)
+    X = cho_solve(factor, B.T, check_finite=False).T
+    del K, factor
+    return X, identity_plus_laplacian(nbr, w), 0
 
 
 def pcg(K, B: np.ndarray, X: np.ndarray | None = None,
         free: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Solve X K = B for every row of B (m, n) at once, that is K x_i = b_i
-    for a symmetric positive definite sparse K such as
+    for a symmetric positive definite K, sparse or dense, such as
     `identity_plus_laplacian`'s, by conjugate gradients preconditioned by
     diag(K) (Jacobi). Each row takes its own step sizes and stops once
     ||r_i|| <= CG_RTOL ||b_i||; a zero row of B is solved by 0 at step 0.

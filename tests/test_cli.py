@@ -835,7 +835,10 @@ def test_eigensolver_failure_at_initialization_exits_3(tmp_path,
 
 
 def test_unconverged_imputation_solve_exits_3(tmp_path, monkeypatch, capsys):
-    p = write_config(tmp_path / "cfg.json", base_config(tmp_path / "out"))
+    # above COLUMN_BLOCK, where the fast path is a conjugate gradient solve
+    cfg = base_config(tmp_path / "out")
+    cfg["data"]["synthetic"]["n"] = numkit.COLUMN_BLOCK + 1
+    p = write_config(tmp_path / "cfg.json", cfg)
     assert main(["simulate", "--config", p]) == 0
     monkeypatch.setattr(numkit, "CG_MAXITER", 1)
     assert main(["fit", "--config", p]) == 3

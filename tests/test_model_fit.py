@@ -757,11 +757,10 @@ def test_working_set_stays_within_its_bounds():
     assert not over, over
 
 
-def test_update_xhat_builds_no_n_by_n_array():
-    # the dense I + L of the imputation system alone was one n x n array;
-    # probed on the fast path, then on the fallback, which the constrained
-    # minimizer as the current iterate forces
-    n = 2000
+def _update_xhat_peaks(n: int) -> list[float]:
+    """Traced peaks of update_Xhat above the live heap, in bytes, on the
+    fast path and then on the fallback, which the
+    constrained minimizer as the current iterate forces."""
     ds = make_synthetic(n=n, views=2, clusters=3, informative=4, noise=6,
                         seed=0)
     masked, masks = apply_missing(ds, MissingScenario("mixed", 0.5, 0))
@@ -782,12 +781,31 @@ def test_update_xhat_builds_no_n_by_n_array():
             K = numkit.identity_plus_laplacian(st.S_nbr[v], st.S_w[v])
             st.Xhat[v] = _constrained_impute(M, K, masks.masks[v] == 1.0,
                                              masked.views[v], st.Xhat[v])[0]
+    return peaks
+
+
+def test_update_xhat_builds_no_n_by_n_array():
+    # the dense I + L of the imputation system alone was one n x n array
+    n = 2000
+    peaks = _update_xhat_peaks(n)
     assert max(peaks) < 0.1 * n * n * 8, [round(p / (n * n * 8), 3)
                                           for p in peaks]
 
 
+def test_update_xhat_holds_one_n_by_n_array_up_to_column_block():
+    # the dense I + L is factored in place and built again for the guard
+    # and the fallback, so one n x n array is held at a time; the rest is
+    # O(n k) entry lists and (d, n) iterates, which read 1.35 (fast path)
+    # and 1.43 (fallback) in all with d=10
+    n = numkit.COLUMN_BLOCK
+    peaks = _update_xhat_peaks(n)
+    assert max(peaks) < 1.5 * n * n * 8, [round(p / (n * n * 8), 3)
+                                           for p in peaks]
+
+
 def test_unconverged_imputation_solve_raises_numeric_error(monkeypatch):
-    masked, masks = small_instance(seed=4)
+    # above COLUMN_BLOCK, where the fast path is a conjugate gradient solve
+    masked, masks = small_instance(seed=4, n=numkit.COLUMN_BLOCK + 1)
     monkeypatch.setattr(numkit, "CG_MAXITER", 1)
     with pytest.raises(NumericError, match="conjugate gradients"):
         fit(masked, masks, FitConfig(k=4, c=2, max_iter=2))

@@ -743,8 +743,35 @@ def test_constrained_impute_matches_row_oracle_on_a_planted_fallback(
     with pytest.raises(Taken):
         fit(masked, masks, FitConfig(k=6, c=3, max_iter=60))
     (M, K, obs, Xorig, start), (Z, steps) = taken[0]
+    assert isinstance(K, np.ndarray)   # dense I + L at n <= COLUMN_BLOCK
     assert 0 < steps < numkit.CG_MAXITER
-    assert_rel_close(Z, constrained_impute(M, K.toarray(), obs, Xorig), 1e-10)
+    assert_rel_close(Z, constrained_impute(M, K, obs, Xorig), 1e-10)
+
+
+@pytest.mark.parametrize("n", [numkit.COLUMN_BLOCK, numkit.COLUMN_BLOCK + 1])
+def test_update_xhat_on_both_sides_of_column_block(n):
+    # the fast path (a Cholesky solve up to COLUMN_BLOCK, conjugate
+    # gradients above it) against a dense solve of I + L, then the
+    # fallback, which a start just off the constrained minimizer forces,
+    # against the per-row oracle
+    st, ds, masks = _xhat_instance(11, d=3, n=n)
+    M = st.W[0] @ (st.Fv[0] + st.Fstar).T
+    K = np.eye(n) + laplacian(st.S[0])
+    obs = masks.masks[0] == 1.0
+    expect = np.where(obs, ds.views[0], np.linalg.solve(K, M.T).T)
+    counters = update_Xhat(st, ds, masks)
+    assert counters["xhat_fallbacks"] == 0
+    assert (counters["cg_iters"] == 0) == (n <= numkit.COLUMN_BLOCK)
+    assert_rel_close(st.Xhat[0], expect, 1e-10)
+    assert np.array_equal(st.Xhat[0][obs], ds.views[0][obs])
+
+    expect = constrained_impute(M, K, masks.masks[0], ds.views[0])
+    jitter = np.random.default_rng(12).normal(size=expect.shape) * 1e-6
+    st.Xhat[0] = np.where(obs, expect, expect + jitter)
+    counters = update_Xhat(st, ds, masks)
+    assert counters["xhat_fallbacks"] == 1 and counters["cg_iters"] > 0
+    assert_rel_close(st.Xhat[0], expect, 1e-10)
+    assert np.array_equal(st.Xhat[0][obs], ds.views[0][obs])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e3],

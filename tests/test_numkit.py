@@ -16,7 +16,8 @@ from climfs.numkit import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, CG_RTOL,
                            half_sq_factors, identity_plus_laplacian,
                            ksparse_simplex_columns,
                            ksparse_simplex_min, laplacian, pcg, simplex_qp,
-                           soft_threshold, solve_scaled_sylvester)
+                           soft_threshold, solve_identity_plus_laplacian,
+                           solve_scaled_sylvester, sym_csr, sym_degrees)
 from graph_oracle import laplacian as dense_laplacian
 from graph_oracle import sparse, whole_half_sq_dists
 
@@ -476,63 +477,109 @@ def test_laplacian_rejects_negative_entries():
         laplacian(*sparse(np.array([[0.0, -0.1], [0.1, 0.0]]), 1))
 
 
+def ipl_forms(nbr, w):
+    """I + L of the graph as a `sym_csr` matrix and as a dense array."""
+    K = sym_csr(nbr, -0.5 * w, 1.0 + sym_degrees(nbr, w))
+    return K, K.toarray()
+
+
 def test_identity_plus_laplacian_matches_dense():
+    # dense up to COLUMN_BLOCK, with the sym_csr entries bit for bit, and
+    # a sym_csr matrix above it
     rng = np.random.default_rng(41)
+    graphs = []
     for _ in range(50):
         n = int(rng.integers(3, 12))
-        nbr, w = random_graph(rng, n, int(rng.integers(1, n - 1)))
+        graphs.append(random_graph(rng, n, int(rng.integers(1, n - 1))))
+    graphs += [random_graph(rng, n, 6)
+               for n in (COLUMN_BLOCK, COLUMN_BLOCK + 1)]
+    for nbr, w in graphs:
+        n = nbr.shape[0]
         K = identity_plus_laplacian(nbr, w)
-        assert K.format == "csr" and K.nnz <= n * (2 * nbr.shape[1] + 1)
-        np.testing.assert_allclose(K.toarray(), np.eye(n) + laplacian(nbr, w),
+        csr, dense = ipl_forms(nbr, w)
+        if n <= COLUMN_BLOCK:
+            assert isinstance(K, np.ndarray) and K.shape == (n, n)
+            assert np.array_equal(K, dense) and np.array_equal(K, K.T)
+        else:
+            assert K.format == "csr" and K.nnz <= n * (2 * nbr.shape[1] + 1)
+            assert np.array_equal(K.toarray(), dense)
+        np.testing.assert_allclose(dense, np.eye(n) + laplacian(nbr, w),
                                    rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
 def test_identity_plus_laplacian_rejects_bad_weights(bad):
-    nbr, w = random_graph(np.random.default_rng(42), 6, 2)
-    w[3, 1] = bad
-    with pytest.raises(NumericError):
-        identity_plus_laplacian(nbr, w)
+    # in the dense form (n=6) and in the sparse one
+    for n in (6, COLUMN_BLOCK + 1):
+        nbr, w = random_graph(np.random.default_rng(42), n, 2)
+        w[3, 1] = bad
+        with pytest.raises(NumericError):
+            identity_plus_laplacian(nbr, w)
+        with pytest.raises(NumericError):
+            solve_identity_plus_laplacian(nbr, w, np.ones((1, n)))
+
+
+@pytest.mark.parametrize("n", [COLUMN_BLOCK, COLUMN_BLOCK + 1])
+def test_solve_identity_plus_laplacian_on_both_sides_of_column_block(n):
+    # one Cholesky solve of the dense I + L up to COLUMN_BLOCK (no
+    # conjugate gradient step), pcg on the sparse one above it; either way
+    # the I + L it returns is identity_plus_laplacian's
+    rng = np.random.default_rng(47)
+    nbr, w = random_graph(rng, n, 6)
+    B = rng.normal(size=(3, n))
+    X, K, steps = solve_identity_plus_laplacian(nbr, w, B)
+    _, dense = ipl_forms(nbr, w)
+    if n <= COLUMN_BLOCK:
+        assert steps == 0 and np.array_equal(K, dense)
+    else:
+        assert 0 < steps < numkit.CG_MAXITER
+        assert np.array_equal(K.toarray(), dense)
+    expect = np.linalg.solve(dense, B.T).T
+    assert np.abs(X - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
 # ------------------------------------------------------------------- pcg
 
 
 def test_pcg_matches_dense_solve():
+    # on the sym_csr I + L and on the dense one, which the fallback of
+    # the imputation step takes as its operator up to COLUMN_BLOCK
     rng = np.random.default_rng(43)
     for n, k in ((5, 2), (40, 3), (300, 6)):
-        K = identity_plus_laplacian(*random_graph(rng, n, k))
+        forms = ipl_forms(*random_graph(rng, n, k))
         B = rng.normal(size=(4, n)) * np.array([[1.0], [1e-6], [1e6], [0.0]])
-        X, steps = pcg(K, B)
-        assert 0 < steps < numkit.CG_MAXITER
-        assert np.array_equal(X[3], np.zeros(n))
-        # a residual of CG_RTOL ||b_i|| and rounding in the product
-        resid = np.linalg.norm(X @ K - B, axis=1)
-        assert (resid <= 10 * CG_RTOL * np.linalg.norm(B, axis=1)).all()
-        expect = np.linalg.solve(K.toarray(), B.T).T
-        for i in range(3):
-            assert np.abs(X[i] - expect[i]).max() \
-                <= 1e-11 * np.abs(expect[i]).max()
+        expect = np.linalg.solve(forms[1], B.T).T
+        for K in forms:
+            X, steps = pcg(K, B)
+            assert 0 < steps < numkit.CG_MAXITER
+            assert np.array_equal(X[3], np.zeros(n))
+            # a residual of CG_RTOL ||b_i|| and rounding in the product
+            resid = np.linalg.norm(X @ K - B, axis=1)
+            assert (resid <= 10 * CG_RTOL * np.linalg.norm(B, axis=1)).all()
+            for i in range(3):
+                assert np.abs(X[i] - expect[i]).max() \
+                    <= 1e-11 * np.abs(expect[i]).max()
 
 
 def test_pcg_restricted_to_free_entries():
     rng = np.random.default_rng(44)
     m, n = 5, 30
-    K = identity_plus_laplacian(*random_graph(rng, n, 3))
+    forms = ipl_forms(*random_graph(rng, n, 3))
     free = (rng.random((m, n)) < 0.5).astype(float)
     free[0] = 0.0       # nothing free
     free[1] = 0.0
     free[1, 7] = 1.0    # one free entry
     B, start = free * rng.normal(size=(m, n)), free * rng.normal(size=(m, n))
-    X, _ = pcg(K, B, start, free)
-    dense = K.toarray()
-    for i in range(m):
-        F = free[i] == 1.0
-        assert np.array_equal(X[i, ~F], np.zeros((~F).sum()))
-        if F.any():
-            expect = np.linalg.solve(dense[np.ix_(F, F)], B[i, F])
-            assert np.abs(X[i, F] - expect).max() \
-                <= 1e-11 * np.abs(expect).max()
+    dense = forms[1]
+    for K in forms:
+        X, _ = pcg(K, B, start, free)
+        for i in range(m):
+            F = free[i] == 1.0
+            assert np.array_equal(X[i, ~F], np.zeros((~F).sum()))
+            if F.any():
+                expect = np.linalg.solve(dense[np.ix_(F, F)], B[i, F])
+                assert np.abs(X[i, F] - expect).max() \
+                    <= 1e-11 * np.abs(expect).max()
 
 
 def test_pcg_zero_right_hand_side_is_done_at_step_0():
