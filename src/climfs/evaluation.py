@@ -118,43 +118,66 @@ def kmeans(X: np.ndarray, c: int, seed=0, return_history: bool = False):
 # ----------------------------------------------------------- ACC and NMI
 
 
-def _contingency(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    pred = np.asarray(pred).reshape(-1)
+def _contingency(pred, truth) -> np.ndarray:
+    """Contingency tables of one labelling (n,) or a stack of them
+    (runs, n) against `truth` (n,), as one (runs, p, t) int64 array from
+    one `np.bincount`. The truth is numbered once and the whole stack
+    once, so row i of every table is the same predicted label and column
+    j the same true one; a label absent from a run is a zero row of its
+    table."""
+    pred = np.asarray(pred)
     truth = np.asarray(truth).reshape(-1)
-    if pred.shape[0] != truth.shape[0]:
+    if pred.ndim not in (1, 2):
+        raise ValueError("pred must be one labelling (n,) or a stack of "
+                         "them (runs, n)")
+    pred = pred.reshape(-1, pred.shape[-1])
+    runs, n = pred.shape
+    if n != truth.shape[0]:
         raise ValueError("label vectors differ in length")
     _, pi = np.unique(pred, return_inverse=True)
     _, ti = np.unique(truth, return_inverse=True)
-    C = np.zeros((pi.max() + 1, ti.max() + 1), dtype=np.int64)
-    np.add.at(C, (pi, ti), 1)
-    return C
+    p, t = int(pi.max()) + 1, int(ti.max()) + 1
+    cell = (np.arange(runs)[:, None] * p + pi.reshape(runs, n)) * t + ti
+    return np.bincount(cell.ravel(),
+                       minlength=runs * p * t).reshape(runs, p, t)
 
 
-def clustering_accuracy(pred, truth) -> float:
+def clustering_accuracy(pred, truth) -> float | list[float]:
     """Fraction of samples matched under the best bijection between
-    predicted and true labels (maximum-weight matching on the
-    contingency table, padded square when class counts differ)."""
-    # imported here so that fitting, which uses k-means, does not pay for
-    # importing scipy.optimize
-    from scipy.optimize import linear_sum_assignment
+    predicted and true labels, for one labelling (a float) or for each
+    run of a (runs, n) stack (a list).
+
+    Every run's table, zero-padded square and shifted by +1 so that each
+    block is complete, is one block of a block-diagonal bipartite graph,
+    and one exact maximum-weight full matching of that graph (LAPJVsp,
+    `scipy.sparse.csgraph.min_weight_full_bipartite_matching`) is an
+    optimal matching of every block. The matched counts are integers, so
+    each run's optimum is exact whichever optimal matching is found.
+    """
+    # imported here: `import climfs.cli` loads no scipy module
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
     C = _contingency(pred, truth)
-    side = max(C.shape)
-    pad = np.zeros((side, side), dtype=np.int64)
-    pad[:C.shape[0], :C.shape[1]] = C
-    rows, cols = linear_sum_assignment(-pad)
-    return float(pad[rows, cols].sum()) / float(C.sum())
+    runs, p, t = C.shape
+    side = max(p, t)
+    m = runs * side
+    # run r holds rows and columns r side ... (r + 1) side - 1
+    pad = np.pad(C, ((0, 0), (0, side - p), (0, side - t))).reshape(m, side)
+    block = np.arange(m) // side * side           # each row's first column
+    graph = csr_matrix(((pad + 1.0).ravel(),
+                        (block[:, None] + np.arange(side)).ravel(),
+                        np.arange(0, m * side + 1, side)), shape=(m, m))
+    rows, cols = min_weight_full_bipartite_matching(graph, maximize=True)
+    hits = pad[rows, cols - block[rows]]
+    matched = np.bincount(rows // side, weights=hits, minlength=runs)
+    acc = (matched / float(C[0].sum())).tolist()
+    return acc[0] if np.ndim(pred) == 1 else acc
 
 
-def nmi(pred, truth) -> float:
-    """Normalized mutual information with geometric-mean normalization,
-    I / sqrt(H(pred) H(truth)), natural log internally.
-
-    Conventions for degenerate labelings: both constant -> 1.0 (identical
-    trivial partitions); exactly one constant -> 0.0 (it carries no
-    information about the other).
-    """
-    C = _contingency(pred, truth).astype(float)
+def _nmi_table(C: np.ndarray) -> float:
+    """`nmi` of one (p, t) contingency table."""
+    C = C.astype(float)
     n = C.sum()
     pj = C.sum(axis=1) / n
     tj = C.sum(axis=0) / n
@@ -168,7 +191,23 @@ def nmi(pred, truth) -> float:
     mask = P > 0
     outer = pj[:, None] * tj[None, :]
     info = float(np.sum(P[mask] * np.log(P[mask] / outer[mask])))
-    return info / np.sqrt(hp * ht)
+    return float(info / np.sqrt(hp * ht))
+
+
+def nmi(pred, truth) -> float | list[float]:
+    """Normalized mutual information with geometric-mean normalization,
+    I / sqrt(H(pred) H(truth)), natural log internally, for one labelling
+    (a float) or for each run of a (runs, n) stack (a list), all from one
+    `_contingency` array. A label absent from a run is a zero row of its
+    table, which every `> 0` mask drops, so a run of a stack scores
+    exactly as it does alone.
+
+    Conventions for degenerate labelings: both constant -> 1.0 (identical
+    trivial partitions); exactly one constant -> 0.0 (it carries no
+    information about the other).
+    """
+    scores = [_nmi_table(C) for C in _contingency(pred, truth)]
+    return scores[0] if np.ndim(pred) == 1 else scores
 
 
 # ----------------------------------------------------------- selection eval
@@ -209,8 +248,8 @@ def evaluate_selection(ds: MultiViewDataset, sel, c: int, runs: int = 50,
     if runs < 1:
         raise ValueError(f"need at least one run, got runs={runs}")
     labels = kmeans(X, c, seed=range(seed, seed + runs))
-    acc_runs = [clustering_accuracy(lab, ds.labels) for lab in labels]
-    nmi_runs = [nmi(lab, ds.labels) for lab in labels]
+    acc_runs = clustering_accuracy(labels, ds.labels)
+    nmi_runs = nmi(labels, ds.labels)
     return EvalReport(acc_mean=float(np.mean(acc_runs)),
                       nmi_mean=float(np.mean(nmi_runs)),
                       acc_runs=acc_runs, nmi_runs=nmi_runs, runs=runs,

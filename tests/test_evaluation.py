@@ -169,6 +169,40 @@ def test_kmeans_rejects_seeds_that_are_not_a_flat_sequence():
 # ---------------------------------------------------------------- accuracy
 
 
+def random_stacks(seed, trials):
+    """Random (runs, n) label stacks and their truths: 1-60 runs, up to
+    12 predicted and 12 true labels (tables up to 12 x 12, mostly not
+    square), runs that miss a label, a truth of one class, and counts up
+    to n = 10^5."""
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        runs, n = int(rng.integers(1, 61)), int(rng.integers(1, 200))
+        if trial % 10 == 0:
+            runs, n = int(rng.integers(1, 4)), 10 ** 5
+        p, t = int(rng.integers(1, 13)), int(rng.integers(1, 13))
+        stack = rng.integers(0, p, (runs, n)) * 3 - 7   # labels not 0..p-1
+        truth = rng.integers(0, t, n)
+        if trial % 3 == 0:   # each run loses the labels above its own cap
+            stack = np.minimum(stack, rng.integers(0, p, (runs, 1)) * 3 - 7)
+        if trial % 7 == 0:
+            truth[:] = 4
+        yield stack, truth
+
+
+def acc_assignment(pred, truth):
+    """Matched fraction of scipy's dense assignment solver on the
+    contingency table (zero-padded square)."""
+    from scipy.optimize import linear_sum_assignment
+
+    _, pi = np.unique(pred, return_inverse=True)
+    _, ti = np.unique(truth, return_inverse=True)
+    side = max(pi.max(), ti.max()) + 1
+    C = np.zeros((side, side), dtype=np.int64)
+    np.add.at(C, (pi, ti), 1)
+    rows, cols = linear_sum_assignment(-C)
+    return float(C[rows, cols].sum()) / float(len(pred))
+
+
 def test_accuracy_exact_and_permuted():
     truth = np.array([0, 0, 1, 1, 2, 2])
     assert clustering_accuracy(truth, truth) == 1.0
@@ -178,6 +212,9 @@ def test_accuracy_exact_and_permuted():
 
 def test_accuracy_hand_case():
     assert clustering_accuracy([0, 0, 1, 1], [0, 1, 0, 1]) == 0.5
+    # each run misses a label of the other: a zero row of its table
+    assert clustering_accuracy([[0, 0, 1, 1], [0, 2, 0, 2]],
+                               [0, 1, 0, 1]) == [0.5, 1.0]
 
 
 def test_accuracy_matches_bruteforce():
@@ -191,6 +228,18 @@ def test_accuracy_matches_bruteforce():
             acc_brute(pred, truth), abs=1e-12)
 
 
+def test_accuracy_of_a_stack_matches_the_assignment_oracle_and_bruteforce():
+    for stack, truth in random_stacks(seed=21, trials=150):
+        accs = clustering_accuracy(stack, truth)
+        assert isinstance(accs, list) and len(accs) == len(stack)
+        for r, pred in enumerate(stack):
+            assert accs[r] == acc_assignment(pred, truth)
+            if r < 3 and max(np.unique(pred).size,
+                             np.unique(truth).size) <= 6:
+                assert accs[r] == pytest.approx(acc_brute(pred, truth),
+                                                abs=1e-12)
+
+
 def test_accuracy_relabeling_invariance():
     rng = np.random.default_rng(6)
     truth = rng.integers(0, 4, 60)
@@ -200,11 +249,30 @@ def test_accuracy_relabeling_invariance():
         perm = rng.permutation(4)
         assert clustering_accuracy(perm[pred], truth) == pytest.approx(
             base, abs=1e-12)
+    # all 24 relabelings as one stack
+    perms = np.array(list(itertools.permutations(range(4))))
+    assert clustering_accuracy(perms[:, pred], truth) == [base] * 24
 
 
 def test_accuracy_length_mismatch():
     with pytest.raises(ValueError):
         clustering_accuracy([0, 1], [0, 1, 2])
+    with pytest.raises(ValueError):
+        clustering_accuracy([[0, 1], [1, 0]], [0, 1, 2])
+
+
+def test_scores_take_one_labelling_or_a_stack_of_them():
+    truth = np.array([0, 0, 1, 1, 2])
+    one = np.array([1, 1, 0, 0, 0])
+    for score in (clustering_accuracy, nmi):
+        assert type(score(one, truth)) is float
+        assert type(score(one.tolist(), truth)) is float
+        stacked = score(one[None, :], truth)
+        assert type(stacked) is list and stacked == [score(one, truth)]
+        with pytest.raises(ValueError, match="stack"):
+            score(one[None, None, :], truth)
+        with pytest.raises(ValueError, match="stack"):
+            score(1, truth)
 
 
 # --------------------------------------------------------------------- NMI
@@ -248,11 +316,24 @@ def test_nmi_degenerate_conventions():
     assert nmi([0, 0, 0], [1, 1, 1]) == 1.0       # both trivial partitions
     assert nmi([0, 0, 0], [0, 1, 2]) == 0.0       # one side carries nothing
     assert nmi([0, 1, 2], [5, 5, 5]) == 0.0
+    # the same runs as one stack, whose first row is constant
+    assert nmi([[0, 0, 0], [0, 1, 2]], [0, 1, 2]) == [0.0, 1.0]
+    assert nmi([[0, 0, 0], [0, 1, 2]], [5, 5, 5]) == [1.0, 0.0]
+
+
+def test_nmi_of_a_stack_equals_each_run_alone():
+    for stack, truth in random_stacks(seed=22, trials=150):
+        scores = nmi(stack, truth)
+        assert isinstance(scores, list) and len(scores) == len(stack)
+        for r, pred in enumerate(stack):
+            assert scores[r] == nmi(pred, truth)    # bit for bit
 
 
 def test_nmi_length_mismatch():
     with pytest.raises(ValueError):
         nmi([0], [0, 1])
+    with pytest.raises(ValueError):
+        nmi([[0], [1]], [0, 1])
 
 
 # ------------------------------------------------------- evaluate_selection

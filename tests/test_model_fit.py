@@ -687,16 +687,22 @@ def test_fit_takes_the_graph_inner_products_once_per_sweep(monkeypatch):
 
 
 def test_fit_does_not_import_scipy_optimize():
-    # k-means is used by the spectral initialization; the assignment
-    # solver of clustering_accuracy must stay out of a fit
+    # k-means is used by the spectral initialization, and scoring matches
+    # labels by scipy.sparse.csgraph: neither a fit nor ranking and
+    # scoring its selection loads scipy.optimize
     run_fresh_python(
         "import sys\n"
         "from climfs.dataset import MaskMatrix, make_synthetic\n"
-        "from climfs.model import FitConfig, fit\n"
+        "from climfs.evaluation import evaluate_selection\n"
+        "from climfs.model import FitConfig, fit, rank_features\n"
         "ds = make_synthetic(n=30, views=2, clusters=3, informative=3,"
         " noise=3, seed=0)\n"
-        "fit(ds, MaskMatrix.all_observed(ds), FitConfig(k=4, c=3,"
-        " max_iter=1))\n"
+        "state, _ = fit(ds, MaskMatrix.all_observed(ds), FitConfig(k=4,"
+        " c=3, max_iter=1))\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "rep = evaluate_selection(ds, rank_features(state, 0.5), c=3,"
+        " runs=3)\n"
+        "assert len(rep.acc_runs) == 3\n"
         "assert 'scipy.optimize' not in sys.modules\n")
 
 
