@@ -36,14 +36,16 @@ block, each block's distances one product with the halving folded in,
 and the descent guard reads the old columns' costs from that same block;
 the initialization builds each view's factor once and computes each
 view's block once for S^v, H and xi. Every other graph term is an O(n k)
-reduction. The spectral initialization finds its c eigenpairs by Lanczos
-on a sparse form with at most 2k nonzeros per row built by
-`numkit.sym_csr`. The imputation step solves I + L by one Cholesky
-factorization of a dense form up to n = `numkit.COLUMN_BLOCK`, where that
-is no larger than a cost block, and by preconditioned conjugate gradients
-on a sparse form with at most n (2k + 1) nonzeros above it, where no
-n x n array is made in a sweep. Only the spectral initialization when
-c >= n - 1 makes its sparse form dense, for a full eigensolve.
+reduction. The spectral initialization finds its c eigenpairs by block
+Lanczos (`numkit.lanczos_largest`) on a compressed-row form with at most
+2k entries per row built by `numkit.sym_csr`. The imputation step solves
+I + L by one LU solve of a dense form up to n = `numkit.COLUMN_BLOCK`,
+where that is no larger than a cost block, and by preconditioned
+conjugate gradients on a compressed-row form with at most n (2k + 1)
+entries above it, where no n x n array is made in a sweep. Only the
+spectral initialization when c is close to n (the Lanczos basis would
+not fit) makes its sparse form dense, for a full eigensolve. Every
+kernel is numpy's: no fit loads scipy.
 `ModelState.S` and `ModelState.H` give dense read-only copies for readers
 outside the optimizer. Eigensolver and solver failures and non-finite
 graphs raise NumericError.
@@ -316,30 +318,24 @@ def _spectral_partition(nbr: np.ndarray, w: np.ndarray, c: int,
     symmetric-normalized Laplacian I - N of its symmetrized form (whose
     diagonal is zero), rows normalized, then seeded k-means on the rows.
     Those are the c largest eigenpairs of N = D^-1/2 ((A + A^T) / 2)
-    D^-1/2, one `numkit.sym_csr` matrix with at most 2k nonzeros per row:
-    implicitly restarted Lanczos (ARPACK's `eigsh`) finds them from O(n k)
-    sparse products, started from a fixed pseudo-random vector so runs are
-    byte-for-byte repeatable. ARPACK cannot ask for c >= n - 1 pairs; those
-    take the last c of every eigenpair of the same N, made dense. A
-    non-finite graph or an eigensolver failure is a NumericError."""
+    D^-1/2, one `numkit.sym_csr` matrix with at most 2k entries per row:
+    `numkit.lanczos_largest` finds them from O(n k) products with it, by
+    block Lanczos from fixed pseudo-random vectors, so runs are
+    byte-for-byte repeatable and an eigenvalue repeated up to c times (a
+    graph of up to c components) is found whole; where its basis would
+    not fit (c close to n), from every eigenpair of the same N made
+    dense. A non-finite graph or an eigensolver failure is a
+    NumericError."""
     if not np.isfinite(w).all():
         raise NumericError("non-finite consensus graph at initialization")
-    n = nbr.shape[0]
     dinv = 1.0 / np.sqrt(np.maximum(numkit.sym_degrees(nbr, w), 1e-30))
     # entry (i, j) adds A_ij / 2 and A_ji / 2, each scaled by the one
     # product dinv_i dinv_j, so N is exactly symmetric
     N = numkit.sym_csr(nbr, 0.5 * w * (dinv[nbr] * dinv[:, None]))
-    # imported here: `import climfs` leaves scipy out
-    from scipy.sparse.linalg import ArpackError, eigsh
     try:
-        if c < n - 1:
-            emb = eigsh(N, k=c, which="LA",
-                        v0=np.random.default_rng(0).standard_normal(n))[1]
-        else:
-            emb = np.linalg.eigh(N.toarray())[1]
-    except (ArpackError, np.linalg.LinAlgError) as exc:
+        emb = numkit.lanczos_largest(N, c)[1].T  # the Laplacian's order
+    except (NumericError, np.linalg.LinAlgError) as exc:
         raise NumericError(f"spectral initialization failed: {exc}") from exc
-    emb = emb[:, ::-1][:, :c]  # N's largest first: the Laplacian's order
     norms = np.linalg.norm(emb, axis=1, keepdims=True)
     emb = emb / np.where(norms == 0.0, 1.0, norms)
     return kmeans(emb, c, seed=seed)
@@ -623,19 +619,21 @@ def update_Xhat(state: ModelState, ds: MultiViewDataset, masks: MaskMatrix,
     pairwise smoothness term). M has rank c, so R = W Y^T with
     Y^T = (F^v + F*)^T (I + L)^{-1}: I + L is built from the (n, k) graph
     and solved for the c factor columns at once
-    (`numkit.solve_identity_plus_laplacian`), by one Cholesky
-    factorization of a dense I + L up to n = `numkit.COLUMN_BLOCK` and by
-    Jacobi-preconditioned conjugate gradients on a sparse one above it.
-    Observed entries are copied back verbatim. If that fast path X' would
-    increase the subproblem, that is if <X' - X, (X' + X) (I + L) - 2M>
-    > 0, the masked entries are recomputed by the exact constrained solve
-    instead, conjugate gradients with the same I + L. Without graph
-    learning the subproblem is ||X - M||^2, whose constrained minimizer
-    sets the masked entries to M: no guard needed. Returns the fallbacks
-    taken and the conjugate gradient steps summed over the solves (the
-    fallbacks' only, up to COLUMN_BLOCK). A non-finite or negative weight
-    of S^v, or a conjugate gradient solve that does not converge, is a
-    NumericError.
+    (`numkit.solve_identity_plus_laplacian`), by one LU solve of a dense
+    I + L up to n = `numkit.COLUMN_BLOCK` and by Jacobi-preconditioned
+    conjugate gradients on a `numkit.SymCSR` one above it. Observed
+    entries are copied back verbatim. If that fast path X' would increase
+    the subproblem, that is if <X' - X, (X' + X) (I + L) - 2M> > 0, taken
+    as <D, S - 2M> + <D, S L> for D = X' - X and S = X' + X with the
+    Laplacian term by gathers on the (n, k) graph
+    (`numkit.laplacian_inner`), the masked entries are recomputed by the
+    exact constrained solve instead, conjugate gradients with the same
+    I + L. Without graph learning the subproblem is ||X - M||^2, whose
+    constrained minimizer sets the masked entries to M: no guard needed.
+    Returns the fallbacks taken and the conjugate gradient steps summed
+    over the solves (the fallbacks' only, up to COLUMN_BLOCK). A
+    non-finite or negative weight of S^v, or a conjugate gradient solve
+    that does not converge, is a NumericError.
     """
     fallbacks = steps = 0
     for v in range(state.n_views):
@@ -649,7 +647,11 @@ def update_Xhat(state: ModelState, ds: MultiViewDataset, masks: MaskMatrix,
         Yt, K, used = numkit.solve_identity_plus_laplacian(
             state.S_nbr[v], state.S_w[v], G.T)
         cand = np.where(obs, ds.views[v], state.W[v] @ Yt)
-        if np.vdot(cand - X, (K @ (cand + X).T).T - 2.0 * M) > 0.0:
+        D, S = cand - X, cand + X
+        rise = np.vdot(D, S - 2.0 * M) + numkit.laplacian_inner(
+            D, S, state.S_nbr[v], state.S_w[v])
+        del D, S  # not held through the fallback
+        if rise > 0.0:
             cand, more = _constrained_impute(M, K, obs, ds.views[v], X)
             used += more
             fallbacks += 1
@@ -667,7 +669,7 @@ def _constrained_impute(M: np.ndarray, K, obs: np.ndarray, Xorig: np.ndarray,
     pull on the free ones. All d rows are one `numkit.pcg` solve, started
     from `start`; returns the imputed view and the steps taken."""
     free = (~obs).astype(float)
-    B = free * (M - (K @ np.where(obs, Xorig, 0.0).T).T)
+    B = free * (M - np.where(obs, Xorig, 0.0) @ K)
     Z, steps = numkit.pcg(K, B, free * start, free)
     return np.where(obs, Xorig, Z), steps
 

@@ -36,6 +36,14 @@ COLUMN_BLOCK = 256
 # k-sparse simplex graph it takes 19-25 steps at n = 150 ... 5000.
 CG_RTOL = 1e-13
 CG_MAXITER = 1000
+# A `SymCSR` product gathers at most about PRODUCT_TERMS terms (rows of P
+# times entries of K) at a time, so its temporary stays near 0.5 MB.
+PRODUCT_TERMS = 1 << 16
+# `lanczos_largest` accepts a Ritz pair once its residual norm is at most
+# LANCZOS_RTOL times its Ritz value's magnitude (floored at eps^(2/3)), as
+# ARPACK does at its default tol, and raises after LANCZOS_MAXITER cycles.
+LANCZOS_RTOL = np.finfo(float).eps
+LANCZOS_MAXITER = 1000
 # Adam decay rates and denominator floor, the Kingma & Ba (2015) defaults.
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -340,8 +348,9 @@ def half_sq_dists(R: np.ndarray, cols: np.ndarray,
 # listed twice in one column holds the sum of its weights). The functions
 # of this section read a graph in that form in O(n k) work, and every
 # matrix of its symmetrized form is made from the entries `_sym_entries`
-# lists; only `densify`, `laplacian` and, up to n = COLUMN_BLOCK,
-# `identity_plus_laplacian` build an n x n array.
+# lists, held as a `SymCSR` above n = COLUMN_BLOCK; only `densify`,
+# `laplacian` and, up to n = COLUMN_BLOCK, `identity_plus_laplacian` build
+# an n x n array.
 
 
 def densify(nbr: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -380,6 +389,22 @@ def laplacian_quad(X: np.ndarray, nbr: np.ndarray, w: np.ndarray,
     return float(deg @ np.einsum("ij,ij->j", X, X) - cross)
 
 
+def laplacian_inner(X: np.ndarray, Y: np.ndarray, nbr: np.ndarray,
+                    w: np.ndarray) -> float:
+    """<X, Y L> = tr(X L Y^T) for L = laplacian(nbr, w) and X, Y (d, n),
+    by gathers in O(n k d): sum_i deg_i <x_i, y_i> minus half of
+    sum_j sum_t w[j, t] (<x_nbr[j, t], y_j> + <x_j, y_nbr[j, t]>)."""
+    # row i of XY is [x_i, y_i] and of YX [y_i, x_i], so one product of
+    # XY's row a and YX's row b is <x_a, y_b> + <y_a, x_b>
+    XY = np.ascontiguousarray(np.vstack((X, Y)).T)
+    YX = np.ascontiguousarray(np.vstack((Y, X)).T)
+    cross = np.empty(nbr.shape)
+    for t, at in enumerate(nbr.T):  # one (n, 2d) gather at a time
+        cross[:, t] = np.einsum("jd,jd->j", XY[at], YX)
+    return float(sym_degrees(nbr, w) @ np.einsum("ij,ij->j", X, Y)
+                 - np.vdot(cross, w) / 2.0)
+
+
 def graph_inner(nbr_a: np.ndarray, w_a: np.ndarray, nbr_b: np.ndarray,
                 w_b: np.ndarray) -> float:
     """The inner product <A, B> of two graphs: per column, the products of
@@ -416,22 +441,73 @@ def _sym_entries(nbr: np.ndarray, half: np.ndarray,
     return np.concatenate(i), np.concatenate(j), np.concatenate(data)
 
 
+class SymCSR:
+    """A symmetric (n, n) matrix in compressed rows: row i holds the values
+    data[indptr[i]:indptr[i + 1]] at the columns indices[...], ascending,
+    each place once. `P @ K` is the product with a vector (n,) or the rows
+    of P (m, n): per pass over a band of K's rows, one gather of P's
+    columns, one product with `data` and one `np.add.reduceat` that sums
+    each row's terms in column order, the bands sized to PRODUCT_TERMS.
+    Every row must hold an entry."""
+
+    __array_ufunc__ = None  # so that `ndarray @ SymCSR` calls __rmatmul__
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray,
+                 data: np.ndarray):
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self.shape = (indptr.size - 1,) * 2
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def _rows(self) -> np.ndarray:
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def diagonal(self) -> np.ndarray:
+        at = self._rows() == self.indices
+        return np.bincount(self.indices[at], self.data[at],
+                           minlength=self.shape[0])
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self._rows(), self.indices] = self.data
+        return out
+
+    def __rmatmul__(self, P: np.ndarray) -> np.ndarray:
+        n, out = self.shape[0], np.empty(np.shape(P))
+        terms = self.nnz * max(out.size // n, 1)  # of the whole product
+        band = max(1, PRODUCT_TERMS * n // terms)  # K's rows per pass
+        for r0 in range(0, n, band):
+            at = self.indptr[r0:r0 + band + 1]
+            G = np.take(P, self.indices[at[0]:at[-1]], axis=-1)
+            G *= self.data[at[0]:at[-1]]
+            out[..., r0:r0 + band] = np.add.reduceat(G, at[:-1] - at[0],
+                                                     axis=-1)
+        return out
+
+
 def sym_csr(nbr: np.ndarray, half: np.ndarray,
-            diag: np.ndarray | None = None):
-    """The `_sym_entries` matrix as a scipy CSR matrix, built in O(n k)
-    with at most n (2k + 1) nonzeros."""
-    # imported here: `import climfs` leaves scipy out
-    from scipy.sparse import csr_matrix
+            diag: np.ndarray | None = None) -> SymCSR:
+    """The `_sym_entries` matrix as a `SymCSR`, at most n (2k + 1) entries:
+    one sort of their places, then the terms at each place summed. Row i
+    holds at least its own k neighbours."""
     i, j, data = _sym_entries(nbr, half, diag)
     n = nbr.shape[0]
-    return csr_matrix((data, (i, j)), shape=(n, n))
+    place = i * n + j
+    order = np.argsort(place)
+    place = place[order]
+    first = np.flatnonzero(np.diff(place, prepend=-1))
+    place = place[first]
+    return SymCSR(np.searchsorted(place, n * np.arange(n + 1)), place % n,
+                  np.add.reduceat(data[order], first))
 
 
 def identity_plus_laplacian(nbr: np.ndarray, w: np.ndarray):
     """I + L for L = laplacian(nbr, w): up to n = COLUMN_BLOCK, where it is
     no larger than a graph cost block, one dense (n, n) array (one
     bincount of the `_sym_entries`, no temporary n x n array), and above it
-    a `sym_csr` matrix; the entries are the same either way. It is
+    a `sym_csr` SymCSR; the entries are the same either way. It is
     symmetric positive definite, with eigenvalues in [1, 1 + 2 max
     degree], when every weight is nonnegative; a non-finite or negative
     weight is a NumericError."""
@@ -450,28 +526,20 @@ def solve_identity_plus_laplacian(nbr: np.ndarray, w: np.ndarray,
     """Solve X (I + L) = B for every row of B (m, n), L = laplacian(nbr,
     w). Returns X, the `identity_plus_laplacian` I + L (for the caller's
     products with it) and the conjugate gradient steps taken. A dense
-    I + L is solved by one Cholesky factorization, n^3 / 3 flops, with
-    no step counted; it is factored in place and built again afterwards,
-    so the solve holds one n x n array at a time. A sparse one is solved
-    by `pcg`, whose NumericError it raises."""
+    I + L is solved by one LU factorization (`np.linalg.solve`, which
+    leaves it intact), with no step counted; a sparse one by `pcg`, whose
+    NumericError it raises."""
     K = identity_plus_laplacian(nbr, w)
-    if not isinstance(K, np.ndarray):
-        X, steps = pcg(K, B)
-        return X, K, steps
-    # imported here: `import climfs` leaves scipy out
-    from scipy.linalg import cho_factor, cho_solve
-    # K is symmetric, and K.T the Fortran-ordered array LAPACK overwrites
-    # (scipy copies a C-ordered one whatever overwrite_a says)
-    factor = cho_factor(K.T, overwrite_a=True, check_finite=False)
-    X = cho_solve(factor, B.T, check_finite=False).T
-    del K, factor
-    return X, identity_plus_laplacian(nbr, w), 0
+    if isinstance(K, np.ndarray):
+        return np.linalg.solve(K, B.T).T, K, 0
+    X, steps = pcg(K, B)
+    return X, K, steps
 
 
 def pcg(K, B: np.ndarray, X: np.ndarray | None = None,
         free: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Solve X K = B for every row of B (m, n) at once, that is K x_i = b_i
-    for a symmetric positive definite K, sparse or dense, such as
+    for a symmetric positive definite K, a `SymCSR` or dense, such as
     `identity_plus_laplacian`'s, by conjugate gradients preconditioned by
     diag(K) (Jacobi). Each row takes its own step sizes and stops once
     ||r_i|| <= CG_RTOL ||b_i||; a zero row of B is solved by 0 at step 0.
@@ -479,9 +547,9 @@ def pcg(K, B: np.ndarray, X: np.ndarray | None = None,
     i solves the system of K restricted to the entries where free[i] is 1;
     B and X must then be 0 elsewhere, and the solution stays 0 there. The
     right-hand sides are rows so that the vector updates of a step run
-    along contiguous memory. Returns the solution and the steps taken;
-    raises NumericError if some row has not converged after CG_MAXITER
-    steps."""
+    along contiguous memory, and a step updates X, R, Z and P in place.
+    Returns the solution and the steps taken; raises NumericError if some
+    row has not converged after CG_MAXITER steps."""
     B = np.ascontiguousarray(B)
     dinv = 1.0 / K.diagonal()
     if free is not None:
@@ -491,38 +559,135 @@ def pcg(K, B: np.ndarray, X: np.ndarray | None = None,
         X, R = np.zeros(B.shape), B.copy()
     else:
         X = np.where(bb[:, None] == 0.0, 0.0, X)
-        R = B - (K @ X.T).T
+        R = B - X @ K
         if free is not None:
             R *= free
-    # the rows still running are `rows` of the solution `out`; X, R, P
+    # the rows still running are `rows` of the solution `out`; X, R, Z, P
     # and the per-row arrays hold only those
     out, rows, tol = X, np.arange(B.shape[0]), CG_RTOL * CG_RTOL * bb
     Z = dinv * R
-    P, rz = Z, np.einsum("ij,ij->i", R, Z)
+    P, rz = Z.copy(), np.einsum("ij,ij->i", R, Z)
     for step in range(CG_MAXITER + 1):
         live = np.einsum("ij,ij->i", R, R) > tol
         if not live.all():
-            out[rows] = X
+            if X is not out:  # out holds X's rows until rows first drop
+                out[rows] = X
             if not live.any():
                 return out, step
-            rows, X, R, P = rows[live], X[live], R[live], P[live]
-            rz, tol = rz[live], tol[live]
+            rows, rz, tol = rows[live], rz[live], tol[live]
+            # one array at a time, so that no second copy of all is held
+            X = X[live]
+            R = R[live]
+            Z = Z[live]
+            P = P[live]
             if free is not None:
-                dinv, free = dinv[live], free[live]
+                dinv = dinv[live]
+                free = free[live]
         if step == CG_MAXITER:
             break
-        KP = (K @ P.T).T  # P K, as K is symmetric
+        KP = P @ K  # row i is K p_i, as K is symmetric
         if free is not None:
             KP *= free  # a product, not a masked write: several times faster
         a = (rz / np.einsum("ij,ij->i", P, KP))[:, None]
-        X += a * P
-        R -= a * KP
-        Z = dinv * R
+        X += np.multiply(a, P, out=Z)  # Z is free until its update below
+        KP *= a
+        R -= KP
+        np.multiply(dinv, R, out=Z)
         rz_new = np.einsum("ij,ij->i", R, Z)
-        P = Z + (rz_new / rz)[:, None] * P
+        P *= (rz_new / rz)[:, None]
+        P += Z
         rz = rz_new
     raise NumericError(f"conjugate gradients did not reach a relative "
                        f"residual of {CG_RTOL:.0e} in {CG_MAXITER} steps")
+
+
+# --------------------------------------------------------------- Lanczos
+
+
+def _orthonormalize(W: np.ndarray, V: np.ndarray,
+                    rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """Make the rows of W (b, n) orthonormal to the orthonormal rows of V
+    (s, n) and to each other, in place: two classical Gram-Schmidt passes
+    against V, then row by row. Returns the coefficients C (b, s) of the
+    old rows on V and R (b, b) on the new ones, so old W = C V + R^T W. A
+    row left with at most 1e-12 of its norm lies in the span: it becomes a
+    random direction with coefficient 0."""
+    norms = np.sqrt(np.einsum("ij,ij->i", W, W))
+    C = W @ V.T
+    W -= C @ V
+    C2 = W @ V.T
+    W -= C2 @ V
+    C += C2
+    R = np.zeros((W.shape[0],) * 2)
+    for r, w in enumerate(W):
+        for _ in range(2 if r else 0):
+            h = W[:r] @ w
+            w -= h @ W[:r]
+            R[:r, r] += h
+        norm = np.sqrt(w @ w)
+        if norm > 1e-12 * norms[r]:
+            R[r, r] = norm
+            w /= norm
+            continue
+        w[:] = rng.standard_normal(w.size)
+        for _ in range(2):
+            w -= (V @ w) @ V + (W[:r] @ w) @ W[:r]
+        w /= np.sqrt(w @ w)
+    return C, R
+
+
+def lanczos_largest(K, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The c largest eigenvalues of a symmetric K (n, n), descending, and
+    orthonormal eigenvectors as the rows of a (c, n) array, from products
+    `P @ K` only: block Lanczos with full reorthogonalization and thick
+    restarts (Wu & Simon, SIAM J. Matrix Anal. Appl. 2000, in blocks).
+
+    The block holds c vectors, so an eigenvalue that repeats up to c times
+    among the wanted is found whole, and starts from fixed pseudo-random
+    vectors, so runs repeat byte for byte. A cycle grows the basis a block
+    at a time to p >= m = max(10 c, 20) vectors, the Rayleigh-Ritz pairs
+    of its projected matrix are tested by their residual norms, and the
+    restart keeps the largest c + (p - c) // 2 Ritz vectors and the next
+    block. Where the basis would not fit, 2c + m > n, the eigenpairs
+    come from `np.linalg.eigh` of `K.toarray()` instead. Raises
+    NumericError if the c pairs have not converged (LANCZOS_RTOL) in
+    LANCZOS_MAXITER cycles."""
+    n = K.shape[0]
+    m = max(10 * c, 20)
+    if m + 2 * c > n:
+        vals, vecs = np.linalg.eigh(K.toarray())
+        return vals[::-1][:c], vecs[:, ::-1][:, :c].T
+    rng = np.random.default_rng(0)
+    # rows of V: the basis and the next block; T: its projection, whose
+    # lower triangle is exact
+    V, T = np.empty((m + 2 * c, n)), np.zeros((m + 2 * c, m + 2 * c))
+    V[:c] = rng.standard_normal((c, n))
+    _orthonormalize(V[:c], V[:0], rng)
+    j = 0  # first row of the block to expand
+    for _ in range(LANCZOS_MAXITER):
+        while j < m:
+            s = j + c
+            V[s:s + c] = V[j:s] @ K
+            T[j:s, :s], T[s:s + c, j:s] = _orthonormalize(V[s:s + c], V[:s],
+                                                          rng)
+            j = s
+        theta, S = np.linalg.eigh(T[:j, :j], UPLO="L")
+        theta, S = theta[::-1], S[:, ::-1]
+        # Ritz pair i has residual V[j:j + c]^T (T[j:j + c, j - c:j] S_i)
+        B = T[j:j + c, j - c:j] @ S[j - c:j]
+        res = np.sqrt(np.einsum("ij,ij->j", B, B))[:c]
+        floor = np.maximum(np.abs(theta[:c]), np.finfo(float).eps ** (2 / 3))
+        if (res <= LANCZOS_RTOL * floor).all():
+            return theta[:c], S[:, :c].T @ V[:j]
+        k = c + (j - c) // 2
+        V[:k] = S[:, :k].T @ V[:j]
+        V[k:k + c] = V[j:j + c]
+        T[:] = 0.0
+        T[np.arange(k), np.arange(k)] = theta[:k]
+        T[k:k + c, :k] = B[:, :k]
+        j = k
+    raise NumericError(f"Lanczos did not converge to a relative residual "
+                       f"of {LANCZOS_RTOL:.0e} in {LANCZOS_MAXITER} cycles")
 
 
 # ------------------------------------------------------------------ Adam

@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -821,17 +824,36 @@ def test_optimizer_failure_exits_3(tmp_path, monkeypatch, exc):
 
 def test_eigensolver_failure_at_initialization_exits_3(tmp_path,
                                                        monkeypatch):
-    import scipy.sparse.linalg
+    # the Lanczos solve of this instance takes four cycles
     p = write_config(tmp_path / "cfg.json", base_config(tmp_path / "out"))
     assert main(["simulate", "--config", p]) == 0
-
-    def no_convergence(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence",
-                                                      np.empty(0),
-                                                      np.empty((0, 0)))
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    monkeypatch.setattr(numkit, "LANCZOS_MAXITER", 1)
     assert main(["fit", "--config", p]) == 3
+
+
+def test_every_command_runs_where_scipy_cannot_be_imported(tmp_path):
+    # a fresh interpreter whose import system refuses every scipy module
+    cfg = base_config(tmp_path / "out")
+    cfg["data"]["synthetic"]["n"] = 30
+    cfg["fit"]["max_iter"] = 5
+    p = write_config(tmp_path / "cfg.json", cfg)
+    code = (
+        "import sys\n"
+        "class RefuseScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError(f'{name} is refused')\n"
+        "sys.meta_path.insert(0, RefuseScipy())\n"
+        "from climfs.cli import main\n"
+        "for command in ('simulate', 'fit', 'evaluate', 'ablate',"
+        " 'diagnose'):\n"
+        f"    assert main([command, '--config', {p!r}]) == 0, command\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [q for q in [os.environ.get("PYTHONPATH")] if q]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=120)
 
 
 def test_unconverged_imputation_solve_exits_3(tmp_path, monkeypatch, capsys):

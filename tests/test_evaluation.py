@@ -18,8 +18,9 @@ import kmeans_oracle
 from climfs.dataset import (MaskMatrix, MissingScenario, apply_missing,
                             make_synthetic)
 from climfs.evaluation import (KMEANS_MAX_ITER, EvalReport, _cross_view,
-                               clustering_accuracy, diagnostics_report,
-                               evaluate_selection, kmeans, nmi)
+                               _max_assignment, clustering_accuracy,
+                               diagnostics_report, evaluate_selection, kmeans,
+                               nmi)
 from climfs.model import FitConfig, SelectionResult, fit, rank_features
 
 
@@ -238,6 +239,27 @@ def test_accuracy_of_a_stack_matches_the_assignment_oracle_and_bruteforce():
                              np.unique(truth).size) <= 6:
                 assert accs[r] == pytest.approx(acc_brute(pred, truth),
                                                 abs=1e-12)
+
+
+def test_max_assignment_matches_linear_sum_assignment():
+    # stacks of square tables, 1 x 1 to 12 x 12: few distinct values (many
+    # tied optima), counts up to 10^5, zero and constant tables
+    from scipy.optimize import linear_sum_assignment
+    rng = np.random.default_rng(22)
+    for trial in range(200):
+        runs, s = int(rng.integers(1, 30)), int(rng.integers(1, 13))
+        high = (2, 5, 10 ** 5)[trial % 3]
+        W = rng.integers(0, high, (runs, s, s))
+        W[0] = 0
+        if runs > 1:
+            W[1] = 7
+        cols = _max_assignment(W)
+        assert cols.shape == (runs, s)
+        for r in range(runs):
+            assert sorted(cols[r].tolist()) == list(range(s))
+            rows, best = linear_sum_assignment(W[r], maximize=True)
+            assert W[r, np.arange(s), cols[r]].sum() == W[r, rows,
+                                                           best].sum()
 
 
 def test_accuracy_relabeling_invariance():

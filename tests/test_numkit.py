@@ -12,10 +12,11 @@ from hypothesis import strategies as hst
 from climfs import numkit
 from climfs.errors import NumericError
 from climfs.numkit import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, CG_RTOL,
-                           COLUMN_BLOCK, adam_step, half_sq_dists,
+                           COLUMN_BLOCK, SymCSR, adam_step, half_sq_dists,
                            half_sq_factors, identity_plus_laplacian,
                            ksparse_simplex_columns,
-                           ksparse_simplex_min, laplacian, pcg, simplex_qp,
+                           ksparse_simplex_min, lanczos_largest, laplacian,
+                           laplacian_inner, pcg, simplex_qp,
                            soft_threshold, solve_identity_plus_laplacian,
                            solve_scaled_sylvester, sym_csr, sym_degrees)
 from graph_oracle import laplacian as dense_laplacian
@@ -501,10 +502,53 @@ def test_identity_plus_laplacian_matches_dense():
             assert isinstance(K, np.ndarray) and K.shape == (n, n)
             assert np.array_equal(K, dense) and np.array_equal(K, K.T)
         else:
-            assert K.format == "csr" and K.nnz <= n * (2 * nbr.shape[1] + 1)
+            assert isinstance(K, SymCSR)
+            assert K.nnz <= n * (2 * nbr.shape[1] + 1)
             assert np.array_equal(K.toarray(), dense)
         np.testing.assert_allclose(dense, np.eye(n) + laplacian(nbr, w),
                                    rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [30, COLUMN_BLOCK, COLUMN_BLOCK + 1])
+def test_sym_csr_products_match_the_dense_matrix(n, monkeypatch):
+    # I + L (with its diagonal) and the normalized adjacency N of the
+    # spectral initialization (without one), times a vector and 1, c and
+    # d rows; the bands of a product sum each entry as one pass does
+    rng = np.random.default_rng(48)
+    nbr, w = random_graph(rng, n, 6)
+    dinv = 1.0 / np.sqrt(sym_degrees(nbr, w))
+    forms = {"I + L": sym_csr(nbr, -0.5 * w, 1.0 + sym_degrees(nbr, w)),
+             "N": sym_csr(nbr, 0.5 * w * (dinv[nbr] * dinv[:, None]))}
+    for name, K in forms.items():
+        dense = K.toarray()
+        assert np.array_equal(dense, dense.T), name
+        assert np.array_equal(K.diagonal(), np.diag(dense)), name
+        assert K.nnz == np.count_nonzero(dense) <= n * 13, name
+        for P in (rng.normal(size=n), rng.normal(size=(1, n)),
+                  rng.normal(size=(3, n)), rng.normal(size=(50, n))):
+            KP = P @ K
+            assert KP.shape == P.shape
+            np.testing.assert_allclose(KP, P @ dense, rtol=0,
+                                       atol=1e-14 * np.abs(P).max())
+            with monkeypatch.context() as m:
+                m.setattr(numkit, "PRODUCT_TERMS", 7 * n)
+                assert np.array_equal(P @ K, KP), name
+    sym = np.diag(sym_degrees(nbr, w)) - laplacian(nbr, w)  # (A + A^T) / 2
+    nd = forms["N"].toarray()
+    assert not np.diag(nd).any()
+    np.testing.assert_allclose(nd, dinv[:, None] * sym * dinv, atol=1e-15)
+
+
+def test_laplacian_inner_matches_the_dense_form():
+    rng = np.random.default_rng(49)
+    for n, k, d in ((5, 2, 1), (40, 3, 4), (300, 6, 10)):
+        nbr, w = random_graph(rng, n, k)
+        X, Y = rng.normal(size=(d, n)), rng.normal(size=(d, n))
+        expect = np.vdot(X, Y @ laplacian(nbr, w))
+        assert laplacian_inner(X, Y, nbr, w) == pytest.approx(
+            expect, rel=1e-12, abs=1e-12)
+        assert laplacian_inner(X, Y, nbr, w) == pytest.approx(
+            laplacian_inner(Y, X, nbr, w), rel=1e-13)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
@@ -521,7 +565,7 @@ def test_identity_plus_laplacian_rejects_bad_weights(bad):
 
 @pytest.mark.parametrize("n", [COLUMN_BLOCK, COLUMN_BLOCK + 1])
 def test_solve_identity_plus_laplacian_on_both_sides_of_column_block(n):
-    # one Cholesky solve of the dense I + L up to COLUMN_BLOCK (no
+    # one LU solve of the dense I + L up to COLUMN_BLOCK (no
     # conjugate gradient step), pcg on the sparse one above it; either way
     # the I + L it returns is identity_plus_laplacian's
     rng = np.random.default_rng(47)
@@ -597,6 +641,98 @@ def test_pcg_raises_at_the_step_cap(monkeypatch):
     monkeypatch.setattr(numkit, "CG_MAXITER", 1)
     with pytest.raises(NumericError, match="conjugate gradients"):
         pcg(K, B)
+
+
+# --------------------------------------------------------------- Lanczos
+
+
+def normalized_adjacency(nbr, w):
+    """The `SymCSR` N = D^-1/2 ((A + A^T) / 2) D^-1/2 of a graph."""
+    dinv = 1.0 / np.sqrt(sym_degrees(nbr, w))
+    return sym_csr(nbr, 0.5 * w * (dinv[nbr] * dinv[:, None]))
+
+
+def assert_largest_eigenpairs(K, c, vals, vecs):
+    """The c largest eigenvalues of K and the span of their eigenvectors
+    (the projector onto it), against `np.linalg.eigh`."""
+    dense_vals, dense_vecs = np.linalg.eigh(K.toarray())
+    U = dense_vecs[:, ::-1][:, :c]
+    assert vecs.shape == (c, K.shape[0])
+    np.testing.assert_allclose(vals, dense_vals[::-1][:c], rtol=0,
+                               atol=1e-13)
+    np.testing.assert_allclose(vecs @ vecs.T, np.eye(c), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(vecs.T @ vecs, U @ U.T, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("c", [1, 3, 5])
+def test_lanczos_largest_matches_eigh(c):
+    # normalized adjacencies (no diagonal) and I + L, above and below the
+    # size where the basis would not fit and eigh runs instead
+    rng = np.random.default_rng(60 + c)
+    for n in (20, 70, 300):
+        nbr, w = random_graph(rng, n, 4)
+        for K in (normalized_adjacency(nbr, w),
+                  sym_csr(nbr, -0.5 * w, 1.0 + sym_degrees(nbr, w))):
+            vals, vecs = lanczos_largest(K, c)
+            assert_largest_eigenpairs(K, c, vals, vecs)
+            again = lanczos_largest(K, c)
+            assert again[1].tobytes() == vecs.tobytes()
+
+
+@pytest.mark.parametrize("n", [40, 64, 100])
+def test_lanczos_largest_finds_a_double_eigenvalue_on_a_ring(n):
+    # every eigenvalue of a ring but 1 is double: the 2nd and 3rd largest
+    # are one eigenvalue, found whole by a block of c vectors
+    nbr = np.sort(np.stack([np.arange(n) - 1, np.arange(n) + 1], axis=1) % n,
+                  axis=1)
+    K = normalized_adjacency(nbr, np.full((n, 2), 0.5))
+    for c in (3, 5):
+        vals, vecs = lanczos_largest(K, c)
+        assert vals[1] == pytest.approx(vals[2], abs=1e-13)
+        assert_largest_eigenpairs(K, c, vals, vecs)
+
+
+@pytest.mark.parametrize("c,size,k", [(3, 30, 4), (4, 40, 5), (3, 100, 6),
+                                      (6, 25, 3)])
+def test_lanczos_largest_spans_eigenvalue_one_of_c_disjoint_blocks(c, size,
+                                                                   k):
+    # c components: eigenvalue 1 with multiplicity c, every component's
+    # D^1/2 1 in the span
+    rng = np.random.default_rng(c * size)
+    blocks = []
+    for b in range(c):
+        X = rng.normal(size=(size, 2))
+        dist = ((X[:, None] - X[None]) ** 2).sum(-1)
+        np.fill_diagonal(dist, np.inf)
+        blocks.append(np.sort(np.argsort(dist, axis=1)[:, :k], axis=1)
+                      + b * size)
+    nbr = np.concatenate(blocks)
+    w = rng.uniform(0.1, 1.0, size=nbr.shape)
+    K = normalized_adjacency(nbr, w)
+    vals, vecs = lanczos_largest(K, c)
+    np.testing.assert_allclose(vals, 1.0, rtol=0, atol=1e-13)
+    assert_largest_eigenpairs(K, c, vals, vecs)
+
+
+def test_lanczos_largest_survives_an_invariant_block():
+    # 30 disjoint pairs: N^2 = I, so the third block of the Krylov space
+    # lies in the span of the first and is replaced by random directions;
+    # eigenvalue 1 has multiplicity 30 > c, and any c of it are right
+    n = 60
+    nbr = (np.arange(n) ^ 1)[:, None]
+    K = normalized_adjacency(nbr, np.ones((n, 1)))
+    vals, vecs = lanczos_largest(K, 3)
+    np.testing.assert_allclose(vals, 1.0, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(vecs @ K.toarray(), vecs, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(vecs @ vecs.T, np.eye(3), rtol=0, atol=1e-13)
+
+
+def test_lanczos_largest_raises_at_the_cycle_cap(monkeypatch):
+    rng = np.random.default_rng(61)
+    K = normalized_adjacency(*random_graph(rng, 200, 4))
+    monkeypatch.setattr(numkit, "LANCZOS_MAXITER", 1)
+    with pytest.raises(NumericError, match="Lanczos did not converge"):
+        lanczos_largest(K, 3)
 
 
 # ------------------------------------------------------------- sq_dists
